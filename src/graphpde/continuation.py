@@ -196,17 +196,28 @@ def _normalized(sys, du, dlam, beta):
 
 
 def _bordered_matrix(J, col, row, corner):
-    if sp.issparse(J):
-        col = sp.csc_matrix(np.asarray(col).reshape(-1, 1))
-        row = sp.csc_matrix(np.asarray(row).reshape(1, -1))
-        return sp.bmat([[J, col], [row, sp.csc_matrix([[corner]])]], format="csc")
+    """CSC of [[J, col], [row, corner]], assembled from J's CSC arrays.
+
+    Column j of J keeps its entries and gains row[j] at row n, so every
+    entry moves j places along; the last column is stored in full.
+    """
+    J = sp.csc_matrix(J)
     n = J.shape[0]
-    M = np.empty((n + 1, n + 1))
-    M[:n, :n] = J
-    M[:n, n] = col
-    M[n, :n] = row
-    M[n, n] = corner
-    return M
+    shift = np.arange(n + 1, dtype=J.indptr.dtype)
+    indptr = np.append(J.indptr + shift, J.indptr[-1] + 2 * n + 1)
+    border = indptr[1:n + 1] - 1
+    moved = np.ones(indptr[n], dtype=bool)
+    moved[border] = False
+    dtype = np.result_type(J.data, col, row, corner)
+    data = np.empty(indptr[-1], dtype=dtype)
+    indices = np.empty(indptr[-1], dtype=J.indices.dtype)
+    data[:indptr[n]][moved] = J.data
+    indices[:indptr[n]][moved] = J.indices
+    data[border] = row
+    indices[border] = n
+    data[indptr[n]:] = np.append(col, corner)
+    indices[indptr[n]:] = shift
+    return sp.csc_matrix((data, indices, indptr), shape=(n + 1, n + 1))
 
 
 def _bordered_factor(sys, u, lam, t_u, t_lam, beta):
@@ -268,10 +279,6 @@ def tangent_at(sys: ContinuationSystem, u, lam, guess_u, guess_lam, beta):
     if beta_metric(sys, t_u, t_lam, guess_u, guess_lam, beta) < 0:
         t_u, t_lam = -t_u, -t_lam
     return t_u, t_lam
-
-
-def _unbordered_sign(sys, u, lam):
-    return linalg.factorize(sys.jacobian(u, lam)).det_sign
 
 
 def _make_point(sys, u, lam, t_u, t_lam, bif_type=0):
@@ -380,10 +387,8 @@ def _run_continuation(sys, opts, points, prev_dir, *, run_dir=None, label=""):
     try:
         prev_bordered = _bordered_factor(sys, last.psi, last.lam,
                                          *prev_dir, opts.beta).det_sign
-        prev_unbordered = _unbordered_sign(sys, last.psi, last.lam)
     except linalg.SingularMatrixError:
         prev_bordered = None
-        prev_unbordered = None
     perturbations: dict[int, np.ndarray] = {}
     termination = "max_points"
     first_step = True
@@ -426,7 +431,6 @@ def _run_continuation(sys, opts, points, prev_dir, *, run_dir=None, label=""):
             continue
 
         point = _make_point(sys, u, lam, *new_dir)
-        usign = _unbordered_sign(sys, u, lam)
 
         if prev_bordered is not None and bsign != prev_bordered:
             try:
@@ -450,7 +454,7 @@ def _run_continuation(sys, opts, points, prev_dir, *, run_dir=None, label=""):
         if opts.verbose_flag:
             print(f"[continuation{label}] point {len(points) - 1}: "
                   f"lambda={lam:.6g} N={point.mass:.6g} ds={ds:.3g}")
-        prev_bordered, prev_unbordered = bsign, usign
+        prev_bordered = bsign
         last = point
         prev_dir = new_dir
         first_step = False

@@ -20,6 +20,11 @@ D provide derivatives for the vertex conditions.
 Row ordering is frozen: interior rows grouped by edge in edge order, then
 one block per vertex holding its flux-or-Dirichlet row first followed by
 its continuity rows.
+
+Both schemes store every operator as a scipy CSR matrix.  A Chebyshev
+edge's dense N_m x (N_m + 2) block sits inside the CSR at the edge's
+offsets, so the family is block-diagonal plus 2|E| sparse constraint rows
+for either scheme.
 """
 from __future__ import annotations
 
@@ -140,7 +145,8 @@ class OperatorBundle:
     composites stack these: lap_vc = [lap_int; vc_rows], lap_zero =
     [lap_int; 0], interp_vc = [interp_int; vc_rows], interp_zero =
     [interp_int; 0].  deriv is the square per-edge first-derivative matrix
-    (used in functionals only, never to enforce vertex conditions).
+    (used in functionals only, never to enforce vertex conditions).  All of
+    them are scipy CSR matrices, whatever the scheme.
     """
 
     graph: MetricGraph
@@ -165,10 +171,6 @@ class OperatorBundle:
     @property
     def scheme(self) -> str:
         return self.grid.scheme
-
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.lap_vc)
 
     def edge_slice(self, m: int) -> slice:
         o = self.offsets[m - 1]
@@ -282,8 +284,56 @@ def _vertex_condition_rows(graph, grid, offsets, end_ops):
     return rows, cols, vals, vertex_row
 
 
+def _uniform_blocks(o, nm, hm, pot):
+    """Row groups of one uniform edge: three-point Laplacian, injection, and
+    centered first differences (second-order one-sided at the extremes)."""
+    left = o + np.arange(nm)[:, None]
+    lap = np.tile(np.array([1.0, -2.0, 1.0]) / hm**2, (nm, 1))
+    lap[:, 1] -= pot[1:-1]
+    end = np.array([-1.5, 2.0, -0.5]) / hm
+    deriv = [(o + np.arange(3), end[None, :]),
+             (left + np.array([0, 2]), np.tile(np.array([-0.5, 0.5]) / hm, (nm, 1))),
+             (o + nm - 1 + np.arange(3), -end[None, ::-1])]
+    return [(left + np.arange(3), lap)], [(left + 1, np.ones((nm, 1)))], deriv
+
+
+def _chebyshev_blocks(o, D, P, pot):
+    """Row groups of one Chebyshev edge: dense P D^2, P and D blocks."""
+    cols = o + np.arange(D.shape[0])
+    lap = P @ D @ D
+    if np.any(pot != 0.0):
+        lap = lap - P * pot[None, :]
+    return [(cols, lap)], [(cols, P)], [(cols, D)]
+
+
+def _csr_from_row_groups(groups, shape):
+    """CSR matrix whose rows are the given groups, stacked in order.
+
+    A group (cols, vals) is a run of rows with the same number of entries:
+    vals has shape (rows, entries per row) and cols broadcasts to it.
+    """
+    counts = np.concatenate([np.full(v.shape[0], v.shape[1]) for _, v in groups])
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices = np.concatenate([np.broadcast_to(c, v.shape).ravel() for c, v in groups])
+    data = np.concatenate([v.ravel() for _, v in groups])
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
+
+
+def _stack_rows(top, bottom):
+    """CSR [top; bottom] of two CSR matrices of equal width, from their arrays."""
+    return sp.csr_matrix((np.concatenate([top.data, bottom.data]),
+                          np.concatenate([top.indices, bottom.indices]),
+                          np.concatenate([top.indptr, bottom.indptr[1:] + top.indptr[-1]])),
+                         shape=(top.shape[0] + bottom.shape[0], top.shape[1]))
+
+
 def discretize(graph: MetricGraph, scheme: str = UNIFORM) -> OperatorBundle:
-    """Build grids and the full operator family for the requested scheme."""
+    """Build grids and the full operator family for the requested scheme.
+
+    Every matrix is CSR.  Each edge contributes a block of rows built from
+    its own columns: a three-point stencil per row on uniform edges, one
+    dense block per edge on Chebyshev edges.
+    """
     if scheme not in (UNIFORM, CHEBYSHEV):
         raise DiscretizationError(f"unknown scheme {scheme!r}")
     grid = _build_grid(graph, scheme)
@@ -300,114 +350,49 @@ def discretize(graph: MetricGraph, scheme: str = UNIFORM) -> OperatorBundle:
             xe = grid.x_ext[e.index - 1]
             potential_ext[o:o + len(xe)] = np.asarray(e.potential(xe), dtype=float)
 
-    deriv_blocks = []
-    if scheme == CHEBYSHEV:
-        for e in graph.edges:
-            deriv_blocks.append(differentiation_matrix(grid.x_ext[e.index - 1]))
-
-    if scheme == UNIFORM:
-        li, lj, lv = [], [], []   # interior Laplacian triplets
-        pi, pj, pv = [], [], []   # interior projection triplets
-        di, dj, dv = [], [], []   # square first-derivative triplets
-        for e in graph.edges:
-            m = e.index - 1
-            o, io, nm, hm = offsets[m], int_offsets[m], grid.n[m], grid.h[m]
-            for k in range(1, nm + 1):
-                r = io + k - 1
-                li += [r, r, r]
-                lj += [o + k - 1, o + k, o + k + 1]
-                lv += [1.0 / hm**2, -2.0 / hm**2, 1.0 / hm**2]
-                pi.append(r); pj.append(o + k); pv.append(1.0)
-                if potential_ext[o + k] != 0.0:
-                    li.append(r); lj.append(o + k); lv.append(-potential_ext[o + k])
-            # centered first differences; second-order one-sided at the extremes
-            di += [o, o, o]
-            dj += [o, o + 1, o + 2]
-            dv += [-1.5 / hm, 2.0 / hm, -0.5 / hm]
-            for k in range(1, nm + 1):
-                di += [o + k, o + k]
-                dj += [o + k - 1, o + k + 1]
-                dv += [-0.5 / hm, 0.5 / hm]
-            di += [o + nm + 1] * 3
-            dj += [o + nm + 1, o + nm, o + nm - 1]
-            dv += [1.5 / hm, -2.0 / hm, 0.5 / hm]
-        lap_int = sp.csr_matrix((lv, (li, lj)), shape=(n_int, n_ext))
-        interp_int = sp.csr_matrix((pv, (pi, pj)), shape=(n_int, n_ext))
-        deriv = sp.csr_matrix((dv, (di, dj)), shape=(n_ext, n_ext))
-    else:
-        lap_int = np.zeros((n_int, n_ext))
-        interp_int = np.zeros((n_int, n_ext))
-        deriv = np.zeros((n_ext, n_ext))
-        for e in graph.edges:
-            m = e.index - 1
-            o, io, nm = offsets[m], int_offsets[m], grid.n[m]
-            D = deriv_blocks[m]
-            P = resampling_matrix(grid.x_ext[m], grid.x_int[m])
-            block = P @ D @ D
-            if np.any(potential_ext[o:o + nm + 2] != 0.0):
-                block = block - P * potential_ext[None, o:o + nm + 2]
-            lap_int[io:io + nm, o:o + nm + 2] = block
-            interp_int[io:io + nm, o:o + nm + 2] = P
-            deriv[o:o + nm + 2, o:o + nm + 2] = D
+    lap_groups, interp_groups, deriv_groups, deriv_blocks = [], [], [], []
+    for e in graph.edges:
+        m = e.index - 1
+        o, nm = offsets[m], grid.n[m]
+        pot = potential_ext[o:o + nm + 2]
+        if scheme == UNIFORM:
+            lap, interp, deriv = _uniform_blocks(o, nm, grid.h[m], pot)
+        else:
+            w = barycentric_weights(grid.x_ext[m])
+            D = differentiation_matrix(grid.x_ext[m], w)
+            deriv_blocks.append(D)
+            P = resampling_matrix(grid.x_ext[m], grid.x_int[m], w)
+            lap, interp, deriv = _chebyshev_blocks(o, D, P, pot)
+        lap_groups += lap
+        interp_groups += interp
+        deriv_groups += deriv
+    lap_int = _csr_from_row_groups(lap_groups, (n_int, n_ext))
+    interp_int = _csr_from_row_groups(interp_groups, (n_int, n_ext))
+    deriv = _csr_from_row_groups(deriv_groups, (n_ext, n_ext))
 
     end_ops = _EndOps(graph, grid, offsets, deriv_blocks)
     vr, vc, vv, vertex_row = _vertex_condition_rows(graph, grid, offsets, end_ops)
     vertex_row += n_int
-
-    nh_i = vertex_row.copy()
-    nh_j = np.arange(graph.num_vertices)
-
-    if scheme == UNIFORM:
-        vc_rows = sp.csr_matrix((vv, (vr, vc)), shape=(2 * ne, n_ext))
-        nh_map = sp.csr_matrix((np.ones(graph.num_vertices), (nh_i, nh_j)),
-                               shape=(n_ext, graph.num_vertices))
-        zero_rows = sp.csr_matrix((2 * ne, n_ext))
-        lap_vc = sp.vstack([lap_int, vc_rows], format="csr")
-        lap_zero = sp.vstack([lap_int, zero_rows], format="csr")
-        interp_vc = sp.vstack([interp_int, vc_rows], format="csr")
-        interp_zero = sp.vstack([interp_int, zero_rows], format="csr")
-    else:
-        vc_rows = np.zeros((2 * ne, n_ext))
-        for r, c, v in zip(vr, vc, vv):
-            vc_rows[r, c] += v
-        nh_map = np.zeros((n_ext, graph.num_vertices))
-        nh_map[nh_i, nh_j] = 1.0
-        zero_rows = np.zeros((2 * ne, n_ext))
-        lap_vc = np.vstack([lap_int, vc_rows])
-        lap_zero = np.vstack([lap_int, zero_rows])
-        interp_vc = np.vstack([interp_int, vc_rows])
-        interp_zero = np.vstack([interp_int, zero_rows])
+    # the triplets come row by row; a loop edge or a Robin term can repeat
+    # a column within a row, and sum_duplicates adds those up
+    vc_rows = sp.csr_matrix((vv, vc, np.searchsorted(vr, np.arange(2 * ne + 1))),
+                            shape=(2 * ne, n_ext))
+    vc_rows.sum_duplicates()
+    nv = graph.num_vertices
+    nh_map = sp.csr_matrix((np.ones(nv), np.arange(nv),
+                            np.searchsorted(vertex_row, np.arange(n_ext + 1))),
+                           shape=(n_ext, nv))
+    zero_rows = sp.csr_matrix((2 * ne, n_ext))
+    lap_vc = _stack_rows(lap_int, vc_rows)
+    lap_zero = _stack_rows(lap_int, zero_rows)
+    interp_vc = _stack_rows(interp_int, vc_rows)
+    interp_zero = _stack_rows(interp_int, zero_rows)
 
     quad_ext = np.concatenate(grid.weights)
     return OperatorBundle(graph, grid, n_int, n_ext, offsets, int_offsets,
                           lap_int, interp_int, vc_rows, nh_map,
                           lap_vc, lap_zero, interp_vc, interp_zero, deriv,
                           quad_ext, potential_ext, vertex_row)
-
-
-def assemble_vertex_conditions(graph: MetricGraph, grid: Grid):
-    """Standalone 2|E| x N_ext vertex-condition matrix for a built grid.
-
-    Dense; discretize() stores the same rows inside the bundle (sparse for
-    the uniform scheme).
-    """
-    ne = graph.num_edges
-    n_ext = int(grid.n.sum()) + 2 * ne
-    offsets = np.concatenate([[0], np.cumsum(grid.n + 2)])[:-1]
-    deriv_blocks = []
-    if grid.scheme == CHEBYSHEV:
-        deriv_blocks = [differentiation_matrix(xe) for xe in grid.x_ext]
-    end_ops = _EndOps(graph, grid, offsets, deriv_blocks)
-    vr, vc, vv, _ = _vertex_condition_rows(graph, grid, offsets, end_ops)
-    M = np.zeros((2 * ne, n_ext))
-    for r, c, v in zip(vr, vc, vv):
-        M[r, c] += v
-    return M
-
-
-def first_derivative_matrix(bundle: OperatorBundle):
-    """Square block-diagonal first-derivative matrix on the extended grid."""
-    return bundle.deriv
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +477,7 @@ def apply_graphical_function(bundle: OperatorBundle, f) -> np.ndarray:
 def bundle_structure(bundle: OperatorBundle) -> dict:
     """Shapes and nonzero counts, for regression dumps."""
     def describe(mat):
-        nnz = mat.nnz if sp.issparse(mat) else int(np.count_nonzero(mat))
-        return {"shape": list(mat.shape), "nnz": nnz}
+        return {"shape": list(mat.shape), "nnz": int(mat.nnz)}
 
     return {
         "scheme": bundle.scheme,

@@ -1,13 +1,14 @@
 """Factorizations with determinant signs, linear solves, generalized eigensolver.
 
-Matrices may be dense ndarrays or scipy.sparse; factorizations expose a
-``solve`` method and the sign of the determinant extracted from the LU
-factors (permutation parities times diagonal signs), which is what the
+Matrices are scipy.sparse (the operator bundles are CSR); dense ndarrays
+are accepted and converted.  Factorizations expose a ``solve`` method and
+the sign of the determinant extracted from the sparse LU factors
+(permutation parities times diagonal signs), which is what the
 continuation code monitors for bifurcations.
 """
 from __future__ import annotations
 
-import warnings
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -24,79 +25,71 @@ class EigenSolverError(RuntimeError):
 
 
 def permutation_parity(perm) -> int:
-    """Sign of a permutation given as an index array."""
-    perm = np.asarray(perm, dtype=int)
-    seen = np.zeros(perm.size, dtype=bool)
-    sign = 1
-    for start in range(perm.size):
-        if seen[start]:
-            continue
-        j = start
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """Sign of a permutation given as an index array: (-1)^(n - #cycles).
 
-
-def _pivot_parity(piv) -> int:
-    """Sign of the row permutation encoded by LAPACK pivot indices."""
-    return -1 if np.count_nonzero(piv != np.arange(piv.size)) % 2 else 1
+    Cycles are counted by pointer doubling: after k rounds, label[i] is the
+    smallest of i, perm[i], perm[perm[i]], ... (2^k entries), so once
+    2^k >= n every cycle is labelled by its smallest member.
+    """
+    perm = np.asarray(perm, dtype=np.intp)
+    n = perm.size
+    label = np.arange(n)
+    step = perm
+    span = 1
+    while span < n:
+        label = np.minimum(label, label[step])
+        step = step[step]
+        span *= 2
+    cycles = np.count_nonzero(label == np.arange(n))
+    return -1 if (n - cycles) % 2 else 1
 
 
 class Factorization:
-    """LU factorization with partial pivoting; shareable, reusable solves."""
+    """Sparse LU factorization (SuperLU); shareable, reusable solves.
+
+    The determinant sign and the pivot ratio are read from the factors on
+    first use only, so plain solves never pay for extracting U.
+    """
 
     def __init__(self, A):
         if A.shape[0] != A.shape[1]:
             raise ValueError("factorize needs a square matrix")
         self.n = A.shape[0]
-        self.is_sparse = sp.issparse(A)
-        if self.is_sparse:
-            try:
-                self._lu = spla.splu(A.tocsc())
-            except RuntimeError as exc:
-                raise SingularMatrixError(str(exc)) from exc
-            diag = self._lu.U.diagonal()
-            if np.any(diag == 0.0) or not np.all(np.isfinite(diag)):
-                raise SingularMatrixError("exactly singular matrix")
-            parity = (permutation_parity(self._lu.perm_r)
-                      * permutation_parity(self._lu.perm_c))
-            self._complex = np.iscomplexobj(diag)
-        else:
-            A = np.asarray(A)
-            if not np.all(np.isfinite(A)):
-                raise ValueError("matrix entries must be finite")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                lu, piv = sla.lu_factor(A, check_finite=False)
-            diag = np.diag(lu)
-            if np.any(diag == 0.0):
-                raise SingularMatrixError("exactly singular matrix")
-            self._lu = (lu, piv)
-            parity = _pivot_parity(piv)
-            self._complex = np.iscomplexobj(lu)
-        absdiag = np.abs(diag)
-        self.diag_ratio = float(absdiag.min() / absdiag.max())
+        A = sp.csc_matrix(A)
+        if not np.all(np.isfinite(A.data)):
+            raise ValueError("matrix entries must be finite")
+        try:
+            # SuperLU reports an exactly zero pivot as a RuntimeError
+            self._lu = spla.splu(A)
+        except RuntimeError as exc:
+            raise SingularMatrixError(str(exc)) from exc
+        self._complex = np.iscomplexobj(A.data)
+
+    @cached_property
+    def _diag(self):
+        return self._lu.U.diagonal()
+
+    @property
+    def diag_ratio(self) -> float:
+        """Smallest over largest pivot magnitude."""
+        absdiag = np.abs(self._diag)
+        return float(absdiag.min() / absdiag.max())
+
+    @cached_property
+    def det_sign(self):
+        """Sign of the determinant: +-1, or a unit complex number."""
+        # P_r A P_c = L U; the sign of a composition is the product of signs
+        parity = permutation_parity(self._lu.perm_r[self._lu.perm_c])
+        diag = self._diag
         if self._complex:
-            prod = np.prod(np.sign(diag / absdiag))
-            self.det_sign = complex(prod) * parity
-        else:
-            self.det_sign = int(parity * np.prod(np.sign(diag)))
+            return complex(np.prod(np.sign(diag / np.abs(diag)))) * parity
+        return int(parity * np.prod(np.sign(diag)))
 
     def solve(self, b):
         b = np.asarray(b)
         if np.iscomplexobj(b) and not self._complex:
-            return self._solve_real(b.real) + 1j * self._solve_real(b.imag)
-        return self._solve_real(b)
-
-    def _solve_real(self, b):
-        if self.is_sparse:
-            return self._lu.solve(b)
-        return sla.lu_solve(self._lu, b, check_finite=False)
+            return self._lu.solve(b.real) + 1j * self._lu.solve(b.imag)
+        return self._lu.solve(b)
 
 
 def factorize(A) -> Factorization:
@@ -116,13 +109,6 @@ def det_sign(A):
 
 # ---------------------------------------------------------------------------
 
-def _as_linear_operator(B):
-    if sp.issparse(B):
-        return lambda v: B @ v
-    B = np.asarray(B)
-    return lambda v: B @ v
-
-
 def generalized_eigs(A, B, m: int, sigma: float = 1e-2, *,
                      residual_tol: float = 1e-8):
     """The m finite eigenpairs of A v = lambda B v nearest the shift sigma.
@@ -136,20 +122,18 @@ def generalized_eigs(A, B, m: int, sigma: float = 1e-2, *,
     n = A.shape[0]
     if m < 1 or m >= n:
         raise ValueError(f"need 1 <= m < {n}, got {m}")
-    shifted = A - sigma * B
-    fact = factorize(shifted)
+    A = sp.csr_matrix(A)
+    B = sp.csr_matrix(B)
+    fact = factorize(A - sigma * B)
     if fact.diag_ratio < 1e-13:
         raise SingularMatrixError(
             f"shift {sigma} lies on (or numerically on) the pencil spectrum")
-    apply_B = _as_linear_operator(B)
 
-    use_dense = (not sp.issparse(A) and n <= 400) or m > n - 3
-    if use_dense:
-        Bd = B.toarray() if sp.issparse(B) else np.asarray(B, dtype=float)
-        C = fact.solve(Bd)
-        nu, V = sla.eig(C)
+    if m > n - 3:
+        # ARPACK needs k < n - 1; near that limit take every eigenvalue
+        nu, V = sla.eig(fact.solve(B.toarray()))
     else:
-        op = spla.LinearOperator((n, n), matvec=lambda v: fact.solve(apply_B(v)))
+        op = spla.LinearOperator((n, n), matvec=lambda v: fact.solve(B @ v))
         v0 = np.random.default_rng(1729).standard_normal(n)
         ncv = min(n, max(4 * m + 10, 40))
         try:
@@ -183,22 +167,24 @@ def generalized_eigs(A, B, m: int, sigma: float = 1e-2, *,
     lam = lam[order]
     vecs = vecs[:, order]
 
-    apply_A = _as_linear_operator(A)
-    amax = float(np.max(np.abs(A.data))) if sp.issparse(A) else float(np.max(np.abs(A)))
-    for j in range(m):
-        res = np.linalg.norm(apply_A(vecs[:, j]) - lam[j] * apply_B(vecs[:, j]))
+    amax = float(np.max(np.abs(A.data), initial=0.0))
+
+    def residual_and_scale(v, lam_j):
+        Av = A @ v
         # matrix-scale floor keeps the relative contract meaningful for the
         # zero eigenvalue, where ||A v|| itself is pure roundoff
-        scale = max(np.linalg.norm(apply_A(vecs[:, j])), amax)
+        return np.linalg.norm(Av - lam_j * (B @ v)), max(np.linalg.norm(Av), amax)
+
+    for j in range(m):
+        res, scale = residual_and_scale(vecs[:, j], lam[j])
         if res > residual_tol * scale:
             # one inverse-iteration polish before giving up
-            v = fact.solve(apply_B(vecs[:, j]))
+            v = fact.solve(B @ vecs[:, j])
             v = v / np.linalg.norm(v)
             k = int(np.argmax(np.abs(v)))
             v = v / (v[k] / abs(v[k]))
             vecs[:, j] = v
-            res = np.linalg.norm(apply_A(v) - lam[j] * apply_B(v))
-            scale = max(np.linalg.norm(apply_A(v)), amax)
+            res, scale = residual_and_scale(v, lam[j])
             if res > residual_tol * scale:
                 raise EigenSolverError(
                     f"eigenpair {j} residual {res:.2e} exceeds tolerance")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -61,7 +62,8 @@ def solve_poisson(bundle: OperatorBundle, f=None, node_data=None) -> np.ndarray:
     except linalg.SingularMatrixError as exc:
         raise NullspaceError(f"singular vertex-condition system: {exc}") from exc
     psi = fact.solve(rhs)
-    # one step of iterative refinement; the dense spectral blocks benefit
+    # one step of iterative refinement; the ill-conditioned Chebyshev
+    # blocks benefit
     psi = psi + fact.solve(rhs - bundle.lap_vc @ psi)
     return psi
 
@@ -294,6 +296,22 @@ class NLSProblem:
         if abs(float(self.f(0.0))) > 0.0:
             raise ValueError("nonlinearity must satisfy f(0) = 0")
 
+    @cached_property
+    def jacobian_pattern(self):
+        """CSC arrays (indptr, row indices, column of each entry, lap_vc
+        values, interp_zero values) on the union pattern of lap_vc and
+        interp_zero, shared by every Jacobian of the problem."""
+        L = self.bundle.lap_vc.tocoo()
+        P = self.bundle.interp_zero.tocoo()
+        # real parts carry lap_vc, imaginary parts interp_zero; entries at
+        # the same position are summed, and none is dropped
+        tagged = sp.csc_matrix((np.concatenate([L.data, 1j * P.data]),
+                                (np.concatenate([L.row, P.row]),
+                                 np.concatenate([L.col, P.col]))), shape=L.shape)
+        cols = np.repeat(np.arange(L.shape[1]), np.diff(tagged.indptr))
+        return (tagged.indptr, tagged.indices, cols,
+                tagged.data.real.copy(), tagged.data.imag.copy())
+
 
 def nls_problem(bundle: OperatorBundle, sigma: float = 1.0,
                 f=None, fprime=None) -> NLSProblem:
@@ -318,11 +336,11 @@ def nls_residual(problem: NLSProblem, psi: np.ndarray, lam: float) -> np.ndarray
 
 
 def nls_jacobian(problem: NLSProblem, psi: np.ndarray, lam: float):
-    b = problem.bundle
+    """lap_vc + interp_zero diag(f'(psi) + lam), as CSC on the problem's fixed pattern."""
+    indptr, rows, cols, lap, interp = problem.jacobian_pattern
     d = problem.fprime(psi) + lam
-    if b.is_sparse:
-        return (b.lap_vc + b.interp_zero @ sp.diags(d)).tocsc()
-    return b.lap_vc + b.interp_zero * d[None, :]
+    return sp.csc_matrix((lap + interp * d[cols], rows, indptr),
+                         shape=problem.bundle.lap_vc.shape)
 
 
 @dataclass

@@ -7,9 +7,9 @@ import scipy.sparse as sp
 from graphpde import (DIRICHLET, apply_function_to_edges, apply_graphical_function,
                       build_graph, column_to_graph, discretize, from_template,
                       graph_to_column)
-from graphpde.discretize import (DiscretizationError, assemble_vertex_conditions,
-                                 bundle_structure, chebyshev_first_kind,
-                                 chebyshev_second_kind, clenshaw_curtis_weights,
+from graphpde.discretize import (DiscretizationError, bundle_structure,
+                                 chebyshev_first_kind, chebyshev_second_kind,
+                                 clenshaw_curtis_weights,
                                  load_state_csv, save_state_csv, vertex_value)
 
 
@@ -155,15 +155,6 @@ def test_vertex_block_order_flux_then_continuity():
     assert np.count_nonzero(M[2]) == 2
 
 
-def test_assemble_vertex_conditions_matches_bundle():
-    g = from_template("lasso", nx=[4, 5])
-    for scheme in ("uniform", "chebyshev"):
-        b = discretize(g, scheme)
-        M = assemble_vertex_conditions(g, b.grid)
-        dense = b.vc_rows.toarray() if sp.issparse(b.vc_rows) else b.vc_rows
-        assert np.allclose(M, dense, atol=1e-12)
-
-
 def test_first_derivative_exactness():
     g = from_template("lasso", nx=[8, 10])
     for scheme in ("uniform", "chebyshev"):
@@ -276,6 +267,23 @@ def test_bundle_structure_dump():
     assert d["n_ext"] == 16 and d["n_int"] == 12
     assert d["lap_int"]["shape"] == [12, 16]
     assert d["nh_map"]["nnz"] == 2
+
+
+def test_chebyshev_necklace_is_block_sparse_csr():
+    # 54 pairs = 162 edges at N=20: one dense N x (N+2) block per edge inside
+    # CSR matrices, never an n_ext x n_ext array
+    g = from_template("necklace", n_pairs=54, nx=20)
+    b = discretize(g, "chebyshev")
+    for name in ("lap_int", "interp_int", "vc_rows", "nh_map", "lap_vc",
+                 "lap_zero", "interp_vc", "interp_zero", "deriv"):
+        assert getattr(b, name).format == "csr", name
+    n = b.grid.n
+    d = bundle_structure(b)
+    assert d["edges"] == 162
+    assert d["lap_int"]["nnz"] == int(np.sum(n * (n + 2)))
+    assert d["deriv"]["nnz"] == int(np.sum((n + 2) ** 2))
+    # constants lie in the kernel of every interior Laplacian row
+    assert np.max(np.abs(b.lap_int @ np.ones(b.n_ext))) < 1e-8
 
 
 def test_state_csv_round_trip(tmp_path):

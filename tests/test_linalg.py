@@ -26,6 +26,14 @@ def test_permutation_parity():
     assert permutation_parity([0, 1, 2]) == 1
     assert permutation_parity([1, 0, 2]) == -1
     assert permutation_parity([1, 2, 0]) == 1
+    assert permutation_parity([]) == 1
+    assert permutation_parity([0]) == 1
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 5, 8, 17, 64, 65, 129, 300, 511):
+        for _ in range(3):
+            perm = rng.permutation(n)
+            expected = round(np.linalg.det(np.eye(n)[perm]))
+            assert permutation_parity(perm) == expected
 
 
 def test_det_sign_simple_cases():
@@ -82,6 +90,17 @@ def test_singular_matrix_raises():
     A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularMatrixError):
         factorize(A)
+
+
+def test_non_finite_entries_rejected():
+    A = np.eye(3)
+    A[1, 2] = np.nan
+    for M in (A, sp.csr_matrix(A)):
+        with pytest.raises(ValueError, match="finite"):
+            factorize(M)
+    B = sp.csr_matrix(np.diag([1.0, np.inf, 2.0]))
+    with pytest.raises(ValueError, match="finite"):
+        factorize(B)
 
 
 def test_manufactured_second_order_convergence():
