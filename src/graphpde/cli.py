@@ -157,12 +157,12 @@ def _cmd_secdet(args) -> int:
     sigma = stationary.secular_function(graph)
     out = _out_dir(args)
     ks = np.linspace(k_max / samples, k_max, samples)
-    _scalar_csv(out / "sigma.csv", np.column_stack([ks, [sigma(k) for k in ks]]),
-                header="k,sigma")
+    _scalar_csv(out / "sigma.csv", np.column_stack([ks, sigma(ks)]), header="k,sigma")
     zeros = stationary.find_spectrum_secular(graph, k_max)
+    residuals = np.abs(sigma(np.array([k for k, _ in zeros])))
     payload = [{"k": k, "lambda": -k * k, "multiplicity": mult,
-                "scheme": "secular", "residual": abs(sigma(k))}
-               for k, mult in zeros]
+                "scheme": "secular", "residual": float(res)}
+               for (k, mult), res in zip(zeros, residuals)]
     (out / "zeros.json").write_text(json.dumps(payload, indent=1))
     _write_run_json(out, args, cfg, graph)
     return 0

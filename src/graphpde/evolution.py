@@ -60,19 +60,25 @@ def _check_initial(problem: EvolutionProblem, u0: np.ndarray) -> np.ndarray:
 
 
 class _Sampler:
-    """Keeps every n_skip-th step plus the final step unconditionally."""
+    """Keeps the initial state, every n_skip-th step and the final step.
+
+    A non-finite kept state raises EvolutionError naming its step and time.
+    """
 
     def __init__(self, problem, u0):
         self.n_skip = problem.n_skip
         self.tau = problem.tau
-        self.times = [0.0]
-        self.states = [np.array(u0)]
+        self.times = []
+        self.states = []
+        self.push(0, u0)
 
     def push(self, step_index, u, final=False):
         if step_index % self.n_skip == 0 or final:
             t = step_index * self.tau
             if self.times and self.times[-1] == t:
                 return
+            if not np.all(np.isfinite(u)):
+                raise EvolutionError(f"non-finite state at step {step_index} (t = {t:g})")
             self.times.append(t)
             self.states.append(np.array(u))
 

@@ -105,35 +105,37 @@ def _check_secular_graph(graph: MetricGraph):
         raise SecularError("secular determinant requires zero potentials")
 
 
-def secular_matrix(graph: MetricGraph, k: float) -> np.ndarray:
+def secular_matrix(graph: MetricGraph, k) -> np.ndarray:
     """Vertex-condition system for plane-wave edge solutions at wavenumber k.
 
     Edge m carries psi_m = a_m e^{ikx} + b_m e^{ik(l_m - x)}; the rows are
     the flux-or-Dirichlet condition then the continuity conditions per
     vertex (same ordering as the discretized constraint block), in the
-    unknowns (a_1, b_1, ..., a_E, b_E).
+    unknowns (a_1, b_1, ..., a_E, b_E).  A scalar k gives one (2E, 2E)
+    matrix; a 1-D array of K wavenumbers gives the stack (K, 2E, 2E).
     """
     _check_secular_graph(graph)
-    if k == 0.0:
+    k = np.asarray(k, dtype=float)
+    if np.any(k == 0.0):
         raise SecularError("secular matrix is not defined at k = 0")
+    ks = k.reshape(-1)
     ne = graph.num_edges
-    S = np.zeros((2 * ne, 2 * ne), dtype=complex)
+    S = np.zeros((ks.size, 2 * ne, 2 * ne), dtype=complex)
+    ik = 1j * ks
+    z = np.exp(1j * ks[:, None] * np.array([e.length for e in graph.edges]))
 
+    # a row is ((column of a_m, coefficient), (column of b_m, coefficient))
     def value_row(m, end):
-        e = graph.edges[m - 1]
-        z = np.exp(1j * k * e.length)
-        cols = np.array([2 * (m - 1), 2 * (m - 1) + 1])
+        zm = z[:, m - 1]
         if end == 0:  # source: a + b e^{ikl}
-            return cols, np.array([1.0, z])
-        return cols, np.array([z, 1.0])
+            return (2 * m - 2, 1.0), (2 * m - 1, zm)
+        return (2 * m - 2, zm), (2 * m - 1, 1.0)
 
     def outward_row(m, end):
-        e = graph.edges[m - 1]
-        z = np.exp(1j * k * e.length)
-        cols = np.array([2 * (m - 1), 2 * (m - 1) + 1])
+        zm = z[:, m - 1]
         if end == 0:  # +psi'(0) = ik (a - b e^{ikl})
-            return cols, 1j * k * np.array([1.0, -z])
-        return cols, 1j * k * np.array([-z, 1.0])  # -psi'(l) = ik (b - a e^{ikl})
+            return (2 * m - 2, ik), (2 * m - 1, ik * -zm)
+        return (2 * m - 2, ik * -zm), (2 * m - 1, ik)  # -psi'(l) = ik (b - a e^{ikl})
 
     r = 0
     for n in range(1, graph.num_vertices + 1):
@@ -141,27 +143,39 @@ def secular_matrix(graph: MetricGraph, k: float) -> np.ndarray:
         anchor = ends[0]
         cond = graph.vertices[n - 1]
         if cond.is_dirichlet:
-            cols, vals = value_row(*anchor)
-            S[r, cols] += vals
+            for c, v in value_row(*anchor):
+                S[:, r, c] += v
         else:
             for (m, end) in ends:
-                cols, vals = outward_row(m, end)
-                S[r, cols] += vals
+                for c, v in outward_row(m, end):
+                    S[:, r, c] += v
             if cond.alpha != 0.0:
-                cols, vals = value_row(*anchor)
-                S[r, cols] += cond.alpha * vals
-            S[r] /= k  # keeps Sigma proportional to the symbolic determinant
+                for c, v in value_row(*anchor):
+                    S[:, r, c] += cond.alpha * v
+            S[:, r] /= ks[:, None]  # keeps Sigma proportional to the symbolic determinant
         r += 1
-        ca, va = value_row(*anchor)
         for other in ends[1:]:
-            co, vo = value_row(*other)
-            S[r, ca] += va
-            S[r, co] -= vo
+            for c, v in value_row(*anchor):
+                S[:, r, c] += v
+            for c, v in value_row(*other):
+                S[:, r, c] -= v
             r += 1
-    return S
+    return S.reshape(k.shape + S.shape[1:])
 
 
-def secular_function(graph: MetricGraph, k_ref: float = 1.0) -> Callable[[float], float]:
+# complex entries in one stacked batch of secular matrices (2 MiB); longer
+# k-grids are evaluated in chunks, which bounds memory on large graphs
+_SECULAR_BATCH_ENTRIES = 1 << 17
+
+
+def _secular_batches(graph: MetricGraph, ks: np.ndarray, fn) -> np.ndarray:
+    """fn(k_chunk, secular_matrix(graph, k_chunk)) over chunks of the 1-D ks, concatenated."""
+    step = max(1, _SECULAR_BATCH_ENTRIES // (2 * graph.num_edges) ** 2)
+    return np.concatenate([fn(ks[i:i + step], secular_matrix(graph, ks[i:i + step]))
+                           for i in range(0, max(ks.size, 1), step)])
+
+
+def secular_function(graph: MetricGraph, k_ref: float = 1.0) -> Callable:
     """Real-normalized secular determinant Sigma(k) as a callable.
 
     det S(k) is multiplied by exp(-ik sum_m l_m) and by one constant
@@ -169,29 +183,52 @@ def secular_function(graph: MetricGraph, k_ref: float = 1.0) -> Callable[[float]
     result is then asserted, not assumed.  (In the a_m e^{ikx} +
     b_m e^{ik(l_m - x)} parameterization each edge contributes one factor
     e^{ik l_m} to the determinant, so the full total length appears here.)
+    The imaginary part must stay within 1e-10 of max(1, prod_r |S_r(k)|),
+    Hadamard's bound on |det S(k)|, which is the scale of the LU roundoff.
+    The callable takes a scalar k (returns a float) or an array of
+    wavenumbers (returns an array of the same shape), evaluated as stacked
+    determinants.
     """
     _check_secular_graph(graph)
     total = sum(e.length for e in graph.edges)
 
-    def raw(k: float) -> complex:
-        return np.linalg.det(secular_matrix(graph, k)) * np.exp(-1j * k * total)
+    def raw(ks, S):
+        d, e = np.linalg.det(S), np.exp(-1j * ks * total)
+        # the product in real arithmetic: numpy's vectorized complex multiply
+        # may fuse multiply-adds, which makes the last bits CPU-dependent
+        z = np.empty_like(d)
+        z.real = d.real * e.real - d.imag * e.imag
+        z.imag = d.real * e.imag + d.imag * e.real
+        return z
 
     phase = None
-    for kr in (k_ref, 0.5 * k_ref + 0.25, 2.0 * k_ref + 0.37):
-        z = raw(kr)
+    for z in _secular_batches(graph, np.array([k_ref, 0.5 * k_ref + 0.25,
+                                               2.0 * k_ref + 0.37]), raw):
         if abs(z) > 1e-12:
             phase = z / abs(z)
             break
     if phase is None:
         raise SecularError("could not calibrate the secular normalization phase")
 
-    def sigma(k: float) -> float:
-        z = raw(k) / phase
-        if abs(z.imag) > 1e-10 * max(1.0, abs(z)):
+    def normalized(ks, S):
+        z = raw(ks, S) / phase
+        # Hadamard's bound prod_r |S_r|; einsum on the real and imaginary
+        # views makes no stack-sized temporaries
+        rows = (np.einsum("kij,kij->ki", S.real, S.real)
+                + np.einsum("kij,kij->ki", S.imag, S.imag))
+        hadamard = np.prod(np.sqrt(rows), axis=-1)
+        bad = np.flatnonzero(np.abs(z.imag) > 1e-10 * np.maximum(1.0, hadamard))
+        if bad.size:
+            i = bad[0]
             raise SecularError(
-                f"secular determinant did not normalize to a real value at k={k} "
-                f"(imaginary part {z.imag:.2e})")
+                f"secular determinant did not normalize to a real value at k={ks[i]} "
+                f"(imaginary part {z[i].imag:.2e})")
         return z.real
+
+    def sigma(k):
+        k = np.asarray(k, dtype=float)
+        vals = _secular_batches(graph, k.reshape(-1), normalized).reshape(k.shape)
+        return float(vals) if k.ndim == 0 else vals
 
     return sigma
 
@@ -201,12 +238,16 @@ def secular_det(graph: MetricGraph, k: float) -> float:
 
 
 def find_spectrum_secular(graph: MetricGraph, k_max: float):
-    """Zeros of Sigma on (0, k_max] with multiplicity flags.
+    """Zeros of Sigma on (0, k_max] with their multiplicities.
 
-    Sign-change-bracketed zeros are bisected to 1e-10.  Even-multiplicity
-    zeros leave no sign change; they are detected as valleys of |Sigma|
-    below 1e-8 of the scan scale, refined by golden-section search, and
-    flagged with multiplicity 2.  Deeper even multiplicities may be missed.
+    Sigma is sampled on one k-grid.  Sign-change-bracketed zeros are
+    bisected to 1e-10.  Zeros without a sign change are detected as
+    valleys of |Sigma| below 1e-8 of the scan scale and refined by
+    golden-section search.  All brackets and valleys advance in lockstep,
+    one stacked Sigma evaluation per step.  The multiplicity of a zero is
+    the null dimension of S(k): the number of singular values at most
+    1e-6 max(1, sigma_max), and never less than 1 for a bisected zero or 2
+    for a valley.
     """
     if k_max <= 0:
         raise SecularError("k_max must be positive")
@@ -214,56 +255,68 @@ def find_spectrum_secular(graph: MetricGraph, k_max: float):
     total = sum(e.length for e in graph.edges)
     n_samples = max(400, int(16.0 * k_max * total / math.pi))
     ks = np.linspace(k_max / n_samples, k_max, n_samples)
-    vals = np.array([sigma(k) for k in ks])
+    vals = sigma(ks)
     scale = np.max(np.abs(vals))
 
-    zeros = []
-    for i in range(len(ks) - 1):
-        if vals[i] == 0.0:
-            zeros.append((float(ks[i]), 1))
-        elif vals[i] * vals[i + 1] < 0.0:
-            a, b = ks[i], ks[i + 1]
-            fa = vals[i]
-            while b - a > 1e-10:
-                c = 0.5 * (a + b)
-                fc = sigma(c)
-                if fc == 0.0:
-                    a = b = c
-                elif fa * fc < 0.0:
-                    b = c
-                else:
-                    a, fa = c, fc
-            zeros.append((0.5 * (a + b), 1))
-    if vals[-1] == 0.0:
-        zeros.append((float(ks[-1]), 1))
+    # sign-change brackets, bisected
+    hit = np.flatnonzero(vals == 0.0)
+    br = np.flatnonzero((vals[:-1] != 0.0) & (vals[:-1] * vals[1:] < 0.0))
+    a, b, fa = ks[br], ks[br + 1], vals[br]
 
-    # valleys of |Sigma| without a sign change: candidate double zeros
-    gold = (math.sqrt(5.0) - 1.0) / 2.0
+    # valleys of |Sigma| without a sign change: golden-section search
     absvals = np.abs(vals)
-    for i in range(1, len(ks) - 1):
-        if not (absvals[i] < absvals[i - 1] and absvals[i] <= absvals[i + 1]):
-            continue
-        if vals[i - 1] * vals[i + 1] < 0.0 or vals[i] * vals[i + 1] < 0.0 \
-                or vals[i - 1] * vals[i] < 0.0:
-            continue
-        a, b = ks[i - 1], ks[i + 1]
-        x1 = b - gold * (b - a)
-        x2 = a + gold * (b - a)
-        f1, f2 = abs(sigma(x1)), abs(sigma(x2))
-        while b - a > 1e-10:
-            if f1 < f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - gold * (b - a)
-                f1 = abs(sigma(x1))
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + gold * (b - a)
-                f2 = abs(sigma(x2))
-        k_star = 0.5 * (a + b)
-        if abs(sigma(k_star)) <= 1e-8 * scale:
-            if all(abs(k_star - kz) > 1e-6 for kz, _ in zeros):
-                zeros.append((k_star, 2))
+    v = np.arange(1, len(ks) - 1)
+    v = v[(absvals[v] < absvals[v - 1]) & (absvals[v] <= absvals[v + 1])
+          & (vals[v - 1] * vals[v + 1] >= 0.0) & (vals[v] * vals[v + 1] >= 0.0)
+          & (vals[v - 1] * vals[v] >= 0.0)]
+    gold = (math.sqrt(5.0) - 1.0) / 2.0
+    ga, gb = ks[v - 1], ks[v + 1]
+    x1 = gb - gold * (gb - ga)
+    x2 = ga + gold * (gb - ga)
+    f1, f2 = np.empty(v.size), np.empty(v.size)
+    # probe[j] awaits its value for valley glive[j], as f1 where into_1[j], else f2
+    probe = np.concatenate([x1, x2])
+    glive = np.concatenate([np.arange(v.size)] * 2)
+    into_1 = np.arange(2 * v.size) < v.size
+
+    while True:
+        live = np.flatnonzero(b - a > 1e-10)
+        mids = 0.5 * (a[live] + b[live])
+        if not live.size and not probe.size:
+            break
+        f = sigma(np.concatenate([mids, probe]))
+        fc, fp = f[:live.size], np.abs(f[live.size:])
+        zero = fc == 0.0
+        left = ~zero & (fa[live] * fc < 0.0)
+        right = ~zero & ~left
+        a[live[zero]] = b[live[zero]] = mids[zero]
+        b[live[left]] = mids[left]
+        a[live[right]], fa[live[right]] = mids[right], fc[right]
+        f1[glive[into_1]] = fp[into_1]
+        f2[glive[~into_1]] = fp[~into_1]
+
+        glive = np.flatnonzero(gb - ga > 1e-10)
+        into_1 = f1[glive] < f2[glive]
+        s1, s2 = glive[into_1], glive[~into_1]
+        gb[s1], x2[s1], f2[s1] = x2[s1], x1[s1], f1[s1]
+        x1[s1] = gb[s1] - gold * (gb[s1] - ga[s1])
+        ga[s2], x1[s2], f1[s2] = x1[s2], x2[s2], f2[s2]
+        x2[s2] = ga[s2] + gold * (gb[s2] - ga[s2])
+        probe = np.where(into_1, x1[glive], x2[glive])
+
+    zeros = [(float(k), 1) for k in np.concatenate([ks[hit], 0.5 * (a + b)])]
+    k_star = 0.5 * (ga + gb)
+    if k_star.size:
+        deep = np.abs(sigma(k_star)) <= 1e-8 * scale
+        for kv in k_star[deep]:
+            if all(abs(kv - kz) > 1e-6 for kz, _ in zeros):
+                zeros.append((float(kv), 2))
     zeros.sort()
+    if zeros:
+        sv = _secular_batches(graph, np.array([kz for kz, _ in zeros]),
+                              lambda _, S: np.linalg.svd(S, compute_uv=False))
+        null = np.sum(sv <= 1e-6 * np.maximum(1.0, sv[:, :1]), axis=1)
+        zeros = [(kz, max(flag, int(n))) for (kz, flag), n in zip(zeros, null)]
     return zeros
 
 

@@ -299,3 +299,22 @@ def test_conservation_trace_zero_state():
         assert np.all(tr[q + "_drift"] == 0.0)
     with pytest.raises(EvolutionError, match="unknown quantity"):
         conservation_trace(ctx, [0.0], np.zeros((b.n_ext, 1)), ["vorticity"])
+
+
+def test_non_finite_states_raise():
+    b = dirichlet_interval(20)
+    u0 = apply_function_to_edges(b, [np.sin])
+    bad = u0.copy()
+    bad[3] = np.nan
+    with pytest.raises(EvolutionError, match=r"step 0 \(t = 0\)"):
+        crank_nicolson_heat(EvolutionProblem(b, tau=0.1, t_final=1.0), bad)
+    with pytest.raises(EvolutionError, match=r"step 0 \(t = 0\)"):
+        sdirk443(EvolutionProblem(b, tau=0.1, t_final=1.0), bad)
+    blow_up = lambda u: np.where(np.abs(u) > 0, np.inf, 0.0)  # noqa: E731
+    for stepper in (imex_euler, sdirk443):
+        p = EvolutionProblem(b, f=blow_up, tau=0.1, t_final=1.0, n_skip=3)
+        with pytest.raises(EvolutionError, match=r"non-finite state at step 3 \(t = 0.3\)"):
+            stepper(p, u0)
+    p = EvolutionProblem(b, tau=0.1, t_final=1.0)
+    with pytest.raises(EvolutionError, match="step 0"):
+        imex_euler(p, bad)

@@ -150,6 +150,79 @@ def test_secular_det_scalar_api():
     assert abs(secular_det(g, 0.5)) > 1e-3
 
 
+# unit-weight, potential-free gallery with k_max inside a spectral gap
+SECULAR_GALLERY = (("interval", {}, 7.0), ("star", {}, 5.5), ("Y", {}, 2 * math.pi + 0.1),
+                   ("dumbbell", {}, 2.6), ("lasso", {}, 2.9), ("ring", {}, 2.5),
+                   ("tetrahedron", {}, 5.0), ("bubbleTower", {}, 1.16),
+                   ("necklace", {"n_pairs": 3}, 2.45), ("necklace", {"n_pairs": 5}, 2.8))
+
+
+def test_secular_matrix_array_k_matches_scalar_calls():
+    graphs = [from_template(tag, **kw) for tag, kw, _ in SECULAR_GALLERY]
+    # the gallery has neither Dirichlet nor Robin alpha != 0 vertices
+    graphs.append(build_graph([1, 2], [2, 3], [1.0, 0.7], robin_coeffs=[DIRICHLET, 0.0, 0.0]))
+    graphs.append(build_graph([1, 1], [2, 3], [1.0, 2.0], robin_coeffs=[0.7, -1.3, 2.0]))
+    ks = np.linspace(0.05, 7.0, 23)
+    for g in graphs:
+        S = secular_matrix(g, ks)
+        assert S.shape == (len(ks), 2 * g.num_edges, 2 * g.num_edges)
+        assert np.array_equal(S, np.stack([secular_matrix(g, k) for k in ks]))
+        sigma = secular_function(g)
+        vals = sigma(ks)
+        assert vals.shape == ks.shape
+        assert np.array_equal(vals, [sigma(k) for k in ks])
+        assert isinstance(sigma(ks[0]), float)
+
+
+def test_secular_matrix_array_k_with_zero_raises():
+    g = from_template("Y")
+    with pytest.raises(SecularError, match="k = 0"):
+        secular_matrix(g, np.array([0.5, 0.0, 1.0]))
+    with pytest.raises(SecularError, match="k = 0"):
+        secular_function(g)(np.array([1.0, 0.0]))
+
+
+def test_secular_scan_is_batched(monkeypatch):
+    calls = []
+
+    def counting(graph, k):
+        calls.append(np.size(k))
+        return secular_matrix(graph, k)
+
+    monkeypatch.setattr("graphpde.stationary.secular_matrix", counting)
+    zeros = find_spectrum_secular(from_template("Y"), 2 * math.pi + 0.1)
+    assert len(zeros) == 6
+    assert len(calls) <= 150
+    assert max(calls) >= 400  # the whole scan grid in one call
+
+
+@pytest.mark.parametrize("n_pairs, total", [(5, 15), (10, 32)])
+def test_secular_large_necklace_scans(n_pairs, total):
+    # the roundoff of det S grows like prod_r |S_r|, far above |Sigma| near
+    # a zero; a realness test scaled by |Sigma| raised here
+    zeros = find_spectrum_secular(from_template("necklace", n_pairs=n_pairs), 2.8)
+    # Chebyshev eigs finds this many eigenvalues with k <= 2.8
+    assert sum(m for _, m in zeros) == total
+    # k = 2 has multiplicity n_pairs: one loop state per pearl
+    assert [m for k, m in zeros if abs(k - 2.0) < 1e-8] == [n_pairs]
+
+
+def test_secular_gallery_cross_validates_eigs():
+    for tag, kw, k_max in SECULAR_GALLERY:
+        g0 = from_template(tag, **kw)
+        nx = [24 + math.ceil(1.5 * k_max * e.length) for e in g0.edges]
+        g = from_template(tag, nx=nx, **kw)
+        total = sum(e.length for e in g.edges)
+        lam, _ = eigs(discretize(g, "chebyshev"),
+                      math.ceil(total * k_max / math.pi) + g.num_edges + 4)
+        k = np.sqrt(np.maximum(-np.real(lam), 0.0))
+        k_eigs = np.sort(k[(k > 1e-3) & (k <= k_max)])
+        zeros = find_spectrum_secular(g, k_max)
+        k_sec = np.repeat([z for z, _ in zeros], [m for _, m in zeros])
+        assert len(k_sec) == len(k_eigs), (tag, kw)
+        assert np.max(np.abs(k_sec - k_eigs)) <= 1e-6, (tag, kw)
+
+
 def test_nls_residual_zero_solution():
     g = from_template("dumbbell")
     b = discretize(g, "uniform")
