@@ -159,7 +159,9 @@ def _cmd_secdet(args) -> int:
     ks = np.linspace(k_max / samples, k_max, samples)
     _scalar_csv(out / "sigma.csv", np.column_stack([ks, sigma(ks)]), header="k,sigma")
     zeros = stationary.find_spectrum_secular(graph, k_max)
-    residuals = np.abs(sigma(np.array([k for k, _ in zeros])))
+    # scale-free: |Sigma| grows like e^{|E|}, sigma_min / sigma_max does not
+    sv = stationary.secular_singular_values(graph, [k for k, _ in zeros])
+    residuals = sv[:, -1] / sv[:, 0]
     payload = [{"k": k, "lambda": -k * k, "multiplicity": mult,
                 "scheme": "secular", "residual": float(res)}
                for (k, mult), res in zip(zeros, residuals)]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -147,6 +148,10 @@ class OperatorBundle:
     [interp_int; 0].  deriv is the square per-edge first-derivative matrix
     (used in functionals only, never to enforce vertex conditions).  All of
     them are scipy CSR matrices, whatever the scheme.
+
+    lap_ext is the square block-diagonal Laplacian on the extended grid,
+    built on first use: lap_int = interp_int @ lap_ext, hence lap_zero =
+    interp_zero @ lap_ext.  It imposes no vertex condition.
     """
 
     graph: MetricGraph
@@ -171,6 +176,19 @@ class OperatorBundle:
     @property
     def scheme(self) -> str:
         return self.grid.scheme
+
+    @cached_property
+    def lap_ext(self):
+        """Extended-grid Laplacian with lap_int = interp_int @ lap_ext.
+
+        Uniform: interp_int is an injection, so interp_int.T @ lap_int (the
+        interior rows in place, zero ghost rows) lifts lap_int exactly.
+        Chebyshev: block-diag(D^2) - diag(potential), since lap_int is
+        P (D^2 - diag V) per edge; equal to lap_int after P up to roundoff.
+        """
+        if self.scheme == UNIFORM:
+            return (self.interp_int.T @ self.lap_int).tocsr()
+        return (self.deriv @ self.deriv - sp.diags(self.potential_ext)).tocsr()
 
     def edge_slice(self, m: int) -> slice:
         o = self.offsets[m - 1]
@@ -496,15 +514,16 @@ def bundle_structure(bundle: OperatorBundle) -> dict:
 
 def save_state_csv(bundle: OperatorBundle, u: np.ndarray, path) -> None:
     """Write a state vector as CSV rows (edge id, x, value_real, value_imag)."""
-    u = np.asarray(u)
+    # one formatting call over Python floats; the values and their signed
+    # zeros are those complex(v) gives per entry (+0.0 imaginary if real)
+    z = np.asarray(u).astype(complex)
+    re, im = z.real.tolist(), z.imag.tolist()
+    edge = np.repeat(np.arange(1, bundle.graph.num_edges + 1), bundle.grid.n + 2).tolist()
+    x = np.concatenate(bundle.grid.x_ext).tolist()
+    rows = list(zip(edge, x, re, im))
     with open(path, "w") as fh:
         fh.write("edge,x,re,im\n")
-        for m in range(1, bundle.graph.num_edges + 1):
-            xe = bundle.grid.x_ext[m - 1]
-            um = u[bundle.edge_slice(m)]
-            for x, v in zip(xe, um):
-                z = complex(v)
-                fh.write(f"{m},{x:.17g},{z.real:.17g},{z.imag:.17g}\n")
+        fh.write(("%d,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(v for r in rows for v in r))
 
 
 def load_state_csv(bundle: OperatorBundle, path) -> np.ndarray:

@@ -175,6 +175,16 @@ def _secular_batches(graph: MetricGraph, ks: np.ndarray, fn) -> np.ndarray:
                            for i in range(0, max(ks.size, 1), step)])
 
 
+def secular_singular_values(graph: MetricGraph, ks) -> np.ndarray:
+    """Singular values of S(k), descending, for the 1-D array ks: shape (K, 2E).
+
+    One stacked svd per batch; sigma_min / sigma_max is the scale-free
+    distance of S(k) from singularity.
+    """
+    return _secular_batches(graph, np.asarray(ks, dtype=float),
+                            lambda _, S: np.linalg.svd(S, compute_uv=False))
+
+
 def secular_function(graph: MetricGraph, k_ref: float = 1.0) -> Callable:
     """Real-normalized secular determinant Sigma(k) as a callable.
 
@@ -313,8 +323,7 @@ def find_spectrum_secular(graph: MetricGraph, k_max: float):
                 zeros.append((float(kv), 2))
     zeros.sort()
     if zeros:
-        sv = _secular_batches(graph, np.array([kz for kz, _ in zeros]),
-                              lambda _, S: np.linalg.svd(S, compute_uv=False))
+        sv = secular_singular_values(graph, [kz for kz, _ in zeros])
         null = np.sum(sv <= 1e-6 * np.maximum(1.0, sv[:, :1]), axis=1)
         zeros = [(kz, max(flag, int(n))) for (kz, flag), n in zip(zeros, null)]
     return zeros

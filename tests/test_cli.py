@@ -131,8 +131,21 @@ def test_cli_secdet_interval(tmp_path):
     ks = [z["k"] for z in zeros]
     assert np.allclose(ks, [1, 2, 3, 4, 5, 6], atol=1e-8)
     assert all(z["multiplicity"] == 1 for z in zeros)
+    # sigma_min / sigma_max of S(k): scale-free, near roundoff at a zero
+    assert all(0.0 <= z["residual"] <= 1e-8 for z in zeros)
     sig = np.genfromtxt(out / "sigma.csv", delimiter=",", skip_header=1)
     assert sig.shape[1] == 2
+
+
+def test_cli_secdet_necklace_residuals_are_scale_free(tmp_path):
+    # |Sigma| grows like e^{|E|}: on 30 edges it reached 6.9e3 at true zeros
+    cfg = write_config(tmp_path, {"template": "necklace", "overrides": {"n_pairs": 10},
+                                  "k_max": 2.8})
+    out = tmp_path / "sd"
+    assert main(["secdet", "--config", cfg, "--out", str(out)]) == 0
+    zeros = json.loads((out / "zeros.json").read_text())
+    assert sum(z["multiplicity"] for z in zeros) == 32
+    assert all(0.0 <= z["residual"] <= 1e-6 for z in zeros)
 
 
 def test_cli_evolve_heat(tmp_path):

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from graphpde import (DIRICHLET, apply_function_to_edges, apply_graphical_function,
                       build_graph, column_to_graph, discretize, from_template,
                       graph_to_column)
+from graphpde.graphs import TEMPLATES
 from graphpde.discretize import (DiscretizationError, bundle_structure,
                                  chebyshev_first_kind, chebyshev_second_kind,
                                  clenshaw_curtis_weights,
@@ -284,6 +285,49 @@ def test_chebyshev_necklace_is_block_sparse_csr():
     assert d["deriv"]["nnz"] == int(np.sum((n + 2) ** 2))
     # constants lie in the kernel of every interior Laplacian row
     assert np.max(np.abs(b.lap_int @ np.ones(b.n_ext))) < 1e-8
+
+
+def _potential_path():
+    return build_graph([1, 2], [2, 3], [1.0, 2.0], nx=[9, 11], robin_coeffs=[0.4, 0.0, 0.0],
+                       potentials=[lambda x: 2.0 + np.sin(x), lambda x: x * x])
+
+
+@pytest.mark.parametrize("template", sorted(TEMPLATES) + ["potential path"])
+def test_lap_ext_lifts_lap_int(template):
+    g = _potential_path() if template == "potential path" else from_template(template)
+    b = discretize(g, "uniform")
+    assert b.lap_ext.format == "csr" and b.lap_ext.shape == (b.n_ext, b.n_ext)
+    assert (b.interp_int @ b.lap_ext != b.lap_int).nnz == 0
+    c = discretize(g, "chebyshev")
+    assert c.lap_ext.format == "csr" and c.lap_ext.shape == (c.n_ext, c.n_ext)
+    diff = abs(c.interp_int @ c.lap_ext - c.lap_int).max()
+    assert diff <= 1e-13 * abs(c.lap_int).max()
+
+
+def _state_csv_per_value(bundle, u):
+    """The reference formatting: one complex() conversion per value."""
+    lines = ["edge,x,re,im\n"]
+    for m in range(1, bundle.graph.num_edges + 1):
+        for x, v in zip(bundle.grid.x_ext[m - 1], np.asarray(u)[bundle.edge_slice(m)]):
+            z = complex(v)
+            lines.append(f"{m},{x:.17g},{z.real:.17g},{z.imag:.17g}\n")
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "chebyshev"])
+def test_state_csv_bytes_match_per_value_formatting(tmp_path, scheme):
+    b = discretize(from_template("lasso", nx=[4, 5]), scheme)
+    rng = np.random.default_rng(5)
+    real = rng.standard_normal(b.n_ext)
+    real[:6] = [-0.0, 0.0, 1e300, -2.5e-310, 1.0 / 3.0, 7.0]
+    cplx = real + 1j * rng.standard_normal(b.n_ext) * 1e-200
+    cplx[:3] = [complex(1.0, -0.0), complex(-0.0, 1e308), complex(-0.0, -0.0)]
+    single = rng.standard_normal(b.n_ext).astype(np.float32)
+    states = [real, cplx, single, np.arange(b.n_ext), -real + 0j]
+    for u in states:
+        path = tmp_path / "state.csv"
+        save_state_csv(b, u, path)
+        assert path.read_bytes() == _state_csv_per_value(b, u), u.dtype
 
 
 def test_state_csv_round_trip(tmp_path):

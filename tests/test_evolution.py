@@ -255,14 +255,20 @@ def test_constraint_manifold_preserved_all_steppers():
 
 
 def test_factorization_reuse(monkeypatch):
-    calls = []
+    calls, solves = [], []
     original = linalg.factorize
+    original_solve = linalg.Factorization.solve
 
     def counting(A):
         calls.append(A.shape)
         return original(A)
 
+    def counting_solve(self, rhs):
+        solves.append(np.shape(rhs))
+        return original_solve(self, rhs)
+
     monkeypatch.setattr(evo.linalg, "factorize", counting)
+    monkeypatch.setattr(linalg.Factorization, "solve", counting_solve)
     b = dirichlet_interval(20)
     u0 = apply_function_to_edges(b, [np.sin])
     with warnings.catch_warnings():
@@ -274,6 +280,62 @@ def test_factorization_reuse(monkeypatch):
         assert len(calls) == 2  # still one factorization per run
         imex_euler(p, u0)
         assert len(calls) == 3
+        # leapfrog: one factorization and one multi-column solve per run,
+        # whatever n_steps is
+        for t_final in (0.05, 0.5):
+            calls.clear()
+            solves.clear()
+            p = EvolutionProblem(b, tau=0.01, t_final=t_final)
+            leapfrog_klein_gordon(p, np.sin, u0, np.zeros(b.n_ext))
+            assert calls == [(b.n_ext, b.n_ext)]
+            assert solves == [(b.n_ext, b.n_ext - b.n_int)]
+
+
+def _mixed_vertex_graph(nx):
+    # Dirichlet vertex 1, Kirchhoff vertex 2 (degree 4, one weight 2), Robin
+    # vertex 3 with alpha = 0.7 on two ends, Kirchhoff leaf 4; a potential on
+    # edge 2
+    return build_graph([1, 2, 2, 2], [2, 3, 3, 4], [1.0, 1.3, 0.9, 0.7],
+                       weights=[1.0, 2.0, 1.0, 1.0],
+                       robin_coeffs=[DIRICHLET, 0.0, 0.7, 0.0], nx=nx,
+                       potentials=[None, lambda x: 1.0 + 0.5 * np.cos(3.0 * x),
+                                   None, None])
+
+
+def _leapfrog_by_solves(problem, g, u0, v0):
+    """The constrained solve each leapfrog step stands for, written out."""
+    b, tau = problem.bundle, problem.tau
+    fact = linalg.factorize(b.interp_vc)
+    u_prev = u0
+    u = fact.solve(b.interp_zero @ (u0 + tau * v0 - 0.5 * tau**2 * g(u0))
+                   + 0.5 * tau**2 * (b.lap_zero @ u0))
+    states = [u0, u]
+    for _ in range(2, problem.n_steps + 1):
+        u_prev, u = u, fact.solve(b.interp_zero @ (2.0 * u - u_prev - tau**2 * g(u))
+                                  + tau**2 * (b.lap_zero @ u))
+        states.append(u)
+    return np.column_stack(states)
+
+
+@pytest.mark.parametrize("scheme,nx,tau", [("uniform", 20, 5e-3),
+                                           ("chebyshev", [12, 14, 10, 9], 1e-3)])
+def test_leapfrog_matches_constrained_solve(scheme, nx, tau):
+    b = discretize(_mixed_vertex_graph(nx), scheme)
+    fact = linalg.factorize(b.interp_vc)
+    # initial data on the vertex conditions: the constrained interpolant
+    raw_u = apply_function_to_edges(b, [lambda x: np.cos(2.0 * x) + x] * 4)
+    raw_v = apply_function_to_edges(b, [lambda x: np.sin(x) - 0.5 * x * x] * 4)
+    u0 = fact.solve(b.interp_zero @ raw_u)
+    v0 = fact.solve(b.interp_zero @ raw_v)
+    p = EvolutionProblem(b, tau=tau, t_final=20 * tau)
+    assert p.n_steps == 20
+    _, s = leapfrog_klein_gordon(p, np.sin, u0, v0)
+    want = _leapfrog_by_solves(p, np.sin, u0, v0)
+    assert s.shape == want.shape
+    scale = max(1.0, np.max(np.abs(want)))
+    assert np.max(np.abs(s - want)) <= 1e-9 * scale
+    for j in range(s.shape[1]):
+        assert np.linalg.norm(b.vc_rows @ s[:, j], np.inf) <= 1e-8
 
 
 def test_sampler_decimation_and_final_step():
