@@ -74,7 +74,6 @@ class ContinuationOptions:
     lambda_thresh: float = -1.0
     max_points: int = 999
     save_flag: bool = True
-    plot_flag: bool = True
     verbose_flag: bool = True
     ds: float = 0.1
     newton_tol: float = 1e-10
@@ -634,7 +633,9 @@ def load_branch(run_dir, branch_id: int, bundle: OperatorBundle) -> Branch:
     energies = np.loadtxt(bdir / "energy.csv", ndmin=1)
     bif = np.loadtxt(bdir / "biftype.csv", dtype=int, ndmin=1)
     lamdot = np.loadtxt(bdir / "lambda_dot.csv", ndmin=1)
-    options = ContinuationOptions(**json.loads((bdir / "options.json").read_text()))
+    options = json.loads((bdir / "options.json").read_text())
+    options.pop("plot_flag", None)  # an unused flag that older run directories store
+    options = ContinuationOptions(**options)
     provenance = json.loads((bdir / "provenance.json").read_text())
     points = []
     for k in range(len(lams)):

@@ -17,9 +17,12 @@ P D^2 where D is the spectral differentiation matrix and P the barycentric
 resampling matrix from the extended to the interior grid; endpoint rows of
 D provide derivatives for the vertex conditions.
 
-Row ordering is frozen: interior rows grouped by edge in edge order, then
-one block per vertex holding its flux-or-Dirichlet row first followed by
-its continuity rows.
+Each scheme also gives, per edge end, one row for the value F and one
+for the outward derivative F' (the end traces).  The vertex-condition
+rows are vc_rows = A @ F + B @ F' = [A B] @ end_traces, with A and B from
+MetricGraph.vertex_conditions, which also fixes the row order and the
+anchor end of every vertex (see graphs.ConditionMatrices).  Interior rows
+are grouped by edge in edge order.
 
 Both schemes store every operator as a scipy CSR matrix.  A Chebyshev
 edge's dense N_m x (N_m + 2) block sits inside the CSR at the edge's
@@ -35,7 +38,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import SOURCE_END, GraphError, MetricGraph, edge_coordinates
+from .graphs import GraphError, MetricGraph, edge_coordinates
 
 UNIFORM = "uniform"
 CHEBYSHEV = "chebyshev"
@@ -140,14 +143,17 @@ class Grid:
 class OperatorBundle:
     """Operator family for one discretization of one graph.
 
-    lap_int and interp_int map extended-grid data to interior-grid data;
-    vc_rows holds the 2|E| discretized vertex conditions; nh_map routes
-    per-vertex nonhomogeneous terms to their constraint rows.  The square
-    composites stack these: lap_vc = [lap_int; vc_rows], lap_zero =
-    [lap_int; 0], interp_vc = [interp_int; vc_rows], interp_zero =
-    [interp_int; 0].  deriv is the square per-edge first-derivative matrix
-    (used in functionals only, never to enforce vertex conditions).  All of
-    them are scipy CSR matrices, whatever the scheme.
+    lap_int and interp_int map extended-grid data to interior-grid data.
+    end_traces (4|E| x n_ext) gives the value at edge end j in row j and
+    the outward derivative there in row 2|E| + j; vc_rows holds the 2|E|
+    discretized vertex conditions, [A B] @ end_traces for the graph's
+    vertex_conditions.  nh_map routes per-vertex nonhomogeneous terms to
+    their constraint rows.  The square composites stack these: lap_vc =
+    [lap_int; vc_rows] and interp_vc = [interp_int; vc_rows], plus
+    lap_zero = [lap_int; 0] and interp_zero = [interp_int; 0], derived on
+    first use.  deriv is the square per-edge first-derivative matrix (used
+    in functionals only, never to enforce vertex conditions).  All of them
+    are scipy CSR matrices, whatever the scheme.
 
     lap_ext is the square block-diagonal Laplacian on the extended grid,
     built on first use: lap_int = interp_int @ lap_ext, hence lap_zero =
@@ -165,10 +171,9 @@ class OperatorBundle:
     vc_rows: object
     nh_map: object
     lap_vc: object
-    lap_zero: object
     interp_vc: object
-    interp_zero: object
     deriv: object
+    end_traces: object
     quad_ext: np.ndarray      # integration weights on the extended grid (no edge weights)
     potential_ext: np.ndarray
     vertex_row: np.ndarray    # global row of each vertex's flux/Dirichlet condition
@@ -189,6 +194,16 @@ class OperatorBundle:
         if self.scheme == UNIFORM:
             return (self.interp_int.T @ self.lap_int).tocsr()
         return (self.deriv @ self.deriv - sp.diags(self.potential_ext)).tocsr()
+
+    @cached_property
+    def lap_zero(self):
+        """[lap_int; 0]: lap_int over 2|E| empty rows."""
+        return _stack_rows(self.lap_int, sp.csr_matrix(self.vc_rows.shape))
+
+    @cached_property
+    def interp_zero(self):
+        """[interp_int; 0]: interp_int over 2|E| empty rows."""
+        return _stack_rows(self.interp_int, sp.csr_matrix(self.vc_rows.shape))
 
     def edge_slice(self, m: int) -> slice:
         o = self.offsets[m - 1]
@@ -232,79 +247,11 @@ def _build_grid(graph: MetricGraph, scheme: str) -> Grid:
     return Grid(scheme, n, tuple(x_ext), tuple(x_int), h, tuple(weights))
 
 
-class _EndOps:
-    """Value and outward-derivative coefficient rows for each edge end."""
-
-    def __init__(self, graph, grid, offsets, deriv_blocks):
-        self.graph = graph
-        self.grid = grid
-        self.offsets = offsets
-        self.deriv_blocks = deriv_blocks
-
-    def value(self, m, end):
-        """(cols, coeffs) approximating the edge value at the given end."""
-        o = self.offsets[m - 1]
-        nm = self.grid.n[m - 1]
-        if self.grid.scheme == UNIFORM:
-            if end == SOURCE_END:
-                return np.array([o, o + 1]), np.array([0.5, 0.5])
-            return np.array([o + nm, o + nm + 1]), np.array([0.5, 0.5])
-        idx = o if end == SOURCE_END else o + nm + 1
-        return np.array([idx]), np.array([1.0])
-
-    def outward_derivative(self, m, end):
-        """(cols, coeffs) for the derivative pointing away from the vertex."""
-        o = self.offsets[m - 1]
-        nm = self.grid.n[m - 1]
-        if self.grid.scheme == UNIFORM:
-            hm = self.grid.h[m - 1]
-            if end == SOURCE_END:
-                return np.array([o, o + 1]), np.array([-1.0, 1.0]) / hm
-            return np.array([o + nm, o + nm + 1]), np.array([1.0, -1.0]) / hm
-        D = self.deriv_blocks[m - 1]
-        cols = o + np.arange(nm + 2)
-        row = D[0] if end == SOURCE_END else -D[nm + 1]
-        return cols, row
-
-
-def _vertex_condition_rows(graph, grid, offsets, end_ops):
-    """Triplets and metadata for the 2|E| constraint rows.
-
-    Per vertex: its flux (Robin-Kirchhoff) or Dirichlet row first, then the
-    continuity rows tying every other incident end to the anchor end.
-    """
-    rows, cols, vals = [], [], []
-    vertex_row = np.empty(graph.num_vertices, dtype=int)
-    r = 0
-    for n in range(1, graph.num_vertices + 1):
-        ends = graph.incident_ends(n)
-        anchor = ends[0]
-        cond = graph.vertices[n - 1]
-        vertex_row[n - 1] = r
-        if cond.is_dirichlet:
-            c, v = end_ops.value(*anchor)
-            rows += [r] * len(c); cols += list(c); vals += list(v)
-        else:
-            for (m, end) in ends:
-                c, v = end_ops.outward_derivative(m, end)
-                w = graph.edges[m - 1].weight
-                rows += [r] * len(c); cols += list(c); vals += list(w * v)
-            if cond.alpha != 0.0:
-                c, v = end_ops.value(*anchor)
-                rows += [r] * len(c); cols += list(c); vals += list(cond.alpha * v)
-        r += 1
-        ca, va = end_ops.value(*anchor)
-        for other in ends[1:]:
-            co, vo = end_ops.value(*other)
-            rows += [r] * len(ca); cols += list(ca); vals += list(va)
-            rows += [r] * len(co); cols += list(co); vals += list(-vo)
-            r += 1
-    return rows, cols, vals, vertex_row
-
-
 def _uniform_blocks(o, nm, hm, pot):
-    """Row groups of one uniform edge: three-point Laplacian, injection, and
-    centered first differences (second-order one-sided at the extremes)."""
+    """Row groups of one uniform edge: three-point Laplacian, injection,
+    centered first differences (second-order one-sided at the extremes),
+    then the ghost-point end values (u_0 + u_1)/2 and outward derivatives
+    (u_1 - u_0)/h, source end first."""
     left = o + np.arange(nm)[:, None]
     lap = np.tile(np.array([1.0, -2.0, 1.0]) / hm**2, (nm, 1))
     lap[:, 1] -= pot[1:-1]
@@ -312,16 +259,23 @@ def _uniform_blocks(o, nm, hm, pot):
     deriv = [(o + np.arange(3), end[None, :]),
              (left + np.array([0, 2]), np.tile(np.array([-0.5, 0.5]) / hm, (nm, 1))),
              (o + nm - 1 + np.arange(3), -end[None, ::-1])]
-    return [(left + np.arange(3), lap)], [(left + 1, np.ones((nm, 1)))], deriv
+    ends = o + np.array([[0, 1], [nm, nm + 1]])
+    return ([(left + np.arange(3), lap)], [(left + 1, np.ones((nm, 1)))], deriv,
+            [(ends, np.full((2, 2), 0.5))],
+            [(ends, np.array([[-1.0, 1.0], [1.0, -1.0]]) / hm)])
 
 
 def _chebyshev_blocks(o, D, P, pot):
-    """Row groups of one Chebyshev edge: dense P D^2, P and D blocks."""
-    cols = o + np.arange(D.shape[0])
+    """Row groups of one Chebyshev edge: dense P D^2, P and D blocks, then
+    the endpoint values and outward derivative rows of D, source end first."""
+    nm = D.shape[0] - 2
+    cols = o + np.arange(nm + 2)
     lap = P @ D @ D
     if np.any(pot != 0.0):
         lap = lap - P * pot[None, :]
-    return [(cols, lap)], [(cols, P)], [(cols, D)]
+    return ([(cols, lap)], [(cols, P)], [(cols, D)],
+            [(o + np.array([[0], [nm + 1]]), np.ones((2, 1)))],
+            [(cols, np.stack([D[0], -D[nm + 1]]))])
 
 
 def _csr_from_row_groups(groups, shape):
@@ -368,49 +322,43 @@ def discretize(graph: MetricGraph, scheme: str = UNIFORM) -> OperatorBundle:
             xe = grid.x_ext[e.index - 1]
             potential_ext[o:o + len(xe)] = np.asarray(e.potential(xe), dtype=float)
 
-    lap_groups, interp_groups, deriv_groups, deriv_blocks = [], [], [], []
+    # row groups of lap_int, interp_int, deriv, and the value and outward
+    # derivative at each edge end (end j of the graph in row j of each)
+    groups = ([], [], [], [], [])
     for e in graph.edges:
         m = e.index - 1
         o, nm = offsets[m], grid.n[m]
         pot = potential_ext[o:o + nm + 2]
         if scheme == UNIFORM:
-            lap, interp, deriv = _uniform_blocks(o, nm, grid.h[m], pot)
+            blocks = _uniform_blocks(o, nm, grid.h[m], pot)
         else:
             w = barycentric_weights(grid.x_ext[m])
             D = differentiation_matrix(grid.x_ext[m], w)
-            deriv_blocks.append(D)
             P = resampling_matrix(grid.x_ext[m], grid.x_int[m], w)
-            lap, interp, deriv = _chebyshev_blocks(o, D, P, pot)
-        lap_groups += lap
-        interp_groups += interp
-        deriv_groups += deriv
-    lap_int = _csr_from_row_groups(lap_groups, (n_int, n_ext))
-    interp_int = _csr_from_row_groups(interp_groups, (n_int, n_ext))
-    deriv = _csr_from_row_groups(deriv_groups, (n_ext, n_ext))
+            blocks = _chebyshev_blocks(o, D, P, pot)
+        for acc, block in zip(groups, blocks):
+            acc += block
+    lap, interp, deriv, values, outward = groups
+    lap_int = _csr_from_row_groups(lap, (n_int, n_ext))
+    interp_int = _csr_from_row_groups(interp, (n_int, n_ext))
+    deriv = _csr_from_row_groups(deriv, (n_ext, n_ext))
+    end_traces = _csr_from_row_groups(values + outward, (4 * ne, n_ext))
 
-    end_ops = _EndOps(graph, grid, offsets, deriv_blocks)
-    vr, vc, vv, vertex_row = _vertex_condition_rows(graph, grid, offsets, end_ops)
-    vertex_row += n_int
-    # the triplets come row by row; a loop edge or a Robin term can repeat
-    # a column within a row, and sum_duplicates adds those up
-    vc_rows = sp.csr_matrix((vv, vc, np.searchsorted(vr, np.arange(2 * ne + 1))),
-                            shape=(2 * ne, n_ext))
-    vc_rows.sum_duplicates()
+    conditions = graph.vertex_conditions
+    vc_rows = conditions.AB @ end_traces
+    vc_rows.sum_duplicates()  # the product leaves the columns of a row unsorted
+    vertex_row = conditions.first_row + n_int
     nv = graph.num_vertices
     nh_map = sp.csr_matrix((np.ones(nv), np.arange(nv),
                             np.searchsorted(vertex_row, np.arange(n_ext + 1))),
                            shape=(n_ext, nv))
-    zero_rows = sp.csr_matrix((2 * ne, n_ext))
     lap_vc = _stack_rows(lap_int, vc_rows)
-    lap_zero = _stack_rows(lap_int, zero_rows)
     interp_vc = _stack_rows(interp_int, vc_rows)
-    interp_zero = _stack_rows(interp_int, zero_rows)
 
     quad_ext = np.concatenate(grid.weights)
     return OperatorBundle(graph, grid, n_int, n_ext, offsets, int_offsets,
-                          lap_int, interp_int, vc_rows, nh_map,
-                          lap_vc, lap_zero, interp_vc, interp_zero, deriv,
-                          quad_ext, potential_ext, vertex_row)
+                          lap_int, interp_int, vc_rows, nh_map, lap_vc, interp_vc,
+                          deriv, end_traces, quad_ext, potential_ext, vertex_row)
 
 
 # ---------------------------------------------------------------------------
@@ -435,29 +383,22 @@ def graph_to_column(bundle: OperatorBundle, per_edge) -> np.ndarray:
 def column_to_graph(bundle: OperatorBundle, u: np.ndarray):
     """Split a column vector into per-edge arrays plus interpolated vertex values.
 
-    Vertex values use the anchor incident end: the average of the two
-    straddling samples on uniform grids, the endpoint sample on Chebyshev
-    grids.
+    Vertex values are the anchor-end rows of the value trace (see
+    OperatorBundle.end_traces).
     """
     u = np.asarray(u)
     if u.shape != (bundle.n_ext,):
         raise DiscretizationError(f"expected length {bundle.n_ext}, got {u.shape}")
     per_edge = [u[bundle.edge_slice(m)] for m in range(1, bundle.graph.num_edges + 1)]
-    values = np.empty(bundle.graph.num_vertices, dtype=u.dtype)
-    for n in range(1, bundle.graph.num_vertices + 1):
-        values[n - 1] = vertex_value(bundle, u, n)
-    return per_edge, values
+    return per_edge, (bundle.end_traces @ u)[bundle.graph.vertex_conditions.anchor]
 
 
 def vertex_value(bundle: OperatorBundle, u: np.ndarray, n: int):
     """Value of the graph function at vertex n (anchor-end interpolation)."""
-    m, end = bundle.graph.incident_ends(n)[0]
-    o = bundle.offsets[m - 1]
-    nm = bundle.grid.n[m - 1]
-    if bundle.scheme == UNIFORM:
-        i = o if end == SOURCE_END else o + nm
-        return 0.5 * (u[i] + u[i + 1])
-    return u[o] if end == SOURCE_END else u[o + nm + 1]
+    t = bundle.end_traces
+    j = bundle.graph.vertex_conditions.anchor[n - 1]
+    row = slice(t.indptr[j], t.indptr[j + 1])
+    return t.data[row] @ u[t.indices[row]]
 
 
 def apply_function_to_edges(bundle: OperatorBundle, fns) -> np.ndarray:

@@ -13,9 +13,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 DIRICHLET = math.nan
 
@@ -183,6 +185,42 @@ def edge_coordinates(graph: "MetricGraph", m: int, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
+class ConditionMatrices:
+    """Vertex conditions of a graph as A F + B F' = 0 over its edge ends.
+
+    F holds the value and F' the outward derivative (pointing away from
+    the vertex) at each edge end; end ``end`` of edge m is entry
+    2(m - 1) + end.  A holds the Dirichlet, Robin alpha and continuity
+    coefficients, B the edge weights of the outward fluxes; both are
+    2|E| x 2|E| and are stored side by side as the CSR matrix AB = [A B],
+    so the conditions read AB @ [F; F'] = 0.  Each vertex owns one block
+    of rows, starting at first_row: its flux or Dirichlet row first (the
+    weighted outward flux plus alpha times the anchor-end value, or the
+    anchor-end value alone), then one continuity row per further incident
+    end, equating its value with the anchor end's.  The anchor end is the
+    first of incident_ends.  The blocks fill all 2|E| rows.
+    """
+
+    AB: sp.csr_matrix       # [A B], 2|E| x 4|E|
+    first_row: np.ndarray   # first row of each vertex block
+    anchor: np.ndarray      # edge end (column of A) of each vertex's anchor
+
+    @cached_property
+    def edge_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """AB grouped by (row, edge): for each of the n pairs it touches,
+        the row, the edge (0-based) and the (4, n) coefficients A at the
+        source and target ends, then B at the source and target ends.
+        """
+        C = self.AB.tocoo()
+        ne = C.shape[0] // 2
+        end = C.col % (2 * ne)
+        pairs, where = np.unique(C.row * ne + end // 2, return_inverse=True)
+        coef = np.zeros((4, pairs.size))
+        coef[2 * (C.col >= 2 * ne) + end % 2, where] = C.data
+        return pairs // ne, pairs % ne, coef
+
+
+@dataclass(frozen=True, eq=False)
 class MetricGraph:
     """Immutable metric graph: vertex conditions plus directed weighted edges.
 
@@ -214,13 +252,38 @@ class MetricGraph:
         """
         if not 1 <= n <= self.num_vertices:
             raise GraphError(f"vertex id {n} out of range 1..{self.num_vertices}")
-        ends = []
+        return list(self._incident[n - 1])
+
+    @cached_property
+    def _incident(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """incident_ends of every vertex, from one pass over the edges."""
+        ends = [[] for _ in self.vertices]
         for e in self.edges:
-            if e.source == n:
-                ends.append((e.index, SOURCE_END))
-            if e.target == n:
-                ends.append((e.index, TARGET_END))
-        return ends
+            ends[e.source - 1].append((e.index, SOURCE_END))
+            ends[e.target - 1].append((e.index, TARGET_END))
+        return tuple(tuple(v) for v in ends)
+
+    @cached_property
+    def vertex_conditions(self) -> ConditionMatrices:
+        """The vertex conditions as A F + B F' = 0; see ConditionMatrices."""
+        ne = self.num_edges
+        first_row = np.empty(self.num_vertices, dtype=int)
+        anchor = np.empty(self.num_vertices, dtype=int)
+        rows = []  # (column of AB, coefficient) pairs of each row
+        for n, (cond, ends) in enumerate(zip(self.vertices, self._incident)):
+            cols = [2 * (m - 1) + end for m, end in ends]
+            first_row[n], anchor[n] = len(rows), cols[0]
+            row = []
+            if cond.is_dirichlet or cond.alpha != 0.0:
+                row.append((cols[0], 1.0 if cond.is_dirichlet else cond.alpha))
+            if not cond.is_dirichlet:
+                row += [(2 * ne + c, self.edges[m - 1].weight) for c, (m, _) in zip(cols, ends)]
+            rows.append(row)
+            rows += [[(cols[0], 1.0), (c, -1.0)] for c in cols[1:]]
+        cols, vals = np.array([entry for row in rows for entry in row]).T
+        indptr = np.cumsum([0] + [len(row) for row in rows])
+        AB = sp.csr_matrix((vals, cols.astype(int), indptr), shape=(2 * ne, 4 * ne))
+        return ConditionMatrices(AB, first_row, anchor)
 
     def weighted_length(self) -> float:
         return sum(e.weight * e.length for e in self.edges)

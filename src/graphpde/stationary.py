@@ -108,11 +108,15 @@ def _check_secular_graph(graph: MetricGraph):
 def secular_matrix(graph: MetricGraph, k) -> np.ndarray:
     """Vertex-condition system for plane-wave edge solutions at wavenumber k.
 
-    Edge m carries psi_m = a_m e^{ikx} + b_m e^{ik(l_m - x)}; the rows are
-    the flux-or-Dirichlet condition then the continuity conditions per
-    vertex (same ordering as the discretized constraint block), in the
-    unknowns (a_1, b_1, ..., a_E, b_E).  A scalar k gives one (2E, 2E)
-    matrix; a 1-D array of K wavenumbers gives the stack (K, 2E, 2E).
+    Edge m carries psi_m = a_m e^{ikx} + b_m e^{ik(l_m - x)}, so with
+    z_m = e^{ikl_m} its end values are F = (a + b z, a z + b) and its
+    outward derivatives F' = ik (a - b z, b - a z), source end first.
+    S(k) is A F + B F' for the graph's vertex_conditions (A, B), in the
+    unknowns (a_1, b_1, ..., a_E, b_E): the same rows in the same order
+    as the discretized constraint block.  The flux rows are divided by k,
+    which keeps Sigma proportional to the symbolic determinant.  A scalar
+    k gives one (2E, 2E) matrix; a 1-D array of K wavenumbers gives the
+    stack (K, 2E, 2E).
     """
     _check_secular_graph(graph)
     k = np.asarray(k, dtype=float)
@@ -120,46 +124,16 @@ def secular_matrix(graph: MetricGraph, k) -> np.ndarray:
         raise SecularError("secular matrix is not defined at k = 0")
     ks = k.reshape(-1)
     ne = graph.num_edges
+    rows, edges, (a0, a1, b0, b1) = graph.vertex_conditions.edge_blocks
+    z = np.exp(1j * ks[:, None] * np.array([e.length for e in graph.edges]))[:, edges]
+    ik = 1j * ks[:, None]
+    # the a and b columns of A [F_source, F_target] + B [F'_source, F'_target]
+    # per (row, edge) block; no product of two general complex numbers is
+    # formed, so fused multiply-adds cannot change the last bits
     S = np.zeros((ks.size, 2 * ne, 2 * ne), dtype=complex)
-    ik = 1j * ks
-    z = np.exp(1j * ks[:, None] * np.array([e.length for e in graph.edges]))
-
-    # a row is ((column of a_m, coefficient), (column of b_m, coefficient))
-    def value_row(m, end):
-        zm = z[:, m - 1]
-        if end == 0:  # source: a + b e^{ikl}
-            return (2 * m - 2, 1.0), (2 * m - 1, zm)
-        return (2 * m - 2, zm), (2 * m - 1, 1.0)
-
-    def outward_row(m, end):
-        zm = z[:, m - 1]
-        if end == 0:  # +psi'(0) = ik (a - b e^{ikl})
-            return (2 * m - 2, ik), (2 * m - 1, ik * -zm)
-        return (2 * m - 2, ik * -zm), (2 * m - 1, ik)  # -psi'(l) = ik (b - a e^{ikl})
-
-    r = 0
-    for n in range(1, graph.num_vertices + 1):
-        ends = graph.incident_ends(n)
-        anchor = ends[0]
-        cond = graph.vertices[n - 1]
-        if cond.is_dirichlet:
-            for c, v in value_row(*anchor):
-                S[:, r, c] += v
-        else:
-            for (m, end) in ends:
-                for c, v in outward_row(m, end):
-                    S[:, r, c] += v
-            if cond.alpha != 0.0:
-                for c, v in value_row(*anchor):
-                    S[:, r, c] += cond.alpha * v
-            S[:, r] /= ks[:, None]  # keeps Sigma proportional to the symbolic determinant
-        r += 1
-        for other in ends[1:]:
-            for c, v in value_row(*anchor):
-                S[:, r, c] += v
-            for c, v in value_row(*other):
-                S[:, r, c] -= v
-            r += 1
+    S[:, rows, 2 * edges] = ik * b0 + ik * -(b1 * z) + a0 + a1 * z
+    S[:, rows, 2 * edges + 1] = ik * -(b0 * z) + ik * b1 + a0 * z + a1
+    S[:, np.unique(rows[b0 + b1 > 0])] /= ks[:, None, None]  # the flux rows
     return S.reshape(k.shape + S.shape[1:])
 
 

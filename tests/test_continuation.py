@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -182,6 +183,22 @@ def test_run_persistence_round_trip(tmp_path):
         assert np.array_equal(p.tangent_psi, q.tangent_psi)
     assert loaded.provenance["kind"] == "eigenfunction"
     assert loaded.options.ds == opts.ds
+
+
+def test_load_branch_accepts_legacy_plot_flag(tmp_path):
+    # run directories written before plot_flag was deleted store it in options.json
+    b, sys_ = dumbbell_setup()
+    run = cont.create_run(tmp_path, "dumbbell", b)
+    cont.save_eigenfunctions(run, b, 3)
+    opts = quiet_opts(ds=0.05, max_points=4)
+    bid = cont.save_branch(run, cont.continue_from_eig(run, sys_, 1, 1e-2, opts), b)
+    path = run / f"branch{bid:03d}" / "options.json"
+    stored = json.loads(path.read_text())
+    assert "plot_flag" not in stored
+    path.write_text(json.dumps(dict(stored, plot_flag=True), indent=1))
+    loaded = cont.load_branch(run, bid, b)
+    assert loaded.options == opts
+    assert not hasattr(loaded.options, "plot_flag")
 
 
 def test_stale_layout_rejected(tmp_path):

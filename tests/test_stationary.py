@@ -7,6 +7,7 @@ from graphpde import (DIRICHLET, apply_function_to_edges, build_graph, discretiz
                       eigs, find_spectrum_secular, from_template, make_context,
                       mass, nls_jacobian, nls_problem, nls_residual, secular_det,
                       secular_matrix, solve_newton, solve_poisson)
+from graphpde.graphs import TEMPLATES
 from graphpde.stationary import (NewtonError, NullspaceError, SecularError,
                                  secular_function)
 
@@ -221,6 +222,48 @@ def test_secular_gallery_cross_validates_eigs():
         k_sec = np.repeat([z for z, _ in zeros], [m for _, m in zeros])
         assert len(k_sec) == len(k_eigs), (tag, kw)
         assert np.max(np.abs(k_sec - k_eigs)) <= 1e-6, (tag, kw)
+
+
+def _plane_wave_states(bundle, ks, rng):
+    """Coefficients c = (a_1, b_1, ...) and samples of psi_m = a_m e^{ikx} +
+    b_m e^{ik(l_m - x)} on the extended grid, one pair per k."""
+    for k in ks:
+        c = rng.standard_normal(2 * bundle.graph.num_edges) \
+            + 1j * rng.standard_normal(2 * bundle.graph.num_edges)
+        psi = np.concatenate([c[2 * m] * np.exp(1j * k * x)
+                              + c[2 * m + 1] * np.exp(1j * k * (e.length - x))
+                              for m, (e, x) in enumerate(zip(bundle.graph.edges,
+                                                             bundle.grid.x_ext))])
+        yield k, c, psi
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "chebyshev"])
+def test_vertex_rows_agree_with_secular_matrix(scheme):
+    # vc_rows and S(k) come from the same vertex conditions: on a plane-wave
+    # state they give the same rows, up to the 1/k on the flux rows and the
+    # discretization error of the scheme's end traces
+    ks = (0.6, 1.7, 2.9)
+    cases = [(tag, {}) for tag in sorted(TEMPLATES)]
+    cases += [("star", {"robin": 1.3}), ("lasso", {"robin": [DIRICHLET, 1.3]})]
+    rng = np.random.default_rng(5)
+    for tag, kw in cases:
+        g = from_template(tag, **kw)
+        if scheme == "chebyshev":
+            g = from_template(tag, nx=[24 + math.ceil(1.5 * max(ks) * e.length)
+                                       for e in g.edges], **kw)
+        b = discretize(g, scheme)
+        flux = [r - b.n_int for r, v in zip(b.vertex_row, g.vertices) if not v.is_dirichlet]
+        degree = max(g.degree(n) for n in range(1, g.num_vertices + 1))
+        for k, c, psi in _plane_wave_states(b, ks, rng):
+            want = secular_matrix(g, k) @ c
+            want[flux] *= k
+            err = np.abs(b.vc_rows @ psi - want)
+            if scheme == "chebyshev":
+                assert np.max(err) <= 1e-8 * np.max(np.abs(want)), (tag, kw, k)
+            else:
+                # ghost-point values and outward derivatives are second order
+                tol = (k * np.max(b.grid.h)) ** 2 * (1.0 + k) * degree * np.max(np.abs(c))
+                assert np.max(err) <= tol, (tag, kw, k)
 
 
 def test_nls_residual_zero_solution():
