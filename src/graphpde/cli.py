@@ -154,11 +154,13 @@ def _cmd_secdet(args) -> int:
     graph = graph_from_config(cfg)
     k_max = float(cfg.get("k_max", 2.0 * math.pi))
     samples = int(cfg.get("samples", 800))
+    if samples < 1:
+        raise ConfigError(f"samples must be at least 1, got {samples}")
     sigma = stationary.secular_function(graph)
+    zeros = stationary.find_spectrum_secular(graph, k_max)  # refuses a bad k_max before any output
     out = _out_dir(args)
     ks = np.linspace(k_max / samples, k_max, samples)
     _scalar_csv(out / "sigma.csv", np.column_stack([ks, sigma(ks)]), header="k,sigma")
-    zeros = stationary.find_spectrum_secular(graph, k_max)
     # scale-free: |Sigma| grows like e^{|E|}, sigma_min / sigma_max does not
     sv = stationary.secular_singular_values(graph, [k for k, _ in zeros])
     residuals = sv[:, -1] / sv[:, 0]

@@ -99,8 +99,6 @@ class SecularError(ValueError):
 
 
 def _check_secular_graph(graph: MetricGraph):
-    if any(e.weight != 1.0 for e in graph.edges):
-        raise SecularError("secular determinant requires unit edge weights")
     if graph.has_potential():
         raise SecularError("secular determinant requires zero potentials")
 
@@ -137,8 +135,9 @@ def secular_matrix(graph: MetricGraph, k) -> np.ndarray:
     return S.reshape(k.shape + S.shape[1:])
 
 
-# complex entries in one stacked batch of secular matrices (2 MiB); longer
-# k-grids are evaluated in chunks, which bounds memory on large graphs
+# entries in one stacked batch of secular (2 MiB) or Dirichlet-to-Neumann
+# matrices; longer k-grids are evaluated in chunks, which bounds memory on
+# large graphs
 _SECULAR_BATCH_ENTRIES = 1 << 17
 
 
@@ -221,86 +220,84 @@ def secular_det(graph: MetricGraph, k: float) -> float:
     return secular_function(graph)(k)
 
 
+# the fraction at which every edge is split: it is irrational, so no
+# Dirichlet wavenumber of a sub-edge is one of its whole edge
+_SPLIT = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def _eigenvalue_counts(split, ks: np.ndarray) -> np.ndarray:
+    """N(k) at the 1-D ks for the split graph of find_spectrum_secular, given
+    as its sub-edge lengths, B, edge weights and alpha."""
+    sub, B, weights, alpha = split
+    nf, ne = B.shape[0], weights.size
+    n = nf + ne
+    diag = np.arange(n)
+
+    def count(k):
+        kl = k[:, None] * sub
+        cot, csc = -k[:, None] / np.tan(kl), k[:, None] / np.sin(kl)
+        M = np.zeros((k.size, n, n))
+        M[:, :nf, nf:] = (B * csc[:, None, :]).reshape(k.size, nf, ne, 2).sum(axis=3)
+        M[:, nf:, :nf] = M[:, :nf, nf:].transpose(0, 2, 1)
+        M[:, diag, diag] = np.hstack([cot @ B.T + alpha,
+                                      weights * cot.reshape(k.size, ne, 2).sum(axis=2)])
+        return (np.floor(kl / math.pi).sum(axis=1).astype(int)
+                + np.count_nonzero(np.linalg.eigvalsh(M) > 0.0, axis=1))
+
+    step = max(1, _SECULAR_BATCH_ENTRIES // n ** 2)
+    return np.concatenate([count(ks[i:i + step]) for i in range(0, ks.size, step)])
+
+
 def find_spectrum_secular(graph: MetricGraph, k_max: float):
-    """Zeros of Sigma on (0, k_max] with their multiplicities.
+    """Zeros of Sigma on (k_lo, k_max] with their multiplicities, as [(k, m)].
 
-    Sigma is sampled on one k-grid.  Sign-change-bracketed zeros are
-    bisected to 1e-10.  Zeros without a sign change are detected as
-    valleys of |Sigma| below 1e-8 of the scan scale and refined by
-    golden-section search.  All brackets and valleys advance in lockstep,
-    one stacked Sigma evaluation per step.  The multiplicity of a zero is
-    the null dimension of S(k): the number of singular values at most
-    1e-6 max(1, sigma_max), and never less than 1 for a bisected zero or 2
-    for a valley.
+    Every edge is split at the fraction (3 - sqrt 5) / 2 by a degree-2
+    Kirchhoff vertex, which leaves the spectrum unchanged.  The number of
+    eigenvalues k'^2 with k' <= k is then N(k) = sum_c floor(k l_c / pi)
+    + n_+(M(k)) over the sub-edges c of lengths l_c, where n_+ counts the
+    positive eigenvalues of the Dirichlet-to-Neumann matrix M(k) on the
+    non-Dirichlet vertices (Friedlander, Israel J. Math. 146, 2005): a
+    sub-edge of weight w adds w k [[-cot k l_c, csc k l_c], [csc k l_c,
+    -cot k l_c]] on its two ends, and alpha sits on the diagonal.  k = 0
+    is excluded: at k_lo = 1e-4 / sqrt(min l_c * mean l_c) the eigenvalue
+    of M that counts a constant state, about k^2 mean(l_c), stands clear
+    of the roundoff of M, about 1e-16 / min(l_c).  Every interval with a
+    positive count is halved, all midpoints counted in one batch, until it
+    is 1e-10 wide and holds one zero, at its midpoint, with the count as
+    multiplicity.  A zero on a pole of M (k l_c a multiple of pi) may be
+    bracketed only to about 1e-8.  Potentials are refused.
     """
-    if k_max <= 0:
-        raise SecularError("k_max must be positive")
-    sigma = secular_function(graph)
-    total = sum(e.length for e in graph.edges)
-    n_samples = max(400, int(16.0 * k_max * total / math.pi))
-    ks = np.linspace(k_max / n_samples, k_max, n_samples)
-    vals = sigma(ks)
-    scale = np.max(np.abs(vals))
-
-    # sign-change brackets, bisected
-    hit = np.flatnonzero(vals == 0.0)
-    br = np.flatnonzero((vals[:-1] != 0.0) & (vals[:-1] * vals[1:] < 0.0))
-    a, b, fa = ks[br], ks[br + 1], vals[br]
-
-    # valleys of |Sigma| without a sign change: golden-section search
-    absvals = np.abs(vals)
-    v = np.arange(1, len(ks) - 1)
-    v = v[(absvals[v] < absvals[v - 1]) & (absvals[v] <= absvals[v + 1])
-          & (vals[v - 1] * vals[v + 1] >= 0.0) & (vals[v] * vals[v + 1] >= 0.0)
-          & (vals[v - 1] * vals[v] >= 0.0)]
-    gold = (math.sqrt(5.0) - 1.0) / 2.0
-    ga, gb = ks[v - 1], ks[v + 1]
-    x1 = gb - gold * (gb - ga)
-    x2 = ga + gold * (gb - ga)
-    f1, f2 = np.empty(v.size), np.empty(v.size)
-    # probe[j] awaits its value for valley glive[j], as f1 where into_1[j], else f2
-    probe = np.concatenate([x1, x2])
-    glive = np.concatenate([np.arange(v.size)] * 2)
-    into_1 = np.arange(2 * v.size) < v.size
-
-    while True:
-        live = np.flatnonzero(b - a > 1e-10)
-        mids = 0.5 * (a[live] + b[live])
-        if not live.size and not probe.size:
-            break
-        f = sigma(np.concatenate([mids, probe]))
-        fc, fp = f[:live.size], np.abs(f[live.size:])
-        zero = fc == 0.0
-        left = ~zero & (fa[live] * fc < 0.0)
-        right = ~zero & ~left
-        a[live[zero]] = b[live[zero]] = mids[zero]
-        b[live[left]] = mids[left]
-        a[live[right]], fa[live[right]] = mids[right], fc[right]
-        f1[glive[into_1]] = fp[into_1]
-        f2[glive[~into_1]] = fp[~into_1]
-
-        glive = np.flatnonzero(gb - ga > 1e-10)
-        into_1 = f1[glive] < f2[glive]
-        s1, s2 = glive[into_1], glive[~into_1]
-        gb[s1], x2[s1], f2[s1] = x2[s1], x1[s1], f1[s1]
-        x1[s1] = gb[s1] - gold * (gb[s1] - ga[s1])
-        ga[s2], x1[s2], f1[s2] = x1[s2], x2[s2], f2[s2]
-        x2[s2] = ga[s2] + gold * (gb[s2] - ga[s2])
-        probe = np.where(into_1, x1[glive], x2[glive])
-
-    zeros = [(float(k), 1) for k in np.concatenate([ks[hit], 0.5 * (a + b)])]
-    k_star = 0.5 * (ga + gb)
-    if k_star.size:
-        deep = np.abs(sigma(k_star)) <= 1e-8 * scale
-        for kv in k_star[deep]:
-            if all(abs(kv - kz) > 1e-6 for kz, _ in zeros):
-                zeros.append((float(kv), 2))
-    zeros.sort()
-    if zeros:
-        sv = secular_singular_values(graph, [kz for kz, _ in zeros])
-        null = np.sum(sv <= 1e-6 * np.maximum(1.0, sv[:, :1]), axis=1)
-        zeros = [(kz, max(flag, int(n))) for (kz, flag), n in zip(zeros, null)]
-    return zeros
+    if not 0.0 < k_max < math.inf:
+        raise SecularError(f"k_max must be positive and finite, got {k_max}")
+    _check_secular_graph(graph)
+    vc, ne = graph.vertex_conditions, graph.num_edges
+    flux = vc.AB.toarray()[vc.first_row]
+    free = flux[:, 2 * ne:].any(axis=1)  # a Dirichlet row carries no flux
+    B = flux[free, 2 * ne:]
+    weights = B.sum(axis=0).reshape(ne, 2).max(axis=1)
+    # an edge with two Dirichlet ends carries no flux coefficient; its
+    # split vertex is a block of its own, whose count ignores the weight
+    weights[weights == 0.0] = 1.0
+    sub = np.outer([e.length for e in graph.edges], [_SPLIT, 1.0 - _SPLIT]).ravel()
+    split = (sub, B, weights, flux[free, vc.anchor[free]])
+    a = np.array([1e-4 / math.sqrt(np.min(sub) * np.mean(sub))])
+    if a[0] >= k_max:
+        return []
+    b = np.array([float(k_max)])
+    na, nb = np.split(_eigenvalue_counts(split, np.concatenate([a, b])), 2)
+    while a.size and b[0] - a[0] > 1e-10:
+        m = 0.5 * (a + b)
+        nm = _eigenvalue_counts(split, m)
+        a, b = np.column_stack([a, m]).ravel(), np.column_stack([m, b]).ravel()
+        na, nb = np.column_stack([na, nm]).ravel(), np.column_stack([nm, nb]).ravel()
+        keep = nb > na
+        a, b, na, nb = a[keep], b[keep], na[keep], nb[keep]
+    # roundoff at a multiple zero that is also a midpoint can split its
+    # count between two touching intervals: merge them
+    first = np.flatnonzero(a != np.r_[0.0, b][:-1])
+    last = np.flatnonzero(b != np.r_[a, math.inf][1:])
+    return [(float(k), int(mult)) for k, mult in
+            zip(0.5 * (a[first] + b[last]), nb[last] - na[first])]
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,16 @@ def test_cli_secdet_necklace_residuals_are_scale_free(tmp_path):
     assert all(0.0 <= z["residual"] <= 1e-6 for z in zeros)
 
 
+@pytest.mark.parametrize("bad, message", [({"samples": 0}, "samples must be at least 1"),
+                                          ({"k_max": -3}, "k_max must be positive")])
+def test_cli_secdet_rejects_bad_scan_before_output(tmp_path, capsys, bad, message):
+    cfg = write_config(tmp_path, {"template": "Y", **bad})
+    out = tmp_path / "sd"
+    assert main(["secdet", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_evolve_heat(tmp_path):
     cfg = write_config(tmp_path, {
         "template": "dumbbell",

@@ -9,7 +9,8 @@ from graphpde import (DIRICHLET, apply_function_to_edges, build_graph, discretiz
                       secular_matrix, solve_newton, solve_poisson)
 from graphpde.graphs import TEMPLATES
 from graphpde.stationary import (NewtonError, NullspaceError, SecularError,
-                                 secular_function)
+                                 _eigenvalue_counts, secular_function,
+                                 secular_singular_values)
 
 
 def five_edge_poisson(nx, scheme):
@@ -96,12 +97,17 @@ def test_secular_matrix_shape_and_errors():
     assert S.shape == (6, 6) and S.dtype == complex
     with pytest.raises(SecularError):
         secular_matrix(g, 0.0)
+    # weighted edges are allowed: S(k) is singular at every zero found
     gw = from_template("star", weight=[2, 1, 1])
-    with pytest.raises(SecularError, match="unit edge weights"):
-        secular_det(gw, 1.0)
+    zeros = find_spectrum_secular(gw, 5.5)
+    assert sum(m for _, m in zeros) == 5
+    sv = secular_singular_values(gw, [k for k, _ in zeros])
+    assert np.all(sv[:, -1] <= 1e-9 * sv[:, 0])
     gv = build_graph([1], [2], 1.0, potentials=[lambda x: x])
     with pytest.raises(SecularError, match="zero potentials"):
         secular_det(gv, 1.0)
+    with pytest.raises(SecularError, match="zero potentials"):
+        find_spectrum_secular(gv, 1.0)
 
 
 def test_secular_dirichlet_interval_zeros():
@@ -184,17 +190,24 @@ def test_secular_matrix_array_k_with_zero_raises():
 
 
 def test_secular_scan_is_batched(monkeypatch):
-    calls = []
+    matrices, counts = [], []
 
-    def counting(graph, k):
-        calls.append(np.size(k))
+    def counting_matrix(graph, k):
+        matrices.append(np.size(k))
         return secular_matrix(graph, k)
 
-    monkeypatch.setattr("graphpde.stationary.secular_matrix", counting)
+    def counting(split, ks):
+        counts.append(ks.size)
+        return _eigenvalue_counts(split, ks)
+
+    monkeypatch.setattr("graphpde.stationary.secular_matrix", counting_matrix)
+    monkeypatch.setattr("graphpde.stationary._eigenvalue_counts", counting)
     zeros = find_spectrum_secular(from_template("Y"), 2 * math.pi + 0.1)
     assert len(zeros) == 6
-    assert len(calls) <= 150
-    assert max(calls) >= 400  # the whole scan grid in one call
+    assert not matrices
+    # one batch for the two ends, then one per bisection level down to 1e-10
+    assert len(counts) <= 40
+    assert counts[0] == 2
 
 
 @pytest.mark.parametrize("n_pairs, total", [(5, 15), (10, 32)])
@@ -222,6 +235,67 @@ def test_secular_gallery_cross_validates_eigs():
         k_sec = np.repeat([z for z, _ in zeros], [m for _, m in zeros])
         assert len(k_sec) == len(k_eigs), (tag, kw)
         assert np.max(np.abs(k_sec - k_eigs)) <= 1e-6, (tag, kw)
+
+
+def _chebyshev_wavenumbers(tag, kw, k_max):
+    """The graph at the gallery test's Chebyshev resolution, and the
+    wavenumbers in (1e-3, k_max] of its discretized spectrum."""
+    g0 = from_template(tag, **kw)
+    g = from_template(tag, nx=[24 + math.ceil(1.5 * k_max * e.length) for e in g0.edges], **kw)
+    total = sum(e.length for e in g.edges)
+    lam, _ = eigs(discretize(g, "chebyshev"),
+                  math.ceil(total * k_max / math.pi) + g.num_edges + 4)
+    k = np.sqrt(np.maximum(-np.real(lam), 0.0))
+    return g, np.sort(k[(k > 1e-3) & (k <= k_max)])
+
+
+@pytest.mark.parametrize("tag, kw, k_max", [
+    # a double zero 1.23e-2 below the 16-fold one at k = 2, in the flank
+    # of the (k - 2)^16 factor of Sigma
+    ("necklace", {"n_pairs": 16}, 2.45),
+    ("star", {"weight": [2, 1, 1]}, 5.5),
+    ("Y", {"weight": [3, 1, 1]}, 2 * math.pi + 0.1),
+    ("star", {"robin": 1.3}, 5.5),
+    ("star", {"robin": -0.8}, 5.5),
+    ("lasso", {"robin": [DIRICHLET, 1.3]}, 2.9),
+    ("star", {"weight": [2, 1, 1], "robin": [0.0, 1.3, DIRICHLET, -0.8]}, 5.5),
+])
+def test_secular_spectrum_matches_eigs(tag, kw, k_max):
+    g, k_eigs = _chebyshev_wavenumbers(tag, kw, k_max)
+    zeros = find_spectrum_secular(g, k_max)
+    k_sec = np.repeat([z for z, _ in zeros], [m for _, m in zeros])
+    assert len(k_sec) == len(k_eigs)
+    assert np.max(np.abs(k_sec - k_eigs)) <= 1e-8
+    if tag == "necklace":
+        assert (1.98766659, 2) in [(round(k, 8), m) for k, m in zeros]
+
+
+def test_secular_scan_starts_clear_of_zero_on_short_edges():
+    # a 1e-4 edge on a 100 edge: the Neumann path of length 100.0001, whose
+    # zeros j pi / 100.0001 start near 0.0314; the constant state at k = 0
+    # is not reported
+    g = from_template("star", lengths=[1e-4, 100.0])
+    zeros = find_spectrum_secular(g, 2.0)
+    want = np.pi * np.arange(1, 64) / 100.0001
+    assert [m for _, m in zeros] == [1] * len(want)
+    assert np.max(np.abs(np.array([k for k, _ in zeros]) - want)) <= 1e-9
+    # no zero in range: below Y's first zero 0.7536, and below k_lo
+    assert find_spectrum_secular(from_template("Y"), 0.7) == []
+    assert find_spectrum_secular(from_template("Y"), 1e-9) == []
+
+
+def test_secular_multiple_zero_on_a_bisection_midpoint():
+    # k_max = 4 - k_lo puts the first midpoint on the 3-fold zero k = 2,
+    # where roundoff can split its count between the two halves
+    g = from_template("necklace", n_pairs=3)
+    r = (3 - math.sqrt(5)) / 2
+    sub = np.outer([e.length for e in g.edges], [r, 1 - r])
+    k_lo = 1e-4 / math.sqrt(np.min(sub) * np.mean(sub))
+    assert 0.5 * (k_lo + (4.0 - k_lo)) == 2.0
+    zeros = find_spectrum_secular(g, 4.0 - k_lo)
+    assert [m for k, m in zeros if abs(k - 2.0) < 1e-9] == [3]
+    _, k_eigs = _chebyshev_wavenumbers("necklace", {"n_pairs": 3}, 4.0 - k_lo)
+    assert sum(m for _, m in zeros) == len(k_eigs)
 
 
 def _plane_wave_states(bundle, ks, rng):
