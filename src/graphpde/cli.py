@@ -178,6 +178,27 @@ _EVOLUTION_NONLINEARITIES = {
 }
 
 
+def _leapfrog(problem, u0, ev):
+    b = problem.bundle
+    vel = compile_edge_expressions(ev.get("initial_velocity"), b.graph.num_edges)
+    if vel is None:
+        raise ConfigError("leapfrog needs 'initial_velocity' edge expressions")
+    name = ev.get("nonlinearity", "sine_gordon")
+    g = {"sine_gordon": np.sin, "none": lambda u: 0.0 * u}.get(name)
+    if g is None:
+        raise ConfigError(f"unknown leapfrog nonlinearity {name!r}")
+    return evo.leapfrog_klein_gordon(problem, g, u0, apply_function_to_edges(b, vel))
+
+
+# scheme -> run(problem, u0, evolution table); the implicit steppers read f
+_EVOLUTION_SCHEMES = {
+    "crank_nicolson": lambda p, u0, ev: evo.crank_nicolson_heat(p, u0),
+    "imex_euler": lambda p, u0, ev: evo.imex_euler(p, u0),
+    "sdirk443": lambda p, u0, ev: evo.sdirk443(p, u0),
+    "leapfrog": _leapfrog,
+}
+
+
 def _cmd_evolve(args) -> int:
     cfg = _load_config(args.config)
     graph = graph_from_config(cfg)
@@ -186,7 +207,7 @@ def _cmd_evolve(args) -> int:
     if not isinstance(ev, dict):
         raise ConfigError("config needs an 'evolution' table")
     scheme = ev.get("scheme")
-    if scheme not in ("crank_nicolson", "imex_euler", "sdirk443", "leapfrog"):
+    if scheme not in _EVOLUTION_SCHEMES:
         raise ConfigError(f"unknown evolution scheme {scheme!r}")
     mu = ev.get("mu", 1.0)
     if isinstance(mu, (list, tuple)):
@@ -202,25 +223,7 @@ def _cmd_evolve(args) -> int:
         tau=float(ev.get("tau", 1e-2)), t_final=float(ev.get("t_final", 1.0)),
         n_skip=int(ev.get("n_skip", 1)))
     u0 = apply_function_to_edges(bundle, init)
-    if scheme == "crank_nicolson":
-        times, states = evo.crank_nicolson_heat(problem, u0)
-    elif scheme == "imex_euler":
-        times, states = evo.imex_euler(problem, u0)
-    elif scheme == "sdirk443":
-        times, states = evo.sdirk443(problem, u0)
-    else:
-        vel = compile_edge_expressions(ev.get("initial_velocity"), graph.num_edges)
-        if vel is None:
-            raise ConfigError("leapfrog needs 'initial_velocity' edge expressions")
-        v0 = apply_function_to_edges(bundle, vel)
-        gname = ev.get("nonlinearity", "sine_gordon")
-        if gname == "sine_gordon":
-            g = np.sin
-        elif gname == "none":
-            g = lambda u: 0.0 * u
-        else:
-            raise ConfigError(f"unknown leapfrog nonlinearity {gname!r}")
-        times, states = evo.leapfrog_klein_gordon(problem, g, u0, v0)
+    times, states = _EVOLUTION_SCHEMES[scheme](problem, u0, ev)
 
     out = _out_dir(args)
     _scalar_csv(out / "times.csv", times)

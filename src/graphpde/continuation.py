@@ -285,10 +285,11 @@ def _make_point(sys, u, lam, t_u, t_lam, bif_type=0):
                        sys.energy(u, lam), bif_type, np.array(t_u), float(t_lam))
 
 
-def null_vector(sys: ContinuationSystem, u, lam, *, check_codimension=True):
+def null_vector(sys: ContinuationSystem, u, lam):
     """Unit null vector of the (unbordered) Jacobian by inverse iteration."""
+    J = sys.jacobian(u, lam)
     try:
-        fact = linalg.factorize(sys.jacobian(u, lam))
+        fact = linalg.factorize(J)
     except linalg.SingularMatrixError:
         fact = linalg.factorize(sys.jacobian(u, lam + 1e-10 * (1.0 + abs(lam))))
     n = np.asarray(u).size
@@ -300,10 +301,9 @@ def null_vector(sys: ContinuationSystem, u, lam, *, check_codimension=True):
     k = int(np.argmax(np.abs(v)))
     if v[k] < 0:
         v = -v
-    if check_codimension and n > 1:
+    if n > 1:
         # deflated inverse iteration: a second near-null direction means the
         # bifurcation has codimension two or higher
-        J = sys.jacobian(u, lam)
         w = rng.standard_normal(n)
         for _ in range(5):
             w = w - v * (sys.inner(v, w) / sys.inner(v, v))

@@ -1,13 +1,15 @@
 """Time integration on the discretized graph, vertex conditions on every state.
 
-The implicit steppers (Crank-Nicolson, IMEX Euler, ARS(4,4,3)) advance
-``psi_t = mu * Lap(psi) + f(psi)`` by solving square systems whose last
-2|E| rows are the vertex conditions.  Leapfrog, for the second-order wave
-analogue, is explicit: each step is a matvec followed by a rank-2|E|
-projection onto the vertex conditions, which equals that solve exactly.
-Either way every produced state satisfies the conditions to solver
-accuracy, and one factorization per (scheme, tau) is built and reused for
-the whole run.
+The implicit steppers (Crank-Nicolson, IMEX Euler, ARS(4,4,3)) are one IMEX
+Runge-Kutta loop over ARS-form tableau pairs for ``psi_t = mu * Lap(psi) +
+f(psi)``, Laplacian implicit and f explicit.  Every stage solves with the
+run's one factorization of interp_vc - gamma tau mu lap_zero, whose last
+2|E| rows are exactly vc_rows for every tau and mu.  Leapfrog, for the
+second-order wave analogue, is explicit: each step is a matvec followed by
+a rank-2|E| projection onto the vertex conditions, which equals a solve
+with interp_vc exactly.  Either way every produced state satisfies the
+conditions to solver accuracy, and one factorization per (scheme, tau) is
+built and reused for the whole run.
 """
 from __future__ import annotations
 
@@ -92,17 +94,7 @@ class _Sampler:
 
 def crank_nicolson_heat(problem: EvolutionProblem, u0) -> tuple[np.ndarray, np.ndarray]:
     """Crank-Nicolson for the heat equation (f ignored; mu absorbed into L)."""
-    b = problem.bundle
-    u = _check_initial(problem, u0)
-    tau, mu = problem.tau, problem.mu
-    minus = linalg.factorize(b.interp_vc - (0.5 * tau * mu) * b.lap_zero)
-    plus = b.interp_zero + (0.5 * tau * mu) * b.lap_zero
-    out = _Sampler(problem, u)
-    n = problem.n_steps
-    for k in range(1, n + 1):
-        u = minus.solve(plus @ u)
-        out.push(k, u, final=(k == n))
-    return out.result()
+    return _imex_rk(problem, _check_initial(problem, u0), *_CRANK_NICOLSON)
 
 
 def leapfrog_klein_gordon(problem: EvolutionProblem, g: Callable, u0, v0
@@ -149,72 +141,63 @@ def leapfrog_klein_gordon(problem: EvolutionProblem, g: Callable, u0, v0
     return out.result()
 
 
-def _nonlinearity(problem: EvolutionProblem):
-    if problem.f is None:
-        return lambda u: 0.0 * u
-    return problem.f
-
-
 def imex_euler(problem: EvolutionProblem, u0) -> tuple[np.ndarray, np.ndarray]:
     """Forward-backward Euler: stiff Laplacian implicit, nonlinearity explicit."""
-    b = problem.bundle
-    u = _check_initial(problem, u0)
-    tau, mu = problem.tau, problem.mu
-    f = _nonlinearity(problem)
-    u = u.astype(np.result_type(u.dtype, type(mu * 1.0), np.asarray(f(u)).dtype))
-    fact = linalg.factorize(b.interp_vc - (tau * mu) * b.lap_vc)
-    out = _Sampler(problem, u)
-    n = problem.n_steps
-    for k in range(1, n + 1):
-        u = fact.solve(b.interp_zero @ (u + tau * f(u)))
-        out.push(k, u, final=(k == n))
-    return out.result()
-
-
-# Ascher-Ruuth-Spiteri (4,4,3): four implicit stages with a common diagonal
-# gamma = 1/2, five explicit levels, stiffly accurate (u_{n+1} = U_4).
-_SDIRK443_GAMMA = 0.5
-_SDIRK443_A_IM = np.array([
-    [1 / 2, 0, 0, 0],
-    [1 / 6, 1 / 2, 0, 0],
-    [-1 / 2, 1 / 2, 1 / 2, 0],
-    [3 / 2, -3 / 2, 1 / 2, 1 / 2],
-])
-_SDIRK443_A_EX = np.array([
-    [1 / 2, 0, 0, 0],
-    [11 / 18, 1 / 18, 0, 0],
-    [5 / 6, -5 / 6, 1 / 2, 0],
-    [1 / 4, 7 / 4, 3 / 4, -7 / 4],
-])
+    return _imex_rk(problem, _check_initial(problem, u0), *_ARS111)
 
 
 def sdirk443(problem: EvolutionProblem, u0) -> tuple[np.ndarray, np.ndarray]:
-    """Third-order four-stage IMEX Runge-Kutta stepper.
+    """Third-order four-stage IMEX Runge-Kutta stepper, ARS(4,4,3)."""
+    return _imex_rk(problem, _check_initial(problem, u0), *_ARS443)
 
-    Each stage solves (interp_vc - gamma tau mu lap_vc) U = interp_zero *
-    (explicit accumulation) + implicit stage history, reusing a single
-    factorization.
+
+# ARS-form tableau pairs (implicit, explicit) of Ascher, Ruuth & Spiteri
+# (Appl. Numer. Math. 25, 1997): level 0 is the current state, every later
+# level has the implicit diagonal gamma, the last level is the new state.
+_CRANK_NICOLSON = (np.array([[0, 0], [1 / 2, 1 / 2]]), np.zeros((2, 2)))
+_ARS111 = (np.array([[0, 0], [0, 1]]), np.array([[0, 0], [1, 0]]))
+_ARS443 = (np.array([[0, 0, 0, 0, 0], [0, 1 / 2, 0, 0, 0], [0, 1 / 6, 1 / 2, 0, 0],
+                     [0, -1 / 2, 1 / 2, 1 / 2, 0], [0, 3 / 2, -3 / 2, 1 / 2, 1 / 2]]),
+           np.array([[0, 0, 0, 0, 0], [1 / 2, 0, 0, 0, 0], [11 / 18, 1 / 18, 0, 0, 0],
+                     [5 / 6, -5 / 6, 1 / 2, 0, 0], [1 / 4, 7 / 4, 3 / 4, -7 / 4, 0]]))
+
+
+def _imex_rk(problem: EvolutionProblem, u, a_im, a_ex):
+    """IMEX Runge-Kutta over an ARS-form tableau pair, one factorization.
+
+    Level i >= 1 solves (interp_vc - gamma tau mu lap_zero) U_i =
+    interp_zero (u + tau sum_j a_ex[i, j] f(U_j)) + tau mu sum_{j<i}
+    a_im[i, j] lap_zero U_j, whose last 2|E| rows are vc_rows U_i = 0 for
+    every tau and mu; gamma is the common diagonal a_im[i, i].  f = None
+    counts as f = 0.  lap_zero U_j and f(U_j) are formed only for the levels
+    whose tableau column feeds a later level.
     """
     b = problem.bundle
-    u = _check_initial(problem, u0)
-    tau, mu = problem.tau, problem.mu
-    f = _nonlinearity(problem)
-    u = u.astype(np.result_type(u.dtype, type(mu * 1.0), np.asarray(f(u)).dtype))
-    fact = linalg.factorize(b.interp_vc - (_SDIRK443_GAMMA * tau * mu) * b.lap_vc)
+    tau, mu, f = problem.tau, problem.mu, problem.f
+    fact = linalg.factorize(b.interp_vc - (a_im[-1, -1] * tau * mu) * b.lap_zero)
+    levels = range(len(a_im))
+    if f is None:
+        a_ex = 0 * a_ex
+    # (level j, coefficient) terms of level i, strictly below the diagonal
+    ex = [[(j, tau * a_ex[i, j]) for j in range(i) if a_ex[i, j]] for i in levels]
+    im = [[(j, tau * mu * a_im[i, j]) for j in range(i) if a_im[i, j]] for i in levels]
+    need_f = {j for terms in ex for j, _ in terms}
+    need_lap = {j for terms in im for j, _ in terms}
     out = _Sampler(problem, u)
     n = problem.n_steps
     for k in range(1, n + 1):
-        fs = [f(u)]            # explicit values at stage levels 0..3
-        ks = []                # lap_zero @ U_i for implicit history
-        for i in range(4):
-            rhs = u + tau * sum(_SDIRK443_A_EX[i, j] * fs[j] for j in range(i + 1))
-            rhs = b.interp_zero @ rhs
-            for j in range(i):
-                rhs = rhs + (tau * mu * _SDIRK443_A_IM[i, j]) * ks[j]
-            stage = fact.solve(rhs)
-            ks.append(b.lap_zero @ stage)
-            if i < 3:
-                fs.append(f(stage))
+        stage, fs, laps = u, {}, {}
+        for i in levels:
+            if i:
+                x = u + sum(c * fs[j] for j, c in ex[i]) if ex[i] else u
+                rhs = b.interp_zero @ x
+                for j, c in im[i]:
+                    rhs = rhs + c * laps[j]
+                stage = fact.solve(rhs)
+            if i in need_f:
+                fs[i] = f(stage)
+            if i in need_lap:
+                laps[i] = b.lap_zero @ stage
         u = stage
         out.push(k, u, final=(k == n))
     return out.result()

@@ -55,9 +55,20 @@ class Factorization:
         if A.shape[0] != A.shape[1]:
             raise ValueError("factorize needs a square matrix")
         self.n = A.shape[0]
-        A = sp.csc_matrix(A)
-        if not np.all(np.isfinite(A.data)):
+        # tocsc() returns a CSC input itself, as rewrapping it costs as much
+        # as the empty-line test below; duplicates are summed as splu sums them
+        A = A.tocsc() if sp.issparse(A) else sp.csc_matrix(A)
+        A.sum_duplicates()
+        if not np.isfinite(A.data).all():
             raise ValueError("matrix entries must be finite")
+        # SuperLU can crash, not just fail, on an empty row or column; a stored
+        # zero is no entry, and indptr masks reduceat's value for an empty column
+        live = A.data != 0
+        columns = np.logical_or.reduceat(np.append(live, False), A.indptr[:-1])
+        for axis, filled in (("row", np.bincount(A.indices[live], minlength=self.n)),
+                             ("column", columns & (A.indptr[1:] > A.indptr[:-1]))):
+            if not filled.all():
+                raise SingularMatrixError(f"{axis} {np.argmin(filled)} of the matrix is empty")
         try:
             # SuperLU reports an exactly zero pivot as a RuntimeError
             self._lu = spla.splu(A)
@@ -108,9 +119,10 @@ def det_sign(A):
 
 
 # ---------------------------------------------------------------------------
+_EIG_RESIDUAL_TOL = 1e-8  # relative residual bound on a returned eigenpair
 
-def generalized_eigs(A, B, m: int, sigma: float = 1e-2, *,
-                     residual_tol: float = 1e-8):
+
+def generalized_eigs(A, B, m: int, sigma: float = 1e-2):
     """The m finite eigenpairs of A v = lambda B v nearest the shift sigma.
 
     B may be singular (zero constraint rows); the infinite eigenvalues of
@@ -177,7 +189,7 @@ def generalized_eigs(A, B, m: int, sigma: float = 1e-2, *,
 
     for j in range(m):
         res, scale = residual_and_scale(vecs[:, j], lam[j])
-        if res > residual_tol * scale:
+        if res > _EIG_RESIDUAL_TOL * scale:
             # one inverse-iteration polish before giving up
             v = fact.solve(B @ vecs[:, j])
             v = v / np.linalg.norm(v)
@@ -185,7 +197,7 @@ def generalized_eigs(A, B, m: int, sigma: float = 1e-2, *,
             v = v / (v[k] / abs(v[k]))
             vecs[:, j] = v
             res, scale = residual_and_scale(v, lam[j])
-            if res > residual_tol * scale:
+            if res > _EIG_RESIDUAL_TOL * scale:
                 raise EigenSolverError(
                     f"eigenpair {j} residual {res:.2e} exceeds tolerance")
 

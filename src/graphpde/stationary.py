@@ -158,11 +158,11 @@ def secular_singular_values(graph: MetricGraph, ks) -> np.ndarray:
                             lambda _, S: np.linalg.svd(S, compute_uv=False))
 
 
-def secular_function(graph: MetricGraph, k_ref: float = 1.0) -> Callable:
+def secular_function(graph: MetricGraph) -> Callable:
     """Real-normalized secular determinant Sigma(k) as a callable.
 
     det S(k) is multiplied by exp(-ik sum_m l_m) and by one constant
-    unit-modulus phase fixed at a reference wavenumber; realness of the
+    unit-modulus phase, fixed at k = 1 (or 0.75, 2.37); realness of the
     result is then asserted, not assumed.  (In the a_m e^{ikx} +
     b_m e^{ik(l_m - x)} parameterization each edge contributes one factor
     e^{ik l_m} to the determinant, so the full total length appears here.)
@@ -185,8 +185,7 @@ def secular_function(graph: MetricGraph, k_ref: float = 1.0) -> Callable:
         return z
 
     phase = None
-    for z in _secular_batches(graph, np.array([k_ref, 0.5 * k_ref + 0.25,
-                                               2.0 * k_ref + 0.37]), raw):
+    for z in _secular_batches(graph, np.array([1.0, 0.75, 2.37]), raw):
         if abs(z) > 1e-12:
             phase = z / abs(z)
             break

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+from graphpde import discretize, from_template
+from graphpde.discretize import load_state_csv
 from graphpde.cli import graph_from_config, main
 from graphpde.expressions import ConfigError, compile_expression
 
@@ -180,6 +182,37 @@ def test_cli_evolve_heat(tmp_path):
     cons = np.genfromtxt(out / "conservation.csv", delimiter=",", skip_header=1)
     assert cons[:, 2].max() <= 1e-10  # total_heat drift column
     assert (out / "state_0000.csv").exists() and (out / "times.csv").exists()
+
+
+@pytest.mark.parametrize("scheme", ["crank_nicolson", "imex_euler", "sdirk443",
+                                    "leapfrog"])
+def test_cli_evolve_every_scheme(tmp_path, scheme):
+    cfg = write_config(tmp_path, {
+        "template": "dumbbell",
+        "evolution": {
+            "scheme": scheme, "tau": 0.01, "t_final": 0.1, "n_skip": 4,
+            "initial": [
+                [{"fn": "poly", "coeffs": [2.0]},
+                 {"fn": "cos", "scale": -2.0, "b": -math.pi / 3}],
+                1.0,
+                {"fn": "cos"},
+            ],
+            "initial_velocity": [0.0, 0.0, 0.0],
+        },
+    })
+    out = tmp_path / scheme
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the initial profile is off the conditions
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "run.json").read_text())["evolution_scheme"] == scheme
+    times = np.loadtxt(out / "times.csv")
+    assert np.allclose(times, [0.0, 0.04, 0.08, 0.1])
+    bundle = discretize(from_template("dumbbell"), "uniform")
+    for j in range(1, len(times)):
+        u = load_state_csv(bundle, out / f"state_{j:04d}.csv")
+        assert np.linalg.norm(bundle.vc_rows @ u, np.inf) <= 1e-8
+    cons = np.genfromtxt(out / "conservation.csv", delimiter=",", skip_header=1)
+    assert cons.shape == (len(times), 3) and np.all(np.isfinite(cons))
 
 
 def test_cli_evolve_nls_star_soliton(tmp_path):

@@ -288,3 +288,22 @@ def test_missing_artifacts_raise(tmp_path):
         cont.continue_from_eig(run, sys_, 1, 1e-2, quiet_opts())
     with pytest.raises(ContinuationError):
         cont.load_branch(run, 7, b)
+
+
+def test_null_vector_builds_the_jacobian_once():
+    calls = []
+
+    def diagonal_system(d2):
+        def jacobian(u, lam):
+            calls.append(lam)
+            return np.diag([lam - 1.0, d2(lam)])
+        return cont.ContinuationSystem(residual=None, jacobian=jacobian, dlam=None)
+
+    v = cont.null_vector(diagonal_system(lambda lam: 5.0), np.zeros(2), 1.001)
+    assert calls == [1.001]
+    assert np.allclose(v, [1.0, 0.0])
+    # a two-dimensional null space is still refused, from the same Jacobian
+    calls.clear()
+    with pytest.raises(cont.CodimensionTwoError):
+        cont.null_vector(diagonal_system(lambda lam: lam - 1.0), np.zeros(2), 1.001)
+    assert calls == [1.001]

@@ -380,3 +380,103 @@ def test_non_finite_states_raise():
     p = EvolutionProblem(b, tau=0.1, t_final=1.0)
     with pytest.raises(EvolutionError, match="step 0"):
         imex_euler(p, bad)
+
+
+@pytest.mark.parametrize("tableau", ["_CRANK_NICOLSON", "_ARS111", "_ARS443"])
+def test_tableaus_are_ars_form(tableau):
+    a_im, a_ex = getattr(evo, tableau)
+    assert a_im.shape == a_ex.shape
+    assert not a_im[0].any() and not np.triu(a_im, 1).any()
+    assert np.all(np.diag(a_im)[1:] == a_im[-1, -1])  # one diagonal gamma
+    assert not np.triu(a_ex).any()
+    if a_ex.any():
+        # both tableaus put level i at the same time t_n + c_i tau
+        assert np.allclose(a_im.sum(axis=1), a_ex.sum(axis=1))
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "chebyshev"])
+@pytest.mark.parametrize("stepper,tau", [(imex_euler, 1.0), (sdirk443, 2.0),
+                                         (crank_nicolson_heat, 2.0)])
+def test_implicit_steppers_where_the_lap_vc_factor_is_singular(scheme, stepper, tau):
+    # tau mu = 1/gamma: (interp_vc - gamma tau mu lap_vc) has empty vertex
+    # rows there, while the lap_zero factor keeps them at vc_rows
+    b = discretize(from_template("dumbbell"), scheme)
+    p = EvolutionProblem(b, mu=1.0, tau=tau, t_final=5 * tau)
+    _, s = stepper(p, np.full(b.n_ext, 3.0))
+    assert np.max(np.abs(s - 3.0)) <= 1e-12 * 3.0
+    for j in range(s.shape[1]):
+        assert np.linalg.norm(b.vc_rows @ s[:, j], np.inf) <= 1e-10
+
+
+def _crank_nicolson_by_formula(problem, u0):
+    b, h = problem.bundle, 0.5 * problem.tau * problem.mu
+    minus = linalg.factorize(b.interp_vc - h * b.lap_zero)
+    plus = b.interp_zero + h * b.lap_zero
+    states = [u0]
+    for _ in range(problem.n_steps):
+        states.append(minus.solve(plus @ states[-1]))
+    return np.column_stack(states)
+
+
+def _imex_euler_by_formula(problem, u0):
+    b, tau, f = problem.bundle, problem.tau, problem.f
+    fact = linalg.factorize(b.interp_vc - (tau * problem.mu) * b.lap_vc)
+    states = [u0]
+    for _ in range(problem.n_steps):
+        u = states[-1]
+        states.append(fact.solve(b.interp_zero @ (u + tau * f(u))))
+    return np.column_stack(states)
+
+
+_ARS443_IM = [[1 / 2], [1 / 6, 1 / 2], [-1 / 2, 1 / 2, 1 / 2], [3 / 2, -3 / 2, 1 / 2, 1 / 2]]
+_ARS443_EX = [[1 / 2], [11 / 18, 1 / 18], [5 / 6, -5 / 6, 1 / 2], [1 / 4, 7 / 4, 3 / 4, -7 / 4]]
+
+
+def _ars443_by_formula(problem, u0):
+    """Four stages on the lap_vc factor, each with its full stage history."""
+    b, tau, mu, f = problem.bundle, problem.tau, problem.mu, problem.f
+    fact = linalg.factorize(b.interp_vc - (0.5 * tau * mu) * b.lap_vc)
+    states = [u0]
+    for _ in range(problem.n_steps):
+        u = states[-1]
+        fs, ks = [f(u)], []
+        for i in range(4):
+            rhs = b.interp_zero @ (u + tau * sum(a * fj for a, fj in zip(_ARS443_EX[i], fs)))
+            for j in range(i):
+                rhs = rhs + (tau * mu * _ARS443_IM[i][j]) * ks[j]
+            stage = fact.solve(rhs)
+            ks.append(b.lap_zero @ stage)
+            fs.append(f(stage))
+        states.append(stage)
+    return np.column_stack(states)
+
+
+@pytest.mark.parametrize("scheme,nx", [("uniform", 20), ("chebyshev", [12, 14, 10, 9])])
+@pytest.mark.parametrize("mu", [1.0, 0.4 - 1.0j])
+@pytest.mark.parametrize("stepper,formula", [
+    (crank_nicolson_heat, _crank_nicolson_by_formula),
+    (imex_euler, _imex_euler_by_formula),
+    (sdirk443, _ars443_by_formula)])
+def test_implicit_steppers_match_written_out_formulas(scheme, nx, mu, stepper, formula):
+    b = discretize(_mixed_vertex_graph(nx), scheme)
+    fact = linalg.factorize(b.interp_vc)
+    u0 = fact.solve(b.interp_zero @ apply_function_to_edges(
+        b, [lambda x: np.cos(2.0 * x) + x] * 4))
+    p = EvolutionProblem(b, mu=mu, f=lambda u: -0.5 * np.abs(u) ** 2 * u,
+                         tau=0.01, t_final=0.2)
+    assert p.n_steps == 20
+    _, s = stepper(p, u0)
+    want = formula(p, u0)
+    assert s.shape == want.shape
+    assert np.max(np.abs(s - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("run", [
+    crank_nicolson_heat, imex_euler, sdirk443,
+    lambda p, u0: leapfrog_klein_gordon(p, np.sin, u0, np.zeros_like(u0))])
+def test_initial_constraint_warning_points_at_the_caller(run):
+    b = dirichlet_interval(10)
+    p = EvolutionProblem(b, tau=0.1, t_final=0.2)
+    with pytest.warns(UserWarning, match="vertex conditions") as record:
+        run(p, np.ones(b.n_ext))
+    assert record[0].filename == __file__

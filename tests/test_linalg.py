@@ -92,6 +92,30 @@ def test_singular_matrix_raises():
         factorize(A)
 
 
+def test_empty_row_or_column_raises_before_superlu():
+    # interp_vc - lap_vc on the uniform dumbbell: the vertex rows cancel to
+    # (1 - 1) vc_rows, six empty rows on which splu can crash the process
+    b = discretize(from_template("dumbbell"), "uniform")
+    A = b.interp_vc - b.lap_vc
+    with pytest.raises(SingularMatrixError, match=r"row \d+ of the matrix is empty"):
+        factorize(A)
+    # a stored zero is not an entry, in a row or in a column
+    zero_row = sp.csr_matrix(([1.0, 1.0, 0.0], [0, 1, 2], [0, 1, 2, 3]), shape=(3, 3))
+    with pytest.raises(SingularMatrixError, match="row 2 of the matrix is empty"):
+        factorize(zero_row)
+    zero_column = sp.csc_matrix(
+        sp.csr_matrix(([1.0, 0.0, 1.0, 1.0, 1.0], [0, 1, 2, 0, 2], [0, 3, 4, 5]),
+                      shape=(3, 3)))
+    with pytest.raises(SingularMatrixError, match="column 1 of the matrix is empty"):
+        factorize(zero_column)
+    assert zero_column.nnz == 5  # the caller's matrix keeps its stored zero
+    # duplicates are summed first, as SuperLU sums them: 1 - 1 empties row 1
+    cancelling = sp.csr_matrix(([1.0, 1.0, -1.0, 1.0], [0, 1, 1, 2], [0, 1, 3, 4]),
+                               shape=(3, 3))
+    with pytest.raises(SingularMatrixError, match="row 1 of the matrix is empty"):
+        factorize(cancelling)
+
+
 def test_non_finite_entries_rejected():
     A = np.eye(3)
     A[1, 2] = np.nan
