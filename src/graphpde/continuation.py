@@ -14,9 +14,11 @@ maxTheta/2.
 
 Two determinant signs are monitored at every accepted point: branch
 points flip the sign of the bordered Jacobian determinant and are
-localized by bisection in pseudo-arclength; folds flip the sign of
+localized in pseudo-arclength by a safeguarded secant on the signed
+determinant (see locate_branch_point); folds flip the sign of
 d(lambda)/ds without a bordered sign change and are tagged at the nearer
-point.  Simultaneous events resolve as branch points.
+point.  Simultaneous events resolve as branch points.  Switching onto the
+crossing branch reads only the stored branch point from its directory.
 """
 from __future__ import annotations
 
@@ -229,7 +231,8 @@ def corrector(sys: ContinuationSystem, opts: ContinuationOptions,
               u_pred, lam_pred, t_u, t_lam):
     """Newton on the bordered system anchored at the predicted point.
 
-    Returns (u, lambda, bordered determinant sign at the solution).
+    Returns (u, lambda, factorization of the bordered matrix at the
+    solution), whose det_sign and log_abs_det are the test functions.
     """
     u = np.array(u_pred, dtype=float)
     lam = float(lam_pred)
@@ -239,8 +242,7 @@ def corrector(sys: ContinuationSystem, opts: ContinuationOptions,
         F = sys.residual(u, lam)
         g = sys.inner(u - u_pred, t_u) + opts.beta * (lam - lam_pred) * t_lam
         if max(np.linalg.norm(F, np.inf), abs(g)) <= opts.newton_tol:
-            fact = _bordered_factor(sys, u, lam, t_u, t_lam, opts.beta)
-            return u, lam, fact.det_sign
+            return u, lam, _bordered_factor(sys, u, lam, t_u, t_lam, opts.beta)
         M = _bordered_matrix(sys.jacobian(u, lam), sys.dlam(u, lam), row, corner)
         try:
             step = linalg.solve(M, np.concatenate([F, [g]]))
@@ -322,47 +324,108 @@ def null_vector(sys: ContinuationSystem, u, lam):
     return v
 
 
+_LOCATE_TOL = 1e-7  # beta-width of the final bracket
+# offset of a secant evaluation from the zero, in bracket widths, after an
+# evaluation that took Newton steps (False) and after one that took none
+_LOCATE_SHIFT = {False: 0.03, True: 1e-3}
+
+
 def locate_branch_point(sys: ContinuationSystem, opts: ContinuationOptions,
-                        a: BranchPoint, b: BranchPoint):
-    """Bisection in pseudo-arclength on the bordered determinant sign.
+                        a: BranchPoint, b: BranchPoint, direction, fact_b):
+    """Safeguarded secant in pseudo-arclength on the signed bordered determinant.
 
-    Returns (u*, lambda*, null vector) with the bracket beta-width reduced
-    to 1e-8.
+    direction is the unit tangent (t_u, t_lambda) the corrector used to
+    reach b, and fact_b the bordered factorization it returned there.
+    Points are corrected on hyperplanes normal to direction, so the
+    fraction s of the way from a to b along it parameterizes them.  The
+    test function g(s) = det_sign exp(log_abs_det - ref) of the Jacobian
+    bordered by direction is continuous and changes sign at a simple
+    branch point; the corrector's final factorization yields it, so an
+    evaluation costs no extra LU.
+
+    Each step corrects at the Illinois zero of the sign bracket, moved
+    toward the bracket's middle by 0.03 of its width.  Near the zero the
+    bordered system is nearly singular, and a Newton step there slides the
+    state toward the crossing branch; the offset keeps such steps off the
+    zero.  Each state is predicted by the quadratic through the bracket
+    ends and the last end given up, so once the bracket is small the
+    corrector accepts the prediction as it is; after such an evaluation
+    the offset is only 0.001 of the width.  A bisection step follows
+    whenever two secant steps have not halved the bracket, which keeps the
+    iteration off a double crossing (two eigenvalues at once, no sign
+    change) inside the bracket.
+
+    Returns (u*, lambda*, null vector) at the interpolated zero of the
+    last bracket, once its beta-width is at most 1e-7; no corrector runs
+    at that point.
     """
-    t_u, t_lam = _normalized(sys, b.psi - a.psi, b.lam - a.lam, opts.beta)
-    ua, la = np.array(a.psi), a.lam
-    ub, lb = np.array(b.psi), b.lam
-
-    def sign_at(u, lam):
-        return _bordered_factor(sys, u, lam, t_u, t_lam, opts.beta).det_sign
-
-    sa = sign_at(ua, la)
-    sb = sign_at(ub, lb)
-    if sa == sb:
+    t_u, t_lam = direction
+    fa = _bordered_factor(sys, a.psi, a.lam, t_u, t_lam, opts.beta)
+    sign, ref = fa.det_sign, fa.log_abs_det
+    if fact_b.det_sign == sign:
         raise ContinuationError("bordered determinant does not change sign "
                                 "across the detection bracket")
-    for _ in range(90):
-        if _beta_norm(sys, ub - ua, lb - la, opts.beta) <= 1e-8:
+
+    def value(fact):
+        return fact.det_sign * math.exp(fact.log_abs_det - ref)
+
+    # bracket ends as (s, u, lambda, g), end 0 with the sign at a
+    ends = [(0.0, np.array(a.psi), a.lam, float(sign)),
+            (1.0, np.array(b.psi), b.lam, value(fact_b))]
+    gone = []             # the last end given up
+    weight = [1.0, 1.0]   # Illinois weights of the end values
+    moved = None          # end replaced by the previous step
+    secants, mark, bisect = 0, 1.0, False  # secant steps since the width was mark
+    quiet = False         # the previous evaluation took no Newton step
+
+    def zero(g0, g1):
+        (s0, *_), (s1, *_) = ends
+        z = s0 + (s1 - s0) * g0 / (g0 - g1)
+        return z if s0 < z < s1 else 0.5 * (s0 + s1)
+
+    def predict(s):
+        """(u, lambda) at s, interpolated through the ends and the end given up."""
+        nodes = ends + gone
+        w = [math.prod((s - q[0]) / (p[0] - q[0]) for q in nodes if q is not p)
+             for p in nodes]
+        return (sum(wi * p[1] for wi, p in zip(w, nodes)),
+                sum(wi * p[2] for wi, p in zip(w, nodes)))
+
+    for _ in range(60):
+        (s0, u0, lam0, g0), (s1, u1, lam1, g1) = ends
+        if _beta_norm(sys, u1 - u0, lam1 - lam0, opts.beta) <= _LOCATE_TOL:
             break
-        corrected = None
-        for s in (0.5, 0.45, 0.55):
-            try:
-                corrected = corrector(sys, opts, ua + s * (ub - ua),
-                                      la + s * (lb - la), t_u, t_lam)
-                break
-            except CorrectorError:
-                continue
-        if corrected is None:
-            raise ContinuationError("corrector failed during bifurcation bisection")
-        um, lm, sm = corrected
-        if sm == sa:
-            ua, la = um, lm
+        if secants == 2:
+            bisect = bisect or s1 - s0 > 0.5 * mark
+            secants, mark = 0, s1 - s0
+        mid = 0.5 * (s0 + s1)
+        if bisect:
+            s = mid
         else:
-            ub, lb = um, lm
+            z = zero(weight[0] * g0, weight[1] * g1)
+            s = z + math.copysign(_LOCATE_SHIFT[quiet] * (s1 - s0), mid - z)
+            secants += 1
+        u_pred, lam_pred = predict(s)
+        try:
+            u, lam, fact = corrector(sys, opts, u_pred, lam_pred, t_u, t_lam)
+        except CorrectorError:
+            if bisect:
+                raise ContinuationError(
+                    "corrector failed during branch-point localization") from None
+            bisect = True
+            continue
+        quiet = lam == lam_pred and np.array_equal(u, u_pred)
+        end = 0 if fact.det_sign == sign else 1
+        if moved == end:
+            weight[1 - end] *= 0.5
+        weight[end], moved = 1.0, end
+        gone = [ends[end]]
+        ends[end] = (s, u, lam, value(fact))
+        if bisect:
+            bisect, secants, mark = False, 0, ends[1][0] - ends[0][0]
     else:
-        raise ContinuationError("bifurcation bisection exceeded its budget")
-    u_star = 0.5 * (ua + ub)
-    lam_star = 0.5 * (la + lb)
+        raise ContinuationError("branch-point localization exceeded its budget")
+    u_star, lam_star = predict(zero(ends[0][3], ends[1][3]))
     v = null_vector(sys, u_star, lam_star)
     return u_star, lam_star, v
 
@@ -404,7 +467,7 @@ def _run_continuation(sys, opts, points, prev_dir, *, run_dir=None, label=""):
         pred_u = last.psi + ds * prev_dir[0]
         pred_lam = last.lam + ds * prev_dir[1]
         try:
-            u, lam, bsign = corrector(sys, opts, pred_u, pred_lam, *prev_dir)
+            u, lam, fact = corrector(sys, opts, pred_u, pred_lam, *prev_dir)
         except CorrectorError:
             ds *= 0.5
             if ds < opts.min_norm_delta:
@@ -431,9 +494,10 @@ def _run_continuation(sys, opts, points, prev_dir, *, run_dir=None, label=""):
 
         point = _make_point(sys, u, lam, *new_dir)
 
-        if prev_bordered is not None and bsign != prev_bordered:
+        if prev_bordered is not None and fact.det_sign != prev_bordered:
             try:
-                u_star, lam_star, v = locate_branch_point(sys, opts, last, point)
+                u_star, lam_star, v = locate_branch_point(sys, opts, last, point,
+                                                          prev_dir, fact)
                 eps = 1e-2 * math.sqrt(max(sys.inner(u_star, u_star), 0.0)) + 1e-3
                 bp = _make_point(sys, u_star, lam_star, *new_dir, bif_type=1)
                 points.append(bp)
@@ -453,7 +517,7 @@ def _run_continuation(sys, opts, points, prev_dir, *, run_dir=None, label=""):
         if opts.verbose_flag:
             print(f"[continuation{label}] point {len(points) - 1}: "
                   f"lambda={lam:.6g} N={point.mass:.6g} ds={ds:.3g}")
-        prev_bordered = bsign
+        prev_bordered = fact.det_sign
         last = point
         prev_dir = new_dir
         first_step = False
@@ -716,20 +780,29 @@ def continue_from_saved(run_dir, sys: ContinuationSystem, name: str,
 def continue_from_branch_point(run_dir, sys: ContinuationSystem, branch_id: int,
                                point_index: int, sign: int,
                                opts: ContinuationOptions | None = None) -> Branch:
-    """Switch onto the branch crossing at a stored branch point."""
+    """Switch onto the branch crossing at a stored branch point.
+
+    Reads only that point's lambda, state and perturbation from the parent
+    branch directory.
+    """
     opts = opts or ContinuationOptions()
     bundle = sys.bundle
-    parent = load_branch(run_dir, branch_id, bundle)
-    if point_index not in parent.perturbations:
+    check_run_layout(run_dir, bundle)
+    bdir = _branch_dir(run_dir, branch_id)
+    if not bdir.exists():
+        raise ContinuationError(f"no branch directory {bdir}")
+    pert_file = bdir / f"perturbation_{point_index + 1:04d}.csv"
+    if not pert_file.exists():
         raise ContinuationError(
             f"branch {branch_id} has no stored perturbation at point {point_index}")
-    bp = parent.points[point_index]
-    pert = math.copysign(1.0, sign) * parent.perturbations[point_index]
+    lam0 = float(np.loadtxt(bdir / "lambda.csv", ndmin=1)[point_index])
+    psi0 = np.real(load_state_csv(bundle, bdir / f"psi_{point_index + 1:04d}.csv"))
+    pert = math.copysign(1.0, sign) * np.real(load_state_csv(bundle, pert_file))
     t_u, t_lam = _normalized(sys, pert, 0.0, opts.beta)
-    u1, lam1, _ = corrector(sys, opts, bp.psi + pert, bp.lam, t_u, t_lam)
-    points = [_make_point(sys, bp.psi, bp.lam, t_u, t_lam, bif_type=1),
+    u1, lam1, _ = corrector(sys, opts, psi0 + pert, lam0, t_u, t_lam)
+    points = [_make_point(sys, psi0, lam0, t_u, t_lam, bif_type=1),
               _make_point(sys, u1, lam1, t_u, t_lam)]
-    du, dlam = u1 - bp.psi, lam1 - bp.lam
+    du, dlam = u1 - psi0, lam1 - lam0
     prev_dir = _normalized(sys, du, dlam, opts.beta)
     points[1].tangent_psi, points[1].tangent_lam = prev_dir
     _log(run_dir, f"continue_from_branch_point branch{branch_id:03d} "

@@ -205,6 +205,14 @@ class OperatorBundle:
         """[interp_int; 0]: interp_int over 2|E| empty rows."""
         return _stack_rows(self.interp_int, sp.csr_matrix(self.vc_rows.shape))
 
+    @cached_property
+    def state_csv_format(self) -> str:
+        """Body format of a state CSV: each row's "edge,x," prefix filled in."""
+        edge = np.repeat(np.arange(1, self.graph.num_edges + 1), self.grid.n + 2)
+        x = np.concatenate(self.grid.x_ext)
+        return "".join("%d,%.17g,%%.17g,%%.17g\n" % row
+                       for row in zip(edge.tolist(), x.tolist()))
+
     def edge_slice(self, m: int) -> slice:
         o = self.offsets[m - 1]
         return slice(o, o + self.grid.n[m - 1] + 2)
@@ -458,23 +466,21 @@ def save_state_csv(bundle: OperatorBundle, u: np.ndarray, path) -> None:
     # one formatting call over Python floats; the values and their signed
     # zeros are those complex(v) gives per entry (+0.0 imaginary if real)
     z = np.asarray(u).astype(complex)
-    re, im = z.real.tolist(), z.imag.tolist()
-    edge = np.repeat(np.arange(1, bundle.graph.num_edges + 1), bundle.grid.n + 2).tolist()
-    x = np.concatenate(bundle.grid.x_ext).tolist()
-    rows = list(zip(edge, x, re, im))
+    values = np.column_stack((z.real, z.imag)).ravel().tolist()
     with open(path, "w") as fh:
         fh.write("edge,x,re,im\n")
-        fh.write(("%d,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(v for r in rows for v in r))
+        fh.write(bundle.state_csv_format % tuple(values))
 
 
 def load_state_csv(bundle: OperatorBundle, path) -> np.ndarray:
     """Read a state vector written by save_state_csv; validates the layout."""
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    data = np.atleast_2d(data)
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[0] != bundle.n_ext or data.shape[1] != 4:
         raise DiscretizationError(
             f"state file {path} does not match layout (n_ext={bundle.n_ext})")
-    values = data[:, 2] + 1j * data[:, 3]
     if np.all(data[:, 3] == 0.0):
-        values = data[:, 2]
+        return data[:, 2]
+    # assigned, not summed: re + 1j*im turns a real part of -0.0 into +0.0
+    values = data[:, 2].astype(complex)
+    values.imag = data[:, 3]
     return values

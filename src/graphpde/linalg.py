@@ -2,9 +2,10 @@
 
 Matrices are scipy.sparse (the operator bundles are CSR); dense ndarrays
 are accepted and converted.  Factorizations expose a ``solve`` method and
-the sign of the determinant extracted from the sparse LU factors
-(permutation parities times diagonal signs), which is what the
-continuation code monitors for bifurcations.
+the determinant read from the sparse LU factors: its sign (permutation
+parities times diagonal signs) and the log of its magnitude (the sum of
+log |U_ii|).  The continuation code monitors the sign for bifurcations and
+localizes branch points on the signed determinant.
 """
 from __future__ import annotations
 
@@ -47,8 +48,9 @@ def permutation_parity(perm) -> int:
 class Factorization:
     """Sparse LU factorization (SuperLU); shareable, reusable solves.
 
-    The determinant sign and the pivot ratio are read from the factors on
-    first use only, so plain solves never pay for extracting U.
+    The determinant sign, its log magnitude and the pivot ratio are read
+    from U's diagonal on first use only, so plain solves never pay for
+    extracting U.
     """
 
     def __init__(self, A):
@@ -95,6 +97,11 @@ class Factorization:
         if self._complex:
             return complex(np.prod(np.sign(diag / np.abs(diag)))) * parity
         return int(parity * np.prod(np.sign(diag)))
+
+    @cached_property
+    def log_abs_det(self) -> float:
+        """log |det A|: L has a unit diagonal and permutations keep |det|."""
+        return float(np.sum(np.log(np.abs(self._diag))))
 
     def solve(self, b):
         b = np.asarray(b)

@@ -307,3 +307,98 @@ def test_null_vector_builds_the_jacobian_once():
     with pytest.raises(cont.CodimensionTwoError):
         cont.null_vector(diagonal_system(lambda lam: lam - 1.0), np.zeros(2), 1.001)
     assert calls == [1.001]
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "chebyshev"])
+def test_localization_budget_and_accuracy(tmp_path, scheme):
+    from tests_support import dumbbell_localizations
+
+    branch, records = dumbbell_localizations(scheme, tmp_path)
+    bps = [p for p in branch.points if p.bif_type == 1]
+    assert len(bps) == len(records) == 4
+    # bisection down to a beta-width of 1e-8 made 103 corrector calls here
+    assert sum(r["calls"] for r in records) <= 56
+    for p in bps:
+        assert np.max(np.abs(p.psi - math.sqrt(-p.lam / 2))) <= 3e-10
+
+
+def test_localization_skips_the_double_crossing(tmp_path):
+    # On the Chebyshev dumbbell the last detection bracket also holds
+    # lambda = -0.5, where the two loop modes cross together (no sign change).
+    from tests_support import dumbbell_localizations
+
+    _, records = dumbbell_localizations("chebyshev", tmp_path)
+    spanning = [r["args"] for r in records if r["args"][2].lam > -0.5 > r["args"][3].lam]
+    assert len(spanning) == 1
+    u, lam, v = cont.locate_branch_point(*spanning[0])
+    assert abs(lam + 0.670538) < 1e-6
+    assert np.max(np.abs(u - math.sqrt(-lam / 2))) <= 3e-10
+
+
+def test_secant_localization_on_the_pitchfork_oracle():
+    # the bordered determinant is linear in lambda on u = 0, so every secant
+    # zero is exact; the evaluations stand off it by 0.03, then 0.001, of the
+    # bracket width (bisection to a width of 1e-7 would take 22 calls)
+    sys_ = pitchfork_system()
+    opts = quiet_opts(beta=1.0)
+    a = cont.BranchPoint(np.array([0.0]), -0.3, 0.0, 0.0)
+    b = cont.BranchPoint(np.array([0.0]), 0.1, 0.0, 0.0)
+    direction = (np.array([0.0]), 1.0)
+    fact_b = cont._bordered_factor(sys_, b.psi, b.lam, *direction, opts.beta)
+    calls = []
+    real_corrector = cont.corrector
+
+    def counting(*args):
+        calls.append(args[3])
+        return real_corrector(*args)
+
+    cont.corrector = counting
+    try:
+        u, lam, v = cont.locate_branch_point(sys_, opts, a, b, direction, fact_b)
+    finally:
+        cont.corrector = real_corrector
+    assert abs(lam) <= 1e-15 and u[0] == 0.0 and abs(v[0]) == 1.0
+    assert len(calls) <= 6
+
+
+def _switching_run(tmp_path):
+    b, sys_ = dumbbell_setup()
+    run = cont.create_run(tmp_path, "dumbbell", b)
+    cont.save_eigenfunctions(run, b, 2)
+    branch = cont.continue_from_eig(run, sys_, 1, 1e-2,
+                                    quiet_opts(ds=0.05, max_points=12, save_flag=True))
+    return b, sys_, run, branch
+
+
+def test_branch_switch_reads_one_point(tmp_path, monkeypatch):
+    b, sys_, run, branch = _switching_run(tmp_path)
+    idx = [i for i, p in enumerate(branch.points) if p.bif_type == 1][0]
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("load_branch called")
+
+    monkeypatch.setattr(cont, "load_branch", no_load)
+    leg = cont.continue_from_branch_point(run, sys_, 1, idx, +1,
+                                          quiet_opts(ds=0.05, max_points=3))
+    bp = branch.points[idx]
+    assert leg.points[0].lam == bp.lam and np.array_equal(leg.points[0].psi, bp.psi)
+    assert leg.points[0].bif_type == 1
+    step = leg.points[1].psi - bp.psi
+    assert np.allclose(step / np.linalg.norm(step), branch.perturbations[idx]
+                       / np.linalg.norm(branch.perturbations[idx]), atol=1e-2)
+
+
+def test_branch_switch_error_contract(tmp_path):
+    b, sys_, run, branch = _switching_run(tmp_path)
+    opts = quiet_opts(ds=0.05, max_points=3)
+    stale = cont.create_run(tmp_path / "other", "dumbbell",
+                            discretize(from_template("dumbbell", nx=11), "uniform"))
+    with pytest.raises(cont.StaleLayoutError):
+        cont.continue_from_branch_point(stale, sys_, 1, 0, +1, opts)
+    with pytest.raises(ContinuationError, match="no branch directory"):
+        cont.continue_from_branch_point(run, sys_, 7, 0, +1, opts)
+    regular = [i for i, p in enumerate(branch.points) if p.bif_type != 1]
+    for idx in (regular[0], len(branch.points) + 3, -1):
+        with pytest.raises(ContinuationError) as err:
+            cont.continue_from_branch_point(run, sys_, 1, idx, +1, opts)
+        assert str(err.value) == f"branch 1 has no stored perturbation at point {idx}"

@@ -342,3 +342,47 @@ def test_state_csv_round_trip(tmp_path):
     save_state_csv(b, u.real, path)
     back = load_state_csv(b, path)
     assert back.dtype.kind == "f" and np.array_equal(back, u.real)
+
+
+def _state_csv_one_call(bundle, u):
+    """save_state_csv's formatting before the row prefixes were cached."""
+    z = np.asarray(u).astype(complex)
+    edge = np.repeat(np.arange(1, bundle.graph.num_edges + 1), bundle.grid.n + 2).tolist()
+    x = np.concatenate(bundle.grid.x_ext).tolist()
+    rows = list(zip(edge, x, z.real.tolist(), z.imag.tolist()))
+    body = ("%d,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(v for r in rows for v in r)
+    return ("edge,x,re,im\n" + body).encode()
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "chebyshev"])
+def test_state_csv_bytes_match_one_call_formatting(tmp_path, scheme):
+    b = discretize(from_template("dumbbell"), scheme)
+    rng = np.random.default_rng(8)
+    real = rng.standard_normal(b.n_ext)
+    real[:4] = [-0.0, 5e-324, -1e300, 1e-300]
+    cplx = real + 1j * rng.standard_normal(b.n_ext)
+    path = tmp_path / "state.csv"
+    for u in (real, cplx, real + 0j):
+        save_state_csv(b, u, path)   # the second save reads the cached prefixes
+        save_state_csv(b, u, path)
+        assert path.read_bytes() == _state_csv_one_call(b, u)
+
+
+def test_state_csv_round_trip_is_bitwise(tmp_path):
+    b = discretize(from_template("lasso", nx=[4, 5]), "chebyshev")
+    rng = np.random.default_rng(12)
+    special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300, -1e-300,
+               np.nextafter(1.0, 2.0), 1.0 / 3.0]
+    re = rng.standard_normal(b.n_ext) * 10.0 ** rng.integers(-300, 300, b.n_ext)
+    im = rng.standard_normal(b.n_ext)
+    re[:len(special)] = special
+    im[-len(special):] = special
+    cplx = re.astype(complex)   # re + 1j * im would turn the real -0.0 into +0.0
+    cplx.imag = im
+    path = tmp_path / "state.csv"
+    for u in (re, cplx):
+        save_state_csv(b, u, path)
+        back = load_state_csv(b, path)
+        assert back.dtype == u.dtype
+        assert np.array_equal(back.real.view(np.uint64), u.real.view(np.uint64))
+        assert np.array_equal(np.imag(back).view(np.uint64), np.imag(u).view(np.uint64))

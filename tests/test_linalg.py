@@ -55,6 +55,39 @@ def test_det_sign_against_cofactor_oracle():
         checked += 1
 
 
+def test_log_abs_det_on_cofactor_oracle():
+    rng = np.random.default_rng(42)
+    checked = 0
+    while checked < 60:
+        A = rng.integers(-4, 5, size=(4, 4)).astype(float)
+        d = cofactor_det(A)
+        if d == 0:
+            continue
+        fact = factorize(sp.csr_matrix(A))
+        assert fact.det_sign == int(np.sign(d))
+        assert fact.log_abs_det == pytest.approx(math.log(abs(d)), abs=1e-12)
+        checked += 1
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_log_abs_det_matches_slogdet_under_pivoting(dtype):
+    rng = np.random.default_rng(3)
+    for n in (5, 12, 40, 90):
+        M = np.zeros((n, n), dtype=dtype)
+        for part in ((1.0,) if dtype is float else (1.0, 1j)):
+            M += part * rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
+        # a zero diagonal and a scrambled heavy entry per row force both pivots
+        np.fill_diagonal(M, 0.0)
+        M[np.arange(n), rng.permutation(n)] = 10.0 + rng.random(n)
+        A = sp.csc_matrix(M)
+        fact = factorize(A)
+        assert np.any(fact._lu.perm_r != np.arange(n))
+        assert np.any(fact._lu.perm_c != np.arange(n))
+        sign, logdet = np.linalg.slogdet(M)
+        assert fact.log_abs_det == pytest.approx(logdet, rel=1e-12, abs=1e-10)
+        assert fact.det_sign == pytest.approx(sign, abs=1e-10)
+
+
 def test_solve_identity_and_diagonal():
     b = np.array([3.0, -1.0, 2.0])
     assert np.allclose(solve(np.eye(3), b), b)
