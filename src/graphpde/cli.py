@@ -22,7 +22,8 @@ import numpy as np
 from . import continuation as cont
 from . import evolution as evo
 from . import stationary
-from .discretize import (apply_function_to_edges, discretize, save_state_csv)
+from .discretize import (apply_function_to_edges, discretize, save_scalar_csv,
+                         save_state_csv)
 from .expressions import ConfigError, compile_edge_expressions
 from .functionals import make_context
 from .graphs import DIRICHLET, GraphError, MetricGraph, TEMPLATES, build_graph, \
@@ -77,17 +78,6 @@ def _write_run_json(out: Path, args, cfg: dict, graph: MetricGraph, extra=None):
     }
     payload.update(extra or {})
     (out / "run.json").write_text(json.dumps(payload, indent=1, sort_keys=True))
-
-
-def _scalar_csv(path: Path, values, header=None):
-    with open(path, "w") as fh:
-        if header:
-            fh.write(header + "\n")
-        for row in values:
-            if np.isscalar(row):
-                fh.write(f"{row:.17g}\n")
-            else:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def _sampled_exact(bundle, cfg):
@@ -160,7 +150,7 @@ def _cmd_secdet(args) -> int:
     zeros = stationary.find_spectrum_secular(graph, k_max)  # refuses a bad k_max before any output
     out = _out_dir(args)
     ks = np.linspace(k_max / samples, k_max, samples)
-    _scalar_csv(out / "sigma.csv", np.column_stack([ks, sigma(ks)]), header="k,sigma")
+    save_scalar_csv(out / "sigma.csv", np.column_stack([ks, sigma(ks)]), header="k,sigma")
     # scale-free: |Sigma| grows like e^{|E|}, sigma_min / sigma_max does not
     sv = stationary.secular_singular_values(graph, [k for k, _ in zeros])
     residuals = sv[:, -1] / sv[:, 0]
@@ -226,7 +216,7 @@ def _cmd_evolve(args) -> int:
     times, states = _EVOLUTION_SCHEMES[scheme](problem, u0, ev)
 
     out = _out_dir(args)
-    _scalar_csv(out / "times.csv", times)
+    save_scalar_csv(out / "times.csv", times)
     for j in range(states.shape[1]):
         save_state_csv(bundle, states[:, j], out / f"state_{j:04d}.csv")
     quantities = ev.get("conserve", ["mass"])
@@ -236,7 +226,7 @@ def _cmd_evolve(args) -> int:
         momentum_orientations=ev.get("momentum_orientation"))
     names = ["times"] + [n for q in quantities for n in (q, q + "_drift")]
     rows = np.column_stack([table[n] for n in names])
-    _scalar_csv(out / "conservation.csv", rows, header=",".join(names))
+    save_scalar_csv(out / "conservation.csv", rows, header=",".join(names))
     _write_run_json(out, args, cfg, graph, {"evolution_scheme": scheme})
     return 0
 
@@ -283,8 +273,8 @@ def _cmd_continue(args) -> int:
     for bid, table in diagram.items():
         for row in table:
             rows.append([bid, *row])
-    _scalar_csv(Path(run_dir) / "diagram.csv", rows,
-                header=",".join(("branch",) + axes))
+    save_scalar_csv(Path(run_dir) / "diagram.csv", rows,
+                    header=",".join(("branch",) + axes))
     _write_run_json(Path(run_dir), args, cfg, graph,
                     {"points": len(branch.points)})
     return 0

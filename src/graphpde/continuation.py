@@ -7,10 +7,13 @@ predictor and a Newton corrector on the bordered system
     <u - u_pred, t_u> + beta (lambda - lambda_pred) t_lambda = 0,
 
 where <.,.> is the problem's inner product and (t_u, t_lambda) the current
-unit tangent in the beta-metric.  The step length halves when the
-corrector fails or the turn angle exceeds maxTheta, and grows by 1.3x
-(capped at 8x the initial step) when the turn angle stays below
-maxTheta/2.
+unit tangent in the beta-metric.  Each Newton iterate factors the bordered
+matrix once; the corrector steps with that factorization and returns it at
+convergence, so its determinant costs no extra LU.  One rule rejects a
+step: when the corrector fails, the step has zero length, or the turn
+angle exceeds maxTheta, the step length halves, and the branch ends once
+it falls below min_norm_delta.  The step length grows by 1.3x (capped at
+8x the initial step) when the turn angle stays below maxTheta/2.
 
 Two determinant signs are monitored at every accepted point: branch
 points flip the sign of the bordered Jacobian determinant and are
@@ -36,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .discretize import OperatorBundle, load_state_csv, save_state_csv
+from .discretize import OperatorBundle, load_state_csv, save_scalar_csv, save_state_csv
 from .functionals import FunctionalContext, energy_nls, inner_product, mass
 from .graphs import graph_config, graph_hash
 from .stationary import NLSProblem, nls_jacobian, nls_residual
@@ -175,7 +178,6 @@ def nls_system(problem: NLSProblem, ctx: FunctionalContext) -> ContinuationSyste
         energy=lambda u, lam: energy_nls(ctx, u, problem.sigma),
     )
     sys.problem = problem
-    sys.ctx = ctx
     sys.bundle = b
     return sys
 
@@ -231,23 +233,24 @@ def corrector(sys: ContinuationSystem, opts: ContinuationOptions,
               u_pred, lam_pred, t_u, t_lam):
     """Newton on the bordered system anchored at the predicted point.
 
-    Returns (u, lambda, factorization of the bordered matrix at the
-    solution), whose det_sign and log_abs_det are the test functions.
+    Every iterate factors the bordered matrix once and steps with that
+    factorization.  Returns (u, lambda, factorization of the bordered
+    matrix at the solution), whose det_sign and log_abs_det are the test
+    functions; an exactly singular bordered matrix raises CorrectorError,
+    at the solution too.
     """
     u = np.array(u_pred, dtype=float)
     lam = float(lam_pred)
-    row = sys.inner_gradient(t_u)
-    corner = opts.beta * t_lam
     for _ in range(opts.max_newton):
         F = sys.residual(u, lam)
         g = sys.inner(u - u_pred, t_u) + opts.beta * (lam - lam_pred) * t_lam
-        if max(np.linalg.norm(F, np.inf), abs(g)) <= opts.newton_tol:
-            return u, lam, _bordered_factor(sys, u, lam, t_u, t_lam, opts.beta)
-        M = _bordered_matrix(sys.jacobian(u, lam), sys.dlam(u, lam), row, corner)
         try:
-            step = linalg.solve(M, np.concatenate([F, [g]]))
+            fact = _bordered_factor(sys, u, lam, t_u, t_lam, opts.beta)
         except linalg.SingularMatrixError as exc:
             raise CorrectorError(f"singular bordered system: {exc}") from exc
+        if max(np.linalg.norm(F, np.inf), abs(g)) <= opts.newton_tol:
+            return u, lam, fact
+        step = fact.solve(np.concatenate([F, [g]]))
         u = u - step[:-1]
         lam = lam - step[-1]
         if not np.all(np.isfinite(u)) or not math.isfinite(lam):
@@ -271,11 +274,9 @@ def newton_fixed_lambda(sys: ContinuationSystem, u0, lam, tol=1e-10, max_iter=50
 
 def tangent_at(sys: ContinuationSystem, u, lam, guess_u, guess_lam, beta):
     """Branch tangent from the bordered solve, oriented along the guess."""
-    M = _bordered_matrix(sys.jacobian(u, lam), sys.dlam(u, lam),
-                         sys.inner_gradient(guess_u), beta * guess_lam)
-    rhs = np.zeros(M.shape[0])
+    rhs = np.zeros(np.size(u) + 1)
     rhs[-1] = 1.0
-    t = linalg.solve(M, rhs)
+    t = _bordered_factor(sys, u, lam, guess_u, guess_lam, beta).solve(rhs)
     t_u, t_lam = _normalized(sys, t[:-1], t[-1], beta)
     if beta_metric(sys, t_u, t_lam, guess_u, guess_lam, beta) < 0:
         t_u, t_lam = -t_u, -t_lam
@@ -441,7 +442,7 @@ def _log(run_dir, message):
         fh.write(f"{stamp}  {message}\n")
 
 
-def _run_continuation(sys, opts, points, prev_dir, *, run_dir=None, label=""):
+def _run_continuation(sys, opts, points, prev_dir, *, run_dir=None):
     """Advance a branch from its last point; points is extended in place."""
     ds = opts.ds
     ds_cap = 8.0 * opts.ds
@@ -455,43 +456,35 @@ def _run_continuation(sys, opts, points, prev_dir, *, run_dir=None, label=""):
     termination = "max_points"
     first_step = True
     # thresholds fire when the branch crosses them, not when it starts beyond
-    mass_side = math.copysign(1.0, last.mass - opts.n_thresh) if last.mass != opts.n_thresh else 0.0
-    lam_side = math.copysign(1.0, last.lam - opts.lambda_thresh) if last.lam != opts.lambda_thresh else 0.0
+    mass_side = np.sign(last.mass - opts.n_thresh)
+    lam_side = np.sign(last.lam - opts.lambda_thresh)
 
     def note(msg):
         if opts.verbose_flag:
-            print(f"[continuation{label}] {msg}")
-        _log(run_dir, f"branch{label}: {msg}")
+            print(f"[continuation] {msg}")
+        _log(run_dir, f"branch: {msg}")
 
     while len(points) < opts.max_points:
-        pred_u = last.psi + ds * prev_dir[0]
-        pred_lam = last.lam + ds * prev_dir[1]
+        # one rejection rule halves ds: the corrector failed, or its point is
+        # the last one or turns by more than max_theta (allowed on the first step)
         try:
-            u, lam, fact = corrector(sys, opts, pred_u, pred_lam, *prev_dir)
+            u, lam, fact = corrector(sys, opts, last.psi + ds * prev_dir[0],
+                                     last.lam + ds * prev_dir[1], *prev_dir)
+            du, dlam = u - last.psi, lam - last.lam
+            step_len = _beta_norm(sys, du, dlam, opts.beta)
+            if step_len < 1e-14:
+                raise CorrectorError("zero step")
+            new_dir = (du / step_len, dlam / step_len)
+            cosang = np.clip(beta_metric(sys, *new_dir, *prev_dir, opts.beta), -1.0, 1.0)
+            angle = math.degrees(math.acos(cosang))
+            if not first_step and angle > opts.max_theta:
+                raise CorrectorError("turn angle above max_theta")
         except CorrectorError:
             ds *= 0.5
             if ds < opts.min_norm_delta:
                 termination = "step below min_norm_delta"
                 break
             continue
-        du, dlam = u - last.psi, lam - last.lam
-        step_len = _beta_norm(sys, du, dlam, opts.beta)
-        if step_len < 1e-14:
-            ds *= 0.5
-            if ds < opts.min_norm_delta:
-                termination = "step below min_norm_delta"
-                break
-            continue
-        new_dir = (du / step_len, dlam / step_len)
-        cosang = np.clip(beta_metric(sys, *new_dir, *prev_dir, opts.beta), -1.0, 1.0)
-        angle = math.degrees(math.acos(cosang))
-        if not first_step and angle > opts.max_theta:
-            ds *= 0.5
-            if ds < opts.min_norm_delta:
-                termination = "step below min_norm_delta"
-                break
-            continue
-
         point = _make_point(sys, u, lam, *new_dir)
 
         if prev_bordered is not None and fact.det_sign != prev_bordered:
@@ -515,7 +508,7 @@ def _run_continuation(sys, opts, points, prev_dir, *, run_dir=None, label=""):
 
         points.append(point)
         if opts.verbose_flag:
-            print(f"[continuation{label}] point {len(points) - 1}: "
+            print(f"[continuation] point {len(points) - 1}: "
                   f"lambda={lam:.6g} N={point.mass:.6g} ds={ds:.3g}")
         prev_bordered = fact.det_sign
         last = point
@@ -523,10 +516,8 @@ def _run_continuation(sys, opts, points, prev_dir, *, run_dir=None, label=""):
         first_step = False
         if angle < 0.5 * opts.max_theta:
             ds = min(1.3 * ds, ds_cap)
-        new_mass_side = math.copysign(1.0, point.mass - opts.n_thresh) \
-            if point.mass != opts.n_thresh else 0.0
-        new_lam_side = math.copysign(1.0, point.lam - opts.lambda_thresh) \
-            if point.lam != opts.lambda_thresh else 0.0
+        new_mass_side = np.sign(point.mass - opts.n_thresh)
+        new_lam_side = np.sign(point.lam - opts.lambda_thresh)
         if mass_side != 0.0 and new_mass_side == -mass_side:
             termination = "n_thresh"
             break
@@ -535,8 +526,6 @@ def _run_continuation(sys, opts, points, prev_dir, *, run_dir=None, label=""):
             break
         mass_side = mass_side or new_mass_side
         lam_side = lam_side or new_lam_side
-    else:
-        termination = "max_points"
     note(f"finished with {len(points)} points ({termination})")
     return perturbations, termination
 
@@ -604,14 +593,6 @@ def _atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_scalar_csv(path: Path, values, fmt="%.17g") -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        for v in values:
-            fh.write((fmt % v) + "\n")
-    os.replace(tmp, path)
-
-
 def save_eigenfunctions(run_dir, bundle: OperatorBundle, count: int,
                         sigma: float = 1e-2):
     """Compute and persist seed eigenpairs under <run>/eigenfunctions/."""
@@ -621,7 +602,7 @@ def save_eigenfunctions(run_dir, bundle: OperatorBundle, count: int,
     lam, vecs = _eigs(bundle, count, sigma=sigma)
     edir = Path(run_dir) / "eigenfunctions"
     edir.mkdir(exist_ok=True)
-    _write_scalar_csv(edir / "eigenvalues.csv", np.real(lam))
+    save_scalar_csv(edir / "eigenvalues.csv", np.real(lam))
     for j in range(count):
         save_state_csv(bundle, np.real(vecs[:, j]), edir / f"eigenfunction_{j + 1:03d}.csv")
     _log(run_dir, f"saved {count} eigenfunctions")
@@ -640,13 +621,27 @@ def save_standing_wave(run_dir, bundle: OperatorBundle, psi, lam: float,
             k += 1
         name = f"wave_{k:03d}"
     save_state_csv(bundle, psi, sdir / f"{name}_psi.csv")
-    _write_scalar_csv(sdir / f"{name}_lambda.csv", [lam])
+    save_scalar_csv(sdir / f"{name}_lambda.csv", [lam])
     _log(run_dir, f"saved standing wave {name} at lambda={lam:.8g}")
     return name
 
 
 def _branch_dir(run_dir, branch_id: int) -> Path:
     return Path(run_dir) / f"branch{branch_id:03d}"
+
+
+def _stored_branch_dir(run_dir, branch_id: int, bundle: OperatorBundle) -> Path:
+    """The directory of a saved branch, after checking the run's layout."""
+    check_run_layout(run_dir, bundle)
+    bdir = _branch_dir(run_dir, branch_id)
+    if not bdir.exists():
+        raise ContinuationError(f"no branch directory {bdir}")
+    return bdir
+
+
+# per-point scalar files of a branch directory and the BranchPoint field of each
+_BRANCH_SCALARS = {"lambda": "lam", "mass": "mass", "energy": "energy",
+                   "biftype": "bif_type", "lambda_dot": "tangent_lam"}
 
 
 def next_branch_id(run_dir) -> int:
@@ -667,12 +662,8 @@ def save_branch(run_dir, branch: Branch, bundle: OperatorBundle,
     if stage.exists():
         shutil.rmtree(stage)
     stage.mkdir(parents=True)
-    _write_scalar_csv(stage / "lambda.csv", branch.lambdas)
-    _write_scalar_csv(stage / "mass.csv", branch.masses)
-    _write_scalar_csv(stage / "energy.csv", branch.energies)
-    _write_scalar_csv(stage / "biftype.csv", branch.bif_types, fmt="%d")
-    _write_scalar_csv(stage / "lambda_dot.csv",
-                      [p.tangent_lam for p in branch.points])
+    for name, attr in _BRANCH_SCALARS.items():
+        save_scalar_csv(stage / f"{name}.csv", [getattr(p, attr) for p in branch.points])
     for k, p in enumerate(branch.points, start=1):
         save_state_csv(bundle, p.psi, stage / f"psi_{k:04d}.csv")
         save_state_csv(bundle, p.tangent_psi, stage / f"tangent_{k:04d}.csv")
@@ -688,26 +679,19 @@ def save_branch(run_dir, branch: Branch, bundle: OperatorBundle,
 
 
 def load_branch(run_dir, branch_id: int, bundle: OperatorBundle) -> Branch:
-    check_run_layout(run_dir, bundle)
-    bdir = _branch_dir(run_dir, branch_id)
-    if not bdir.exists():
-        raise ContinuationError(f"no branch directory {bdir}")
-    lams = np.loadtxt(bdir / "lambda.csv", ndmin=1)
-    masses = np.loadtxt(bdir / "mass.csv", ndmin=1)
-    energies = np.loadtxt(bdir / "energy.csv", ndmin=1)
-    bif = np.loadtxt(bdir / "biftype.csv", dtype=int, ndmin=1)
-    lamdot = np.loadtxt(bdir / "lambda_dot.csv", ndmin=1)
+    bdir = _stored_branch_dir(run_dir, branch_id, bundle)
+    columns = [np.loadtxt(bdir / f"{name}.csv", ndmin=1) for name in _BRANCH_SCALARS]
     options = json.loads((bdir / "options.json").read_text())
     options.pop("plot_flag", None)  # an unused flag that older run directories store
     options = ContinuationOptions(**options)
     provenance = json.loads((bdir / "provenance.json").read_text())
     points = []
-    for k in range(len(lams)):
-        psi = np.real(load_state_csv(bundle, bdir / f"psi_{k + 1:04d}.csv"))
-        tpsi = np.real(load_state_csv(bundle, bdir / f"tangent_{k + 1:04d}.csv"))
-        points.append(BranchPoint(psi, float(lams[k]), float(masses[k]),
-                                  float(energies[k]), int(bif[k]), tpsi,
-                                  float(lamdot[k])))
+    rows = zip(*columns, strict=True)
+    for k, (lam, mass, energy, bif, lamdot) in enumerate(rows, start=1):
+        psi = np.real(load_state_csv(bundle, bdir / f"psi_{k:04d}.csv"))
+        tpsi = np.real(load_state_csv(bundle, bdir / f"tangent_{k:04d}.csv"))
+        points.append(BranchPoint(psi, float(lam), float(mass), float(energy),
+                                  int(bif), tpsi, float(lamdot)))
     perturbations = {}
     for f in sorted(bdir.glob("perturbation_*.csv")):
         idx = int(f.stem.split("_")[1]) - 1
@@ -724,6 +708,21 @@ def list_branches(run_dir) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # the four initializers
+
+def _run_and_save(run_dir, sys: ContinuationSystem, opts: ContinuationOptions, points,
+                  prev_dir, provenance: dict, perturbations=None, branch_id=None) -> Branch:
+    """Advance points along prev_dir and save the branch when save_flag is set.
+
+    The termination reason goes into the provenance, and the perturbations
+    found are merged over the given ones.
+    """
+    found, termination = _run_continuation(sys, opts, points, prev_dir, run_dir=run_dir)
+    branch = Branch(points, {**provenance, "termination": termination}, opts,
+                    {**(perturbations or {}), **found})
+    if opts.save_flag:
+        save_branch(run_dir, branch, sys.bundle, branch_id)
+    return branch
+
 
 def continue_from_eig(run_dir, sys: ContinuationSystem, index: int,
                       amplitude: float = 1e-2,
@@ -745,14 +744,10 @@ def continue_from_eig(run_dir, sys: ContinuationSystem, index: int,
     lam_seed = -lam_j - offset
     seed = newton_fixed_lambda(sys, a * v, lam_seed, opts.newton_tol)
     direction = v if sys.inner(v, seed) >= 0 else -v
+    t = _normalized(sys, direction, 0.0, opts.beta)
     _log(run_dir, f"continue_from_eig index={index} lambda_seed={lam_seed:.8g}")
-    branch = continue_branch(sys, seed, lam_seed, direction, 0.0, opts,
-                             provenance={"kind": "eigenfunction", "index": index,
-                                         "amplitude": amplitude},
-                             run_dir=run_dir)
-    if opts.save_flag:
-        save_branch(run_dir, branch, bundle)
-    return branch
+    return _run_and_save(run_dir, sys, opts, [_make_point(sys, seed, lam_seed, *t)], t,
+                         {"kind": "eigenfunction", "index": index, "amplitude": amplitude})
 
 
 def continue_from_saved(run_dir, sys: ContinuationSystem, name: str,
@@ -768,13 +763,11 @@ def continue_from_saved(run_dir, sys: ContinuationSystem, name: str,
     psi = newton_fixed_lambda(sys, psi, lam, opts.newton_tol)
     t_u, t_lam = tangent_at(sys, psi, lam, np.zeros_like(psi),
                             math.copysign(1.0, direction), opts.beta)
+    # normalized again, as continue_branch normalizes any given tangent
+    t = _normalized(sys, t_u, t_lam, opts.beta)
     _log(run_dir, f"continue_from_saved {name}")
-    branch = continue_branch(sys, psi, lam, t_u, t_lam, opts,
-                             provenance={"kind": "saved", "name": name},
-                             run_dir=run_dir)
-    if opts.save_flag:
-        save_branch(run_dir, branch, bundle)
-    return branch
+    return _run_and_save(run_dir, sys, opts, [_make_point(sys, psi, lam, *t)], t,
+                         {"kind": "saved", "name": name})
 
 
 def continue_from_branch_point(run_dir, sys: ContinuationSystem, branch_id: int,
@@ -787,10 +780,7 @@ def continue_from_branch_point(run_dir, sys: ContinuationSystem, branch_id: int,
     """
     opts = opts or ContinuationOptions()
     bundle = sys.bundle
-    check_run_layout(run_dir, bundle)
-    bdir = _branch_dir(run_dir, branch_id)
-    if not bdir.exists():
-        raise ContinuationError(f"no branch directory {bdir}")
+    bdir = _stored_branch_dir(run_dir, branch_id, bundle)
     pert_file = bdir / f"perturbation_{point_index + 1:04d}.csv"
     if not pert_file.exists():
         raise ContinuationError(
@@ -807,37 +797,24 @@ def continue_from_branch_point(run_dir, sys: ContinuationSystem, branch_id: int,
     points[1].tangent_psi, points[1].tangent_lam = prev_dir
     _log(run_dir, f"continue_from_branch_point branch{branch_id:03d} "
                   f"point {point_index} sign {sign:+d}")
-    perturbations, termination = _run_continuation(sys, opts, points, prev_dir,
-                                                   run_dir=run_dir)
-    branch = Branch(points, {"kind": "branch_point", "parent": branch_id,
-                             "point": point_index, "sign": int(sign),
-                             "termination": termination}, opts, perturbations)
-    if opts.save_flag:
-        save_branch(run_dir, branch, bundle)
-    return branch
+    return _run_and_save(run_dir, sys, opts, points, prev_dir,
+                         {"kind": "branch_point", "parent": branch_id,
+                          "point": point_index, "sign": int(sign)})
 
 
 def continue_from_end(run_dir, sys: ContinuationSystem, branch_id: int,
                       opts: ContinuationOptions | None = None) -> Branch:
     """Extend a stored branch beyond its last point (re-saved in place)."""
     opts = opts or ContinuationOptions()
-    bundle = sys.bundle
-    branch = load_branch(run_dir, branch_id, bundle)
+    branch = load_branch(run_dir, branch_id, sys.bundle)
     if len(branch.points) < 2:
         raise ContinuationError("need at least two points to extend a branch")
     a, b = branch.points[-2], branch.points[-1]
     prev_dir = _normalized(sys, b.psi - a.psi, b.lam - a.lam, opts.beta)
     _log(run_dir, f"continue_from_end branch{branch_id:03d}")
-    points = branch.points
-    perturbations, termination = _run_continuation(sys, opts, points, prev_dir,
-                                                   run_dir=run_dir)
-    merged = dict(branch.perturbations)
-    merged.update(perturbations)
-    out = Branch(points, {**branch.provenance, "extended": True,
-                          "termination": termination}, opts, merged)
-    if opts.save_flag:
-        save_branch(run_dir, out, bundle, branch_id=branch_id)
-    return out
+    return _run_and_save(run_dir, sys, opts, branch.points, prev_dir,
+                         {**branch.provenance, "extended": True}, branch.perturbations,
+                         branch_id)
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,10 @@ for either scheme.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,10 +80,8 @@ def barycentric_weights(x: np.ndarray) -> np.ndarray:
 
 
 def resampling_matrix(x_from: np.ndarray, x_to: np.ndarray,
-                      w: np.ndarray | None = None) -> np.ndarray:
+                      w: np.ndarray) -> np.ndarray:
     """Barycentric map taking values on x_from to interpolated values on x_to."""
-    if w is None:
-        w = barycentric_weights(x_from)
     diff = x_to[:, None] - x_from[None, :]
     exact = np.isclose(diff, 0.0, atol=1e-14 * max(1.0, abs(x_from[-1] - x_from[0])))
     diff[exact] = 1.0
@@ -92,10 +92,8 @@ def resampling_matrix(x_from: np.ndarray, x_to: np.ndarray,
     return P
 
 
-def differentiation_matrix(x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+def differentiation_matrix(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Spectral differentiation matrix on arbitrary nodes via barycentric weights."""
-    if w is None:
-        w = barycentric_weights(x)
     diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, 1.0)
     D = (w[None, :] / w[:, None]) / diff
@@ -165,7 +163,6 @@ class OperatorBundle:
     n_int: int
     n_ext: int
     offsets: np.ndarray       # extended-grid start index per edge
-    int_offsets: np.ndarray   # interior-row start index per edge
     lap_int: object
     interp_int: object
     vc_rows: object
@@ -321,7 +318,6 @@ def discretize(graph: MetricGraph, scheme: str = UNIFORM) -> OperatorBundle:
     n_int = int(grid.n.sum())
     n_ext = n_int + 2 * ne
     offsets = np.concatenate([[0], np.cumsum(grid.n + 2)])[:-1]
-    int_offsets = np.concatenate([[0], np.cumsum(grid.n)])[:-1]
 
     potential_ext = np.zeros(n_ext)
     for e in graph.edges:
@@ -364,7 +360,7 @@ def discretize(graph: MetricGraph, scheme: str = UNIFORM) -> OperatorBundle:
     interp_vc = _stack_rows(interp_int, vc_rows)
 
     quad_ext = np.concatenate(grid.weights)
-    return OperatorBundle(graph, grid, n_int, n_ext, offsets, int_offsets,
+    return OperatorBundle(graph, grid, n_int, n_ext, offsets,
                           lap_int, interp_int, vc_rows, nh_map, lap_vc, interp_vc,
                           deriv, end_traces, quad_ext, potential_ext, vertex_row)
 
@@ -470,6 +466,21 @@ def save_state_csv(bundle: OperatorBundle, u: np.ndarray, path) -> None:
     with open(path, "w") as fh:
         fh.write("edge,x,re,im\n")
         fh.write(bundle.state_csv_format % tuple(values))
+
+
+def save_scalar_csv(path, rows, header=None) -> None:
+    """Write numbers, or rows of numbers, one line each as %.17g, atomically.
+
+    A header line, when given, comes first.
+    """
+    lines = [header] if header else []
+    for row in rows:
+        values = [row] if np.ndim(row) == 0 else row
+        lines.append(",".join("%.17g" % v for v in values))
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text("".join(line + "\n" for line in lines))
+    os.replace(tmp, path)
 
 
 def load_state_csv(bundle: OperatorBundle, path) -> np.ndarray:

@@ -10,6 +10,7 @@ twice toward the vertex degree.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 from dataclasses import dataclass, replace
@@ -559,26 +560,11 @@ TEMPLATES: dict[str, Callable[..., MetricGraph]] = {
     "ring": _template_ring,
 }
 
-# accepted override keys per template, beyond the common ones
-_COMMON_KEYS = {"robin", "nx", "weight"}
-_TEMPLATE_KEYS = {
-    "interval": {"length"},
-    "star": {"lengths"},
-    "Y": {"lengths"},
-    "dumbbell": {"loop_length", "handle_length"},
-    "lasso": {"lengths"},
-    "necklace": {"n_pairs", "string_length", "pearl_length"},
-    "bubbleTower": {"base_length", "circumferences"},
-    "tetrahedron": {"length"},
-    "ring": {"length"},
-}
-
-
 def from_template(tag: str, **overrides) -> MetricGraph:
     """Build a gallery graph, optionally overriding lengths, weights, robin, nx."""
     if tag not in TEMPLATES:
         raise GraphError(f"unknown template {tag!r}; known: {sorted(TEMPLATES)}")
-    allowed = _COMMON_KEYS | _TEMPLATE_KEYS[tag]
+    allowed = set(inspect.signature(TEMPLATES[tag]).parameters)
     bad = set(overrides) - allowed
     if bad:
         raise GraphError(f"template {tag!r} does not accept {sorted(bad)}; "

@@ -112,6 +112,25 @@ def test_pitchfork_oracle_branch_point():
     assert branch.provenance["termination"] == "lambda_thresh"
 
 
+def test_singular_bordered_matrix_at_the_solution_is_a_corrector_failure():
+    # (u, lambda) = (0, 0) solves the pitchfork, and its bordered matrix
+    # [[lambda - 3u^2, u], [0, beta]] has an empty first row there
+    with pytest.raises(cont.CorrectorError, match="singular bordered system"):
+        corrector(pitchfork_system(), quiet_opts(beta=1.0), np.array([0.0]), 0.0,
+                  np.array([0.0]), 1.0)
+
+
+def test_step_onto_a_singular_point_halves_ds():
+    opts = quiet_opts(ds=0.1, beta=1.0, max_points=10, lambda_thresh=1.0,
+                      n_thresh=1e9, min_norm_delta=1e-6)
+    branch = continue_branch(pitchfork_system(), np.array([0.0]), -0.1,
+                             np.array([0.0]), 1.0, opts)
+    # the full step from lambda = -0.1 lands on (0, 0); its half does not
+    assert branch.lambdas[1] == pytest.approx(-0.05, abs=1e-12)
+    assert [p.bif_type for p in branch.points].count(1) == 1
+    assert branch.provenance["termination"] == "lambda_thresh"
+
+
 def test_max_points_contract():
     opts = quiet_opts(ds=0.05, max_points=5, n_thresh=1e9, lambda_thresh=-99.0,
                       beta=1.0, min_norm_delta=1e-8)
@@ -279,6 +298,24 @@ def test_continue_from_saved(tmp_path):
     assert branch.points[1].lam < lam0  # moved in the requested direction
     dev = max(np.max(np.abs(p.psi - math.sqrt(-p.lam / 2))) for p in branch.points)
     assert dev <= 1e-8
+
+
+def test_initializers_polish_the_seed_once(tmp_path, monkeypatch):
+    b, sys_ = dumbbell_setup()
+    run = cont.create_run(tmp_path, "dumbbell", b)
+    cont.save_eigenfunctions(run, b, 2)
+    name = cont.save_standing_wave(run, b, np.full(b.n_ext, 0.5), -0.5)
+    polished = []
+    real = cont.newton_fixed_lambda
+
+    def counting(sys, u0, lam, *args):
+        polished.append(lam)
+        return real(sys, u0, lam, *args)
+
+    monkeypatch.setattr(cont, "newton_fixed_lambda", counting)
+    cont.continue_from_eig(run, sys_, 1, 1e-2, quiet_opts(ds=0.05, max_points=3))
+    cont.continue_from_saved(run, sys_, name, quiet_opts(ds=0.05, max_points=3))
+    assert len(polished) == 2 and polished[1] == -0.5
 
 
 def test_missing_artifacts_raise(tmp_path):

@@ -11,7 +11,8 @@ from graphpde.graphs import TEMPLATES
 from graphpde.discretize import (DiscretizationError, bundle_structure,
                                  chebyshev_first_kind, chebyshev_second_kind,
                                  clenshaw_curtis_weights,
-                                 load_state_csv, save_state_csv, vertex_value)
+                                 load_state_csv, save_scalar_csv, save_state_csv,
+                                 vertex_value)
 
 
 def test_lasso_shapes_and_nh_positions():
@@ -386,3 +387,20 @@ def test_state_csv_round_trip_is_bitwise(tmp_path):
         assert back.dtype == u.dtype
         assert np.array_equal(back.real.view(np.uint64), u.real.view(np.uint64))
         assert np.array_equal(np.imag(back).view(np.uint64), np.imag(u).view(np.uint64))
+
+
+def test_scalar_csv_bytes_match_the_per_value_formats(tmp_path):
+    # the formats the CLI outputs and the branch directories were written with:
+    # f"{v:.17g}" per number or per row entry, and "%d" for bifurcation types
+    path = tmp_path / "values.csv"
+    values = [0.1, -0.0, 5e-324, -2.5e300, math.inf, math.pi, 3, np.float64(2) / 3,
+              np.int64(-1)]
+    save_scalar_csv(path, values)
+    assert path.read_text() == "".join(f"{v:.17g}\n" for v in values)
+    save_scalar_csv(path, np.array([-1, 0, 1]))
+    assert path.read_text() == "-1\n0\n1\n"
+    rows = [[1, 0.25, -0.0], np.array([1e-17, 7.0, -math.e])]
+    save_scalar_csv(path, rows, header="branch,lambda,mass")
+    assert path.read_text() == "branch,lambda,mass\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+    assert [f.name for f in tmp_path.iterdir()] == ["values.csv"]

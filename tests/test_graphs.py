@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -125,6 +126,15 @@ def test_unknown_template_and_override():
         from_template("moebius")
     with pytest.raises(GraphError, match="does not accept"):
         from_template("ring", frobnicate=3)
+
+
+def test_every_template_accepts_the_parameters_of_its_signature():
+    for tag, template in TEMPLATES.items():
+        params = inspect.signature(template).parameters
+        g = from_template(tag, **{name: p.default for name, p in params.items()})
+        assert graph_hash(g) == graph_hash(from_template(tag))
+        with pytest.raises(GraphError, match="does not accept"):
+            from_template(tag, frobnicate=3)
 
 
 def test_templates_round_trip_through_build_graph():
