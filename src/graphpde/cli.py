@@ -242,6 +242,10 @@ def _cmd_continue(args) -> int:
     problem = stationary.nls_problem(bundle, sigma=float(cc.get("sigma", 1.0)))
     sys_ = cont.nls_system(problem, make_context(bundle))
     start = cc.get("from", "eig")
+    axes = tuple(cc.get("axes", ("lambda", "mass")))
+    unknown = [ax for ax in axes if ax not in cont.DIAGRAM_AXES]
+    if unknown:
+        raise ConfigError(f"unknown axis {unknown[0]!r}; pick from {cont.DIAGRAM_AXES}")
     if "run_dir" in cc:
         run_dir = Path(cc["run_dir"])
         cont.check_run_layout(run_dir, bundle)
@@ -267,7 +271,6 @@ def _cmd_continue(args) -> int:
     else:
         raise ConfigError(f"unknown continuation start {start!r}")
 
-    axes = tuple(cc.get("axes", ("lambda", "mass")))
     diagram = cont.bifurcation_diagram(run_dir, axes)
     rows = []
     for bid, table in diagram.items():

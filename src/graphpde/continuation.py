@@ -22,6 +22,11 @@ determinant (see locate_branch_point); folds flip the sign of
 d(lambda)/ds without a bordered sign change and are tagged at the nearer
 point.  Simultaneous events resolve as branch points.  Switching onto the
 crossing branch reads only the stored branch point from its directory.
+
+Seeds (continue_branch, continue_from_eig, continue_from_saved) are
+polished at their fixed lambda by stationary.newton, the loop behind
+solve_newton: plain Newton steps, one halving backtrack when a step
+raises the residual, and stationary.NewtonError if it does not converge.
 """
 from __future__ import annotations
 
@@ -39,10 +44,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .discretize import OperatorBundle, load_state_csv, save_scalar_csv, save_state_csv
+from .discretize import (OperatorBundle, load_state_csv, save_scalar_csv, save_state_csv,
+                         write_text_atomic)
 from .functionals import FunctionalContext, energy_nls, inner_product, mass
 from .graphs import graph_config, graph_hash
-from .stationary import NLSProblem, nls_jacobian, nls_residual
+from .stationary import NLSProblem, eigs, newton, nls_jacobian, nls_residual
 
 
 class ContinuationError(RuntimeError):
@@ -124,10 +130,6 @@ class Branch:
     @property
     def masses(self) -> np.ndarray:
         return np.array([p.mass for p in self.points])
-
-    @property
-    def energies(self) -> np.ndarray:
-        return np.array([p.energy for p in self.points])
 
     @property
     def bif_types(self) -> np.ndarray:
@@ -258,18 +260,10 @@ def corrector(sys: ContinuationSystem, opts: ContinuationOptions,
     raise CorrectorError(f"corrector did not converge in {opts.max_newton} steps")
 
 
-def newton_fixed_lambda(sys: ContinuationSystem, u0, lam, tol=1e-10, max_iter=50):
-    """Plain Newton at fixed parameter value (seed polishing)."""
-    u = np.array(u0, dtype=float)
-    for _ in range(max_iter):
-        F = sys.residual(u, lam)
-        if np.linalg.norm(F, np.inf) <= tol:
-            return u
-        u = u - linalg.solve(sys.jacobian(u, lam), F)
-    F = sys.residual(u, lam)
-    if np.linalg.norm(F, np.inf) <= tol:
-        return u
-    raise CorrectorError("fixed-parameter Newton did not converge")
+def _polish(sys: ContinuationSystem, u, lam, opts: ContinuationOptions):
+    """A seed state corrected at fixed lambda by the stationary Newton."""
+    return newton(lambda v: sys.residual(v, lam), lambda v: sys.jacobian(v, lam),
+                  u, opts.newton_tol).psi
 
 
 def tangent_at(sys: ContinuationSystem, u, lam, guess_u, guess_lam, beta):
@@ -531,19 +525,14 @@ def _run_continuation(sys, opts, points, prev_dir, *, run_dir=None):
 
 
 def continue_branch(sys: ContinuationSystem, seed_u, seed_lam,
-                    tangent_u, tangent_lam, opts: ContinuationOptions | None = None,
-                    *, provenance=None, run_dir=None) -> Branch:
-    """Trace a branch from a converged seed point and an initial direction."""
+                    tangent_u, tangent_lam, opts: ContinuationOptions | None = None) -> Branch:
+    """Trace a branch from a seed point along a tangent; the seed is polished first
+    by stationary.newton (one halving backtrack, NewtonError on failure)."""
     opts = opts or ContinuationOptions()
-    t_u, t_lam = _normalized(sys, np.asarray(tangent_u, dtype=float),
-                             float(tangent_lam), opts.beta)
-    seed_u = newton_fixed_lambda(sys, seed_u, seed_lam, opts.newton_tol)
-    points = [_make_point(sys, seed_u, seed_lam, t_u, t_lam)]
-    perturbations, termination = _run_continuation(
-        sys, opts, points, (t_u, t_lam), run_dir=run_dir)
-    prov = dict(provenance or {"kind": "seed"})
-    prov["termination"] = termination
-    return Branch(points, prov, opts, perturbations)
+    t = _normalized(sys, np.asarray(tangent_u, dtype=float), float(tangent_lam), opts.beta)
+    points = [_make_point(sys, _polish(sys, seed_u, seed_lam, opts), seed_lam, *t)]
+    perturbations, termination = _run_continuation(sys, opts, points, t)
+    return Branch(points, {"kind": "seed", "termination": termination}, opts, perturbations)
 
 
 # ---------------------------------------------------------------------------
@@ -562,10 +551,7 @@ def create_run(base, tag: str, bundle: OperatorBundle) -> Path:
     """Create data/<tag>/<run id>/ with template.json and a fresh log."""
     root = Path(base) / tag
     root.mkdir(parents=True, exist_ok=True)
-    run_id = 1
-    while (root / f"{run_id:03d}").exists():
-        run_id += 1
-    run_dir = root / f"{run_id:03d}"
+    run_dir = root / f"{_first_free(lambda k: root / f'{k:03d}'):03d}"
     run_dir.mkdir()
     template = {
         "tag": tag,
@@ -574,7 +560,7 @@ def create_run(base, tag: str, bundle: OperatorBundle) -> Path:
         "n_per_edge": [int(v) for v in bundle.grid.n],
         "hash": bundle_hash(bundle),
     }
-    _atomic_write_text(run_dir / "template.json", json.dumps(template, indent=1))
+    write_text_atomic(run_dir / "template.json", json.dumps(template, indent=1))
     _log(run_dir, f"created run {tag}/{run_dir.name}")
     return run_dir
 
@@ -587,19 +573,19 @@ def check_run_layout(run_dir, bundle: OperatorBundle) -> None:
             f"({meta['hash']} != {bundle_hash(bundle)})")
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+def _first_free(path_of) -> int:
+    """The least k >= 1 for which path_of(k) does not exist."""
+    k = 1
+    while path_of(k).exists():
+        k += 1
+    return k
 
 
-def save_eigenfunctions(run_dir, bundle: OperatorBundle, count: int,
-                        sigma: float = 1e-2):
-    """Compute and persist seed eigenpairs under <run>/eigenfunctions/."""
-    from .stationary import eigs as _eigs
-
+def save_eigenfunctions(run_dir, bundle: OperatorBundle, count: int):
+    """Compute the count eigenpairs nearest zero and persist them under
+    <run>/eigenfunctions/ as the seeds of continue_from_eig."""
     check_run_layout(run_dir, bundle)
-    lam, vecs = _eigs(bundle, count, sigma=sigma)
+    lam, vecs = eigs(bundle, count)
     edir = Path(run_dir) / "eigenfunctions"
     edir.mkdir(exist_ok=True)
     save_scalar_csv(edir / "eigenvalues.csv", np.real(lam))
@@ -609,17 +595,12 @@ def save_eigenfunctions(run_dir, bundle: OperatorBundle, count: int,
     return lam, vecs
 
 
-def save_standing_wave(run_dir, bundle: OperatorBundle, psi, lam: float,
-                       name: str | None = None) -> str:
-    """Persist one standing wave under <run>/saved/ for continue_from_saved."""
+def save_standing_wave(run_dir, bundle: OperatorBundle, psi, lam: float) -> str:
+    """Persist a standing wave as the first free <run>/saved/wave_NNN; returns that name."""
     check_run_layout(run_dir, bundle)
     sdir = Path(run_dir) / "saved"
     sdir.mkdir(exist_ok=True)
-    if name is None:
-        k = 1
-        while (sdir / f"wave_{k:03d}_psi.csv").exists():
-            k += 1
-        name = f"wave_{k:03d}"
+    name = f"wave_{_first_free(lambda k: sdir / f'wave_{k:03d}_psi.csv'):03d}"
     save_state_csv(bundle, psi, sdir / f"{name}_psi.csv")
     save_scalar_csv(sdir / f"{name}_lambda.csv", [lam])
     _log(run_dir, f"saved standing wave {name} at lambda={lam:.8g}")
@@ -645,10 +626,7 @@ _BRANCH_SCALARS = {"lambda": "lam", "mass": "mass", "energy": "energy",
 
 
 def next_branch_id(run_dir) -> int:
-    k = 1
-    while _branch_dir(run_dir, k).exists():
-        k += 1
-    return k
+    return _first_free(lambda k: _branch_dir(run_dir, k))
 
 
 def save_branch(run_dir, branch: Branch, bundle: OperatorBundle,
@@ -669,8 +647,8 @@ def save_branch(run_dir, branch: Branch, bundle: OperatorBundle,
         save_state_csv(bundle, p.tangent_psi, stage / f"tangent_{k:04d}.csv")
     for idx, pert in branch.perturbations.items():
         save_state_csv(bundle, pert, stage / f"perturbation_{idx + 1:04d}.csv")
-    _atomic_write_text(stage / "options.json", json.dumps(asdict(branch.options), indent=1))
-    _atomic_write_text(stage / "provenance.json", json.dumps(branch.provenance, indent=1))
+    write_text_atomic(stage / "options.json", json.dumps(asdict(branch.options), indent=1))
+    write_text_atomic(stage / "provenance.json", json.dumps(branch.provenance, indent=1))
     if final.exists():
         shutil.rmtree(final)
     os.replace(stage, final)
@@ -700,10 +678,7 @@ def load_branch(run_dir, branch_id: int, bundle: OperatorBundle) -> Branch:
 
 
 def list_branches(run_dir) -> list[int]:
-    out = []
-    for d in sorted(Path(run_dir).glob("branch[0-9][0-9][0-9]")):
-        out.append(int(d.name[-3:]))
-    return out
+    return [int(d.name[-3:]) for d in sorted(Path(run_dir).glob("branch[0-9][0-9][0-9]"))]
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +702,14 @@ def _run_and_save(run_dir, sys: ContinuationSystem, opts: ContinuationOptions, p
 def continue_from_eig(run_dir, sys: ContinuationSystem, index: int,
                       amplitude: float = 1e-2,
                       opts: ContinuationOptions | None = None) -> Branch:
-    """Branch bifurcating from zero along the index-th saved eigenfunction."""
+    """Branch bifurcating from zero along the index-th saved eigenfunction.
+
+    The seed a v (a = amplitude) at lambda = -lambda_index - <f(a v), v> /
+    (a <v, v>) is polished by stationary.newton (NewtonError on failure).
+    A zero or non-finite amplitude raises ValueError before any solve.
+    """
+    if amplitude == 0.0 or not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite and nonzero, got {amplitude}")
     opts = opts or ContinuationOptions()
     bundle = sys.bundle
     check_run_layout(run_dir, bundle)
@@ -742,7 +724,7 @@ def continue_from_eig(run_dir, sys: ContinuationSystem, index: int,
     f = sys.problem.f
     offset = sys.inner(np.asarray(f(a * v), dtype=float), v) / (a * sys.inner(v, v))
     lam_seed = -lam_j - offset
-    seed = newton_fixed_lambda(sys, a * v, lam_seed, opts.newton_tol)
+    seed = _polish(sys, a * v, lam_seed, opts)
     direction = v if sys.inner(v, seed) >= 0 else -v
     t = _normalized(sys, direction, 0.0, opts.beta)
     _log(run_dir, f"continue_from_eig index={index} lambda_seed={lam_seed:.8g}")
@@ -753,14 +735,15 @@ def continue_from_eig(run_dir, sys: ContinuationSystem, index: int,
 def continue_from_saved(run_dir, sys: ContinuationSystem, name: str,
                         opts: ContinuationOptions | None = None,
                         direction: float = -1.0) -> Branch:
-    """Continue a previously saved standing wave; direction sets d(lambda)/ds."""
+    """Continue a saved standing wave, first polished by stationary.newton
+    (NewtonError on failure); direction sets d(lambda)/ds."""
     opts = opts or ContinuationOptions()
     bundle = sys.bundle
     check_run_layout(run_dir, bundle)
     sdir = Path(run_dir) / "saved"
     psi = np.real(load_state_csv(bundle, sdir / f"{name}_psi.csv"))
     lam = float(np.loadtxt(sdir / f"{name}_lambda.csv"))
-    psi = newton_fixed_lambda(sys, psi, lam, opts.newton_tol)
+    psi = _polish(sys, psi, lam, opts)
     t_u, t_lam = tangent_at(sys, psi, lam, np.zeros_like(psi),
                             math.copysign(1.0, direction), opts.beta)
     # normalized again, as continue_branch normalizes any given tangent
@@ -819,14 +802,14 @@ def continue_from_end(run_dir, sys: ContinuationSystem, branch_id: int,
 
 # ---------------------------------------------------------------------------
 
-_DIAGRAM_AXES = ("lambda", "mass", "energy")
+DIAGRAM_AXES = ("lambda", "mass", "energy")
 
 
 def bifurcation_diagram(run_dir, axes=("lambda", "mass")) -> dict[int, np.ndarray]:
     """Per-branch polyline tables of the requested axes (from stored CSVs)."""
     for ax in axes:
-        if ax not in _DIAGRAM_AXES:
-            raise ContinuationError(f"unknown axis {ax!r}; pick from {_DIAGRAM_AXES}")
+        if ax not in DIAGRAM_AXES:
+            raise ContinuationError(f"unknown axis {ax!r}; pick from {DIAGRAM_AXES}")
     out = {}
     for branch_id in list_branches(run_dir):
         bdir = _branch_dir(run_dir, branch_id)

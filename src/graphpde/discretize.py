@@ -477,9 +477,14 @@ def save_scalar_csv(path, rows, header=None) -> None:
     for row in rows:
         values = [row] if np.ndim(row) == 0 else row
         lines.append(",".join("%.17g" % v for v in values))
+    write_text_atomic(path, "".join(line + "\n" for line in lines))
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it over path."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("".join(line + "\n" for line in lines))
+    tmp.write_text(text)
     os.replace(tmp, path)
 
 

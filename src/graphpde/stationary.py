@@ -382,35 +382,43 @@ class NewtonResult:
     residual_norm: float
 
 
-def solve_newton(problem: NLSProblem, psi0: np.ndarray, lam: float,
-                 tol: float = 1e-10, max_iter: int = 50) -> NewtonResult:
-    """Newton iteration for a standing wave at fixed frequency.
+def newton(residual: Callable, jacobian: Callable, u0, tol: float = 1e-10,
+           max_iter: int = 50) -> NewtonResult:
+    """Newton iteration for residual(u) = 0, with Jacobian jacobian(u).
 
     Plain Newton steps; a single halving backtrack is applied only when a
-    step increases the residual norm.
+    step increases the residual norm.  An exactly singular Jacobian raises
+    SingularJacobianError, and a residual above tol after max_iter steps
+    NewtonError.
     """
-    psi = np.asarray(psi0, dtype=float).copy()
-    res = nls_residual(problem, psi, lam)
+    psi = np.asarray(u0, dtype=float).copy()
+    res = residual(psi)
     rnorm = np.linalg.norm(res, np.inf)
     for it in range(1, max_iter + 1):
         if rnorm <= tol:
             return NewtonResult(psi, it - 1, rnorm)
         try:
-            fact = linalg.factorize(nls_jacobian(problem, psi, lam))
+            fact = linalg.factorize(jacobian(psi))
         except linalg.SingularMatrixError as exc:
             raise SingularJacobianError(
                 f"singular Jacobian at iteration {it} (possible bifurcation "
                 f"point): {exc}") from exc
         step = fact.solve(res)
-        trial = psi - step
-        trial_res = nls_residual(problem, trial, lam)
-        trial_norm = np.linalg.norm(trial_res, np.inf)
-        if trial_norm > rnorm:
-            trial = psi - 0.5 * step
-            trial_res = nls_residual(problem, trial, lam)
+        for scale in (1.0, 0.5):  # the half step is taken whatever its residual
+            trial = psi - scale * step
+            trial_res = residual(trial)
             trial_norm = np.linalg.norm(trial_res, np.inf)
+            if trial_norm <= rnorm:
+                break
         psi, res, rnorm = trial, trial_res, trial_norm
     if rnorm <= tol:
         return NewtonResult(psi, max_iter, rnorm)
     raise NewtonError(f"Newton did not reach {tol:.1e} in {max_iter} iterations "
                       f"(residual {rnorm:.2e})")
+
+
+def solve_newton(problem: NLSProblem, psi0: np.ndarray, lam: float,
+                 tol: float = 1e-10, max_iter: int = 50) -> NewtonResult:
+    """Newton iteration (see newton) for a standing wave at fixed frequency."""
+    return newton(lambda psi: nls_residual(problem, psi, lam),
+                  lambda psi: nls_jacobian(problem, psi, lam), psi0, tol, max_iter)

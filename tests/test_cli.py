@@ -278,6 +278,35 @@ def test_cli_continue_determinism(tmp_path):
     assert p1 == p2
 
 
+def test_cli_continue_refuses_an_unknown_axis_before_any_output(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "template": "dumbbell",
+        "continue": {
+            "from": "eig", "index": 1, "n_eigenfunctions": 2, "axes": ["lambda", "mas"],
+            "options": {"max_points": 4, "ds": 0.05, "verbose_flag": False},
+        },
+    })
+    out = tmp_path / "data"
+    assert main(["continue", "--config", cfg, "--out", str(out)]) == 2
+    assert "mas" in capsys.readouterr().err
+    assert not (out / "dumbbell" / "001" / "branch001").exists()
+    assert not (out / "dumbbell").exists()
+
+
+def test_cli_continue_refuses_a_zero_amplitude(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "template": "dumbbell",
+        "continue": {
+            "from": "eig", "index": 1, "n_eigenfunctions": 2, "amplitude": 0,
+            "options": {"max_points": 4, "ds": 0.05, "verbose_flag": False},
+        },
+    })
+    out = tmp_path / "data"
+    assert main(["continue", "--config", cfg, "--out", str(out)]) == 2
+    assert "amplitude" in capsys.readouterr().err
+    assert not (out / "dumbbell" / "001" / "branch001").exists()
+
+
 def test_cli_template_commands(capsys):
     assert main(["template", "list"]) == 0
     names = capsys.readouterr().out.split()

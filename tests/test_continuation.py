@@ -9,6 +9,7 @@ from graphpde import discretize, from_template, make_context, nls_problem
 from graphpde.continuation import (ContinuationError, ContinuationOptions,
                                    beta_metric, continue_branch, corrector,
                                    nls_system)
+from graphpde.stationary import NewtonError
 
 
 def circle_system():
@@ -305,17 +306,38 @@ def test_initializers_polish_the_seed_once(tmp_path, monkeypatch):
     run = cont.create_run(tmp_path, "dumbbell", b)
     cont.save_eigenfunctions(run, b, 2)
     name = cont.save_standing_wave(run, b, np.full(b.n_ext, 0.5), -0.5)
-    polished = []
-    real = cont.newton_fixed_lambda
+    polished, lams = [], []
+    residual, real = sys_.residual, cont.newton
+    sys_.residual = lambda u, lam: lams.append(lam) or residual(u, lam)
 
-    def counting(sys, u0, lam, *args):
-        polished.append(lam)
-        return real(sys, u0, lam, *args)
+    def counting(*args, **kwargs):
+        first = len(lams)
+        out = real(*args, **kwargs)
+        polished.append(lams[first])  # the lambda of the polish's first residual
+        return out
 
-    monkeypatch.setattr(cont, "newton_fixed_lambda", counting)
+    monkeypatch.setattr(cont, "newton", counting)
     cont.continue_from_eig(run, sys_, 1, 1e-2, quiet_opts(ds=0.05, max_points=3))
     cont.continue_from_saved(run, sys_, name, quiet_opts(ds=0.05, max_points=3))
     assert len(polished) == 2 and polished[1] == -0.5
+
+
+def test_seed_polish_takes_newton_steps():
+    opts = quiet_opts(beta=1.0, max_points=3, n_thresh=1e9, lambda_thresh=-5.0)
+    branch = continue_branch(circle_system(), np.array([1.2]), 0.0,
+                             np.array([0.0]), 1.0, opts)
+    assert abs(branch.points[0].psi[0] - 1.0) <= opts.newton_tol
+    # u^2 + lambda^2 = 1 has no root at lambda = 2
+    with pytest.raises(NewtonError):
+        continue_branch(circle_system(), np.array([1.2]), 2.0, np.array([0.0]), 1.0, opts)
+
+
+@pytest.mark.parametrize("amplitude", [0.0, -0.0, math.inf, math.nan])
+def test_continue_from_eig_refuses_a_degenerate_amplitude(tmp_path, amplitude):
+    b, sys_ = dumbbell_setup()
+    run = cont.create_run(tmp_path, "dumbbell", b)  # no eigenfunctions saved
+    with pytest.raises(ValueError, match="amplitude"):
+        cont.continue_from_eig(run, sys_, 1, amplitude, quiet_opts())
 
 
 def test_missing_artifacts_raise(tmp_path):
