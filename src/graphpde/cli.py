@@ -246,6 +246,17 @@ def _cmd_continue(args) -> int:
     unknown = [ax for ax in axes if ax not in cont.DIAGRAM_AXES]
     if unknown:
         raise ConfigError(f"unknown axis {unknown[0]!r}; pick from {cont.DIAGRAM_AXES}")
+    # checked before any output: the start, its keys and the amplitude
+    needs = {"eig": (), "branch_point": ("branch", "point"), "saved": ("name",),
+             "end": ("branch",)}
+    if start not in needs:
+        raise ConfigError(f"unknown continuation start {start!r}")
+    missing = [key for key in needs[start] if key not in cc]
+    if missing:
+        raise ConfigError(f"continuation from {start!r} needs the {missing[0]!r} key")
+    amplitude = float(cc.get("amplitude", 1e-2))
+    if amplitude == 0.0 or not math.isfinite(amplitude):
+        raise ConfigError(f"amplitude must be finite and nonzero, got {amplitude}")
     if "run_dir" in cc:
         run_dir = Path(cc["run_dir"])
         cont.check_run_layout(run_dir, bundle)
@@ -257,8 +268,7 @@ def _cmd_continue(args) -> int:
         count = int(cc.get("n_eigenfunctions", max(6, index + 2)))
         if not (Path(run_dir) / "eigenfunctions").exists():
             cont.save_eigenfunctions(run_dir, bundle, count)
-        branch = cont.continue_from_eig(run_dir, sys_, index,
-                                        float(cc.get("amplitude", 1e-2)), opts)
+        branch = cont.continue_from_eig(run_dir, sys_, index, amplitude, opts)
     elif start == "branch_point":
         branch = cont.continue_from_branch_point(
             run_dir, sys_, int(cc["branch"]), int(cc["point"]),
@@ -266,10 +276,8 @@ def _cmd_continue(args) -> int:
     elif start == "saved":
         branch = cont.continue_from_saved(run_dir, sys_, cc["name"], opts,
                                           direction=float(cc.get("direction", -1.0)))
-    elif start == "end":
-        branch = cont.continue_from_end(run_dir, sys_, int(cc["branch"]), opts)
     else:
-        raise ConfigError(f"unknown continuation start {start!r}")
+        branch = cont.continue_from_end(run_dir, sys_, int(cc["branch"]), opts)
 
     diagram = cont.bifurcation_diagram(run_dir, axes)
     rows = []

@@ -27,7 +27,9 @@ are grouped by edge in edge order.
 Both schemes store every operator as a scipy CSR matrix.  A Chebyshev
 edge's dense N_m x (N_m + 2) block sits inside the CSR at the edge's
 offsets, so the family is block-diagonal plus 2|E| sparse constraint rows
-for either scheme.
+for either scheme.  Edges of one kind (point count, length and potential
+values) share their blocks: each kind's are built once per discretize
+call, and every edge adds them with its columns shifted by its offset.
 """
 from __future__ import annotations
 
@@ -229,71 +231,94 @@ def _resolve_counts(graph: MetricGraph, scheme: str) -> np.ndarray:
     return n
 
 
+def _edge_grid(scheme, nm, length):
+    """Mesh size (nan for Chebyshev), extended grid, interior grid and
+    integration weights of one edge."""
+    if scheme == CHEBYSHEV:
+        return (math.nan, chebyshev_second_kind(nm, length),
+                chebyshev_first_kind(nm, length), clenshaw_curtis_weights(nm, length))
+    hm = length / nm
+    xe = (np.arange(nm + 2) - 0.5) * hm
+    wm = np.zeros(nm + 2)
+    wm[1:-1] = hm
+    return hm, xe, xe[1:-1], wm
+
+
 def _build_grid(graph: MetricGraph, scheme: str) -> Grid:
+    """Grids built once per (point count, length); each edge gets copies."""
     n = _resolve_counts(graph, scheme)
-    x_ext, x_int, weights = [], [], []
+    kinds, x_ext, x_int, weights = {}, [], [], []
     h = np.full(graph.num_edges, math.nan)
     for e in graph.edges:
-        nm = n[e.index - 1]
-        if scheme == UNIFORM:
-            hm = e.length / nm
-            h[e.index - 1] = hm
-            xe = (np.arange(nm + 2) - 0.5) * hm
-            xi = xe[1:-1]
-            wm = np.zeros(nm + 2)
-            wm[1:-1] = hm
-        else:
-            xe = chebyshev_second_kind(nm, e.length)
-            xi = chebyshev_first_kind(nm, e.length)
-            wm = clenshaw_curtis_weights(nm, e.length)
-        x_ext.append(xe)
-        x_int.append(xi)
-        weights.append(wm)
+        key = (n[e.index - 1], e.length)
+        if key not in kinds:
+            kinds[key] = _edge_grid(scheme, *key)
+        h[e.index - 1], xe, xi, wm = kinds[key]
+        x_ext.append(xe.copy())
+        x_int.append(xi.copy())
+        weights.append(wm.copy())
     return Grid(scheme, n, tuple(x_ext), tuple(x_int), h, tuple(weights))
 
 
-def _uniform_blocks(o, nm, hm, pot):
+def _uniform_blocks(nm, hm, pot):
     """Row groups of one uniform edge: three-point Laplacian, injection,
     centered first differences (second-order one-sided at the extremes),
     then the ghost-point end values (u_0 + u_1)/2 and outward derivatives
     (u_1 - u_0)/h, source end first."""
-    left = o + np.arange(nm)[:, None]
+    left = np.arange(nm)[:, None]
     lap = np.tile(np.array([1.0, -2.0, 1.0]) / hm**2, (nm, 1))
     lap[:, 1] -= pot[1:-1]
     end = np.array([-1.5, 2.0, -0.5]) / hm
-    deriv = [(o + np.arange(3), end[None, :]),
+    deriv = [(np.arange(3), end[None, :]),
              (left + np.array([0, 2]), np.tile(np.array([-0.5, 0.5]) / hm, (nm, 1))),
-             (o + nm - 1 + np.arange(3), -end[None, ::-1])]
-    ends = o + np.array([[0, 1], [nm, nm + 1]])
+             (nm - 1 + np.arange(3), -end[None, ::-1])]
+    ends = np.array([[0, 1], [nm, nm + 1]])
     return ([(left + np.arange(3), lap)], [(left + 1, np.ones((nm, 1)))], deriv,
             [(ends, np.full((2, 2), 0.5))],
             [(ends, np.array([[-1.0, 1.0], [1.0, -1.0]]) / hm)])
 
 
-def _chebyshev_blocks(o, D, P, pot):
+def _chebyshev_blocks(D, P, pot):
     """Row groups of one Chebyshev edge: dense P D^2, P and D blocks, then
     the endpoint values and outward derivative rows of D, source end first."""
     nm = D.shape[0] - 2
-    cols = o + np.arange(nm + 2)
+    cols = np.arange(nm + 2)
     lap = P @ D @ D
     if np.any(pot != 0.0):
         lap = lap - P * pot[None, :]
     return ([(cols, lap)], [(cols, P)], [(cols, D)],
-            [(o + np.array([[0], [nm + 1]]), np.ones((2, 1)))],
+            [(np.array([[0], [nm + 1]]), np.ones((2, 1)))],
             [(cols, np.stack([D[0], -D[nm + 1]]))])
 
 
-def _csr_from_row_groups(groups, shape):
-    """CSR matrix whose rows are the given groups, stacked in order.
+def _edge_pieces(grid, m, pot):
+    """CSR pieces of edge m's rows of lap_int, interp_int, deriv, end values
+    and outward end derivatives, each (row lengths, columns counted from
+    the edge's first point, values).
 
-    A group (cols, vals) is a run of rows with the same number of entries:
-    vals has shape (rows, entries per row) and cols broadcasts to it.
+    A row group (cols, vals) is a run of rows with the same number of
+    entries: vals has shape (rows, entries per row), cols broadcasts to it.
     """
-    counts = np.concatenate([np.full(v.shape[0], v.shape[1]) for _, v in groups])
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    indices = np.concatenate([np.broadcast_to(c, v.shape).ravel() for c, v in groups])
-    data = np.concatenate([v.ravel() for _, v in groups])
-    return sp.csr_matrix((data, indices, indptr), shape=shape)
+    if grid.scheme == UNIFORM:
+        groups = _uniform_blocks(grid.n[m], grid.h[m], pot)
+    else:
+        w = barycentric_weights(grid.x_ext[m])
+        D = differentiation_matrix(grid.x_ext[m], w)
+        P = resampling_matrix(grid.x_ext[m], grid.x_int[m], w)
+        groups = _chebyshev_blocks(D, P, pot)
+    return [(np.concatenate([np.full(v.shape[0], v.shape[1]) for _, v in g]),
+             np.concatenate([np.broadcast_to(c, v.shape).ravel() for c, v in g]),
+             np.concatenate([v.ravel() for _, v in g])) for g in groups]
+
+
+def _csr_from_pieces(pieces, offsets, shape):
+    """CSR matrix whose rows are the pieces stacked in order, the columns
+    of each shifted by its offset."""
+    counts, cols, vals = zip(*pieces)
+    shift = np.repeat(offsets, [len(c) for c in cols])
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    return sp.csr_matrix((np.concatenate(vals), np.concatenate(cols) + shift, indptr),
+                         shape=shape)
 
 
 def _stack_rows(top, bottom):
@@ -307,9 +332,12 @@ def _stack_rows(top, bottom):
 def discretize(graph: MetricGraph, scheme: str = UNIFORM) -> OperatorBundle:
     """Build grids and the full operator family for the requested scheme.
 
-    Every matrix is CSR.  Each edge contributes a block of rows built from
-    its own columns: a three-point stencil per row on uniform edges, one
-    dense block per edge on Chebyshev edges.
+    Every matrix is CSR.  Each edge contributes a block of rows on its own
+    columns: a three-point stencil per row on uniform edges, one dense
+    block per edge on Chebyshev edges.  The blocks are built once per kind
+    of edge (interior point count, length, potential values on the
+    extended grid) and shifted by each edge's offset; no cache outlives
+    the call.
     """
     if scheme not in (UNIFORM, CHEBYSHEV):
         raise DiscretizationError(f"unknown scheme {scheme!r}")
@@ -326,27 +354,21 @@ def discretize(graph: MetricGraph, scheme: str = UNIFORM) -> OperatorBundle:
             xe = grid.x_ext[e.index - 1]
             potential_ext[o:o + len(xe)] = np.asarray(e.potential(xe), dtype=float)
 
-    # row groups of lap_int, interp_int, deriv, and the value and outward
-    # derivative at each edge end (end j of the graph in row j of each)
-    groups = ([], [], [], [], [])
+    kinds, pieces = {}, []
     for e in graph.edges:
         m = e.index - 1
         o, nm = offsets[m], grid.n[m]
         pot = potential_ext[o:o + nm + 2]
-        if scheme == UNIFORM:
-            blocks = _uniform_blocks(o, nm, grid.h[m], pot)
-        else:
-            w = barycentric_weights(grid.x_ext[m])
-            D = differentiation_matrix(grid.x_ext[m], w)
-            P = resampling_matrix(grid.x_ext[m], grid.x_int[m], w)
-            blocks = _chebyshev_blocks(o, D, P, pot)
-        for acc, block in zip(groups, blocks):
-            acc += block
-    lap, interp, deriv, values, outward = groups
-    lap_int = _csr_from_row_groups(lap, (n_int, n_ext))
-    interp_int = _csr_from_row_groups(interp, (n_int, n_ext))
-    deriv = _csr_from_row_groups(deriv, (n_ext, n_ext))
-    end_traces = _csr_from_row_groups(values + outward, (4 * ne, n_ext))
+        key = (nm, e.length, pot.tobytes())
+        if key not in kinds:
+            kinds[key] = _edge_pieces(grid, m, pot)
+        pieces.append(kinds[key])
+    lap, interp, deriv, values, outward = zip(*pieces)
+    lap_int = _csr_from_pieces(lap, offsets, (n_int, n_ext))
+    interp_int = _csr_from_pieces(interp, offsets, (n_int, n_ext))
+    deriv = _csr_from_pieces(deriv, offsets, (n_ext, n_ext))
+    # end j of the graph in row j of the values, row 2|E| + j of the derivatives
+    end_traces = _csr_from_pieces(values + outward, np.tile(offsets, 2), (4 * ne, n_ext))
 
     conditions = graph.vertex_conditions
     vc_rows = conditions.AB @ end_traces

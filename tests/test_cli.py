@@ -307,6 +307,23 @@ def test_cli_continue_refuses_a_zero_amplitude(tmp_path, capsys):
     assert not (out / "dumbbell" / "001" / "branch001").exists()
 
 
+@pytest.mark.parametrize("fault, word", [({"from": "eig", "amplitude": 0}, "amplitude"),
+                                         ({"from": "eigenfunction"}, "eigenfunction"),
+                                         ({"from": "branch_point", "branch": 1}, "point")])
+def test_cli_continue_checks_its_config_before_writing_anything(tmp_path, capsys,
+                                                                fault, word):
+    cfg = write_config(tmp_path, {
+        "template": "dumbbell",
+        "continue": {"index": 1, "n_eigenfunctions": 2, **fault,
+                     "options": {"max_points": 4, "ds": 0.05, "verbose_flag": False}},
+    })
+    out = tmp_path / "data"
+    out.mkdir()
+    assert main(["continue", "--config", cfg, "--out", str(out)]) == 2
+    assert word in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_cli_template_commands(capsys):
     assert main(["template", "list"]) == 0
     names = capsys.readouterr().out.split()

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -404,3 +405,54 @@ def test_scalar_csv_bytes_match_the_per_value_formats(tmp_path):
     assert path.read_text() == "branch,lambda,mass\n" + "".join(
         ",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
     assert [f.name for f in tmp_path.iterdir()] == ["values.csv"]
+
+
+def _edge_rows(mat, rows, offset):
+    """Row lengths, columns less offset, and value bits of some CSR rows."""
+    part = mat[rows]
+    return (np.diff(part.indptr).tolist(), (part.indices - offset).tolist(),
+            part.data.tobytes())
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "chebyshev"])
+def test_every_edge_gets_the_rows_of_its_own_kind(scheme):
+    # edges 1 and 3 share a kind; 1, 2 and 5 differ only in the potential;
+    # 1 and 7 (also 2 and 6) differ only in the point count
+    lengths = [1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0]
+    nx = [10, 10, 10, 12, 10, 12, 12]
+    pots = [0, np.sin, 0, 0, np.cos, np.sin, 0]
+    g = build_graph([1, 1, 2, 2, 3, 4, 4], [2, 3, 3, 4, 1, 1, 5], lengths, nx=nx,
+                    potentials=pots)
+    b = discretize(g, scheme)
+    ne = g.num_edges
+    for m in range(ne):
+        one = discretize(build_graph([1], [2], [lengths[m]], nx=[nx[m]],
+                                     potentials=[pots[m]]), scheme)
+        o, n = b.offsets[m], b.grid.n[m]
+        interior = slice(o - 2 * m, o - 2 * m + n)
+        ends = [2 * m, 2 * m + 1, 2 * ne + 2 * m, 2 * ne + 2 * m + 1]
+        for name, rows in (("lap_int", interior), ("interp_int", interior),
+                           ("deriv", slice(o, o + n + 2)), ("end_traces", ends)):
+            assert _edge_rows(getattr(b, name), rows, o) == \
+                _edge_rows(getattr(one, name), slice(None), 0), (name, m)
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "chebyshev"])
+def test_blocks_are_built_once_per_kind_of_edge(monkeypatch, scheme):
+    module = sys.modules["graphpde.discretize"]
+    calls = []
+    build = module._edge_pieces
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(module, "_edge_pieces", counting)
+    g = from_template("necklace", n_pairs=54)
+    b = discretize(g, scheme)
+    assert g.num_edges == 162 and len(calls) == 2
+    # no two edges share a grid array
+    for arrays in (b.grid.x_ext, b.grid.x_int, b.grid.weights):
+        before = arrays[3].copy()
+        arrays[0][:] = -1.0
+        assert np.array_equal(arrays[3], before)
