@@ -80,6 +80,16 @@ def _write_run_json(out: Path, args, cfg: dict, graph: MetricGraph, extra=None):
     (out / "run.json").write_text(json.dumps(payload, indent=1, sort_keys=True))
 
 
+def _number(table: dict, key: str, kind, default=None):
+    """table[key] converted by kind (int or float), or default when key is absent."""
+    if key not in table:
+        return default
+    try:
+        return kind(table[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key!r} must be {kind.__name__}, got {table[key]!r}") from None
+
+
 def _sampled_exact(bundle, cfg):
     exprs = cfg.get("exact")
     if exprs is None:
@@ -208,25 +218,27 @@ def _cmd_evolve(args) -> int:
     init = compile_edge_expressions(ev.get("initial"), graph.num_edges)
     if init is None:
         raise ConfigError("evolution config needs 'initial' edge expressions")
+    quantities = ev.get("conserve", ["mass"])
+    unknown = [q for q in quantities if q not in evo.QUANTITIES]
+    if unknown:
+        raise ConfigError(f"unknown quantity {unknown[0]!r}; pick from {evo.QUANTITIES}")
     problem = evo.EvolutionProblem(
         bundle, mu=mu, f=_EVOLUTION_NONLINEARITIES.get(fname),
         tau=float(ev.get("tau", 1e-2)), t_final=float(ev.get("t_final", 1.0)),
         n_skip=int(ev.get("n_skip", 1)))
     u0 = apply_function_to_edges(bundle, init)
     times, states = _EVOLUTION_SCHEMES[scheme](problem, u0, ev)
+    table = evo.conservation_trace(
+        make_context(bundle), times, states, quantities, sigma=float(ev.get("sigma", 1.0)),
+        momentum_orientations=ev.get("momentum_orientation"))
+    names = ["times"] + [n for q in quantities for n in (q, q + "_drift")]
 
     out = _out_dir(args)
     save_scalar_csv(out / "times.csv", times)
     for j in range(states.shape[1]):
         save_state_csv(bundle, states[:, j], out / f"state_{j:04d}.csv")
-    quantities = ev.get("conserve", ["mass"])
-    ctx = make_context(bundle)
-    table = evo.conservation_trace(
-        ctx, times, states, quantities, sigma=float(ev.get("sigma", 1.0)),
-        momentum_orientations=ev.get("momentum_orientation"))
-    names = ["times"] + [n for q in quantities for n in (q, q + "_drift")]
-    rows = np.column_stack([table[n] for n in names])
-    save_scalar_csv(out / "conservation.csv", rows, header=",".join(names))
+    save_scalar_csv(out / "conservation.csv", np.column_stack([table[n] for n in names]),
+                    header=",".join(names))
     _write_run_json(out, args, cfg, graph, {"evolution_scheme": scheme})
     return 0
 
@@ -254,9 +266,14 @@ def _cmd_continue(args) -> int:
     missing = [key for key in needs[start] if key not in cc]
     if missing:
         raise ConfigError(f"continuation from {start!r} needs the {missing[0]!r} key")
-    amplitude = float(cc.get("amplitude", 1e-2))
+    amplitude = _number(cc, "amplitude", float, 1e-2)
     if amplitude == 0.0 or not math.isfinite(amplitude):
         raise ConfigError(f"amplitude must be finite and nonzero, got {amplitude}")
+    index = _number(cc, "index", int, 1)
+    count = _number(cc, "n_eigenfunctions", int, max(6, index + 2))
+    branch_id, point = _number(cc, "branch", int), _number(cc, "point", int)
+    sign = _number(cc, "sign", int, 1)
+    direction = _number(cc, "direction", float, -1.0)
     if "run_dir" in cc:
         run_dir = Path(cc["run_dir"])
         cont.check_run_layout(run_dir, bundle)
@@ -264,20 +281,15 @@ def _cmd_continue(args) -> int:
         tag = cfg.get("template", "graph")
         run_dir = cont.create_run(_out_dir(args), tag, bundle)
     if start == "eig":
-        index = int(cc.get("index", 1))
-        count = int(cc.get("n_eigenfunctions", max(6, index + 2)))
         if not (Path(run_dir) / "eigenfunctions").exists():
             cont.save_eigenfunctions(run_dir, bundle, count)
         branch = cont.continue_from_eig(run_dir, sys_, index, amplitude, opts)
     elif start == "branch_point":
-        branch = cont.continue_from_branch_point(
-            run_dir, sys_, int(cc["branch"]), int(cc["point"]),
-            int(cc.get("sign", 1)), opts)
+        branch = cont.continue_from_branch_point(run_dir, sys_, branch_id, point, sign, opts)
     elif start == "saved":
-        branch = cont.continue_from_saved(run_dir, sys_, cc["name"], opts,
-                                          direction=float(cc.get("direction", -1.0)))
+        branch = cont.continue_from_saved(run_dir, sys_, cc["name"], opts, direction=direction)
     else:
-        branch = cont.continue_from_end(run_dir, sys_, int(cc["branch"]), opts)
+        branch = cont.continue_from_end(run_dir, sys_, branch_id, opts)
 
     diagram = cont.bifurcation_diagram(run_dir, axes)
     rows = []

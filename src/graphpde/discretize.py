@@ -27,9 +27,10 @@ are grouped by edge in edge order.
 Both schemes store every operator as a scipy CSR matrix.  A Chebyshev
 edge's dense N_m x (N_m + 2) block sits inside the CSR at the edge's
 offsets, so the family is block-diagonal plus 2|E| sparse constraint rows
-for either scheme.  Edges of one kind (point count, length and potential
-values) share their blocks: each kind's are built once per discretize
-call, and every edge adds them with its columns shifted by its offset.
+for either scheme.  discretize makes one pass over the edges: each edge
+gets its grid, its potential values and its blocks, and edges of one kind
+(point count, length and potential values) share their blocks, built once
+per call and added with each edge's columns shifted by its offset.
 """
 from __future__ import annotations
 
@@ -218,12 +219,9 @@ class OperatorBundle:
 
 
 def _resolve_counts(graph: MetricGraph, scheme: str) -> np.ndarray:
-    n = np.empty(graph.num_edges, dtype=int)
-    for e in graph.edges:
-        if scheme == UNIFORM and graph.nx_is_density:
-            n[e.index - 1] = max(2, round(e.nx * e.length))
-        else:
-            n[e.index - 1] = int(e.nx)
+    density = scheme == UNIFORM and graph.nx_is_density
+    n = np.array([max(2, round(e.nx * e.length)) if density else int(e.nx)
+                  for e in graph.edges], dtype=int)
     minimum = 2 if scheme == UNIFORM else 3
     if np.any(n < minimum):
         raise DiscretizationError(
@@ -242,22 +240,6 @@ def _edge_grid(scheme, nm, length):
     wm = np.zeros(nm + 2)
     wm[1:-1] = hm
     return hm, xe, xe[1:-1], wm
-
-
-def _build_grid(graph: MetricGraph, scheme: str) -> Grid:
-    """Grids built once per (point count, length); each edge gets copies."""
-    n = _resolve_counts(graph, scheme)
-    kinds, x_ext, x_int, weights = {}, [], [], []
-    h = np.full(graph.num_edges, math.nan)
-    for e in graph.edges:
-        key = (n[e.index - 1], e.length)
-        if key not in kinds:
-            kinds[key] = _edge_grid(scheme, *key)
-        h[e.index - 1], xe, xi, wm = kinds[key]
-        x_ext.append(xe.copy())
-        x_int.append(xi.copy())
-        weights.append(wm.copy())
-    return Grid(scheme, n, tuple(x_ext), tuple(x_int), h, tuple(weights))
 
 
 def _uniform_blocks(nm, hm, pot):
@@ -291,21 +273,21 @@ def _chebyshev_blocks(D, P, pot):
             [(cols, np.stack([D[0], -D[nm + 1]]))])
 
 
-def _edge_pieces(grid, m, pot):
-    """CSR pieces of edge m's rows of lap_int, interp_int, deriv, end values
-    and outward end derivatives, each (row lengths, columns counted from
-    the edge's first point, values).
+def _edge_pieces(scheme, hm, xe, xi, pot):
+    """CSR pieces of the rows of lap_int, interp_int, deriv, end values and
+    outward end derivatives of one kind of edge, given its mesh size, grids
+    and potential values: each is (row lengths, columns counted from the
+    edge's first point, values).
 
     A row group (cols, vals) is a run of rows with the same number of
     entries: vals has shape (rows, entries per row), cols broadcasts to it.
     """
-    if grid.scheme == UNIFORM:
-        groups = _uniform_blocks(grid.n[m], grid.h[m], pot)
+    if scheme == UNIFORM:
+        groups = _uniform_blocks(len(xi), hm, pot)
     else:
-        w = barycentric_weights(grid.x_ext[m])
-        D = differentiation_matrix(grid.x_ext[m], w)
-        P = resampling_matrix(grid.x_ext[m], grid.x_int[m], w)
-        groups = _chebyshev_blocks(D, P, pot)
+        w = barycentric_weights(xe)
+        groups = _chebyshev_blocks(differentiation_matrix(xe, w),
+                                   resampling_matrix(xe, xi, w), pot)
     return [(np.concatenate([np.full(v.shape[0], v.shape[1]) for _, v in g]),
              np.concatenate([np.broadcast_to(c, v.shape).ravel() for c, v in g]),
              np.concatenate([v.ravel() for _, v in g])) for g in groups]
@@ -332,37 +314,35 @@ def _stack_rows(top, bottom):
 def discretize(graph: MetricGraph, scheme: str = UNIFORM) -> OperatorBundle:
     """Build grids and the full operator family for the requested scheme.
 
-    Every matrix is CSR.  Each edge contributes a block of rows on its own
-    columns: a three-point stencil per row on uniform edges, one dense
-    block per edge on Chebyshev edges.  The blocks are built once per kind
-    of edge (interior point count, length, potential values on the
-    extended grid) and shifted by each edge's offset; no cache outlives
-    the call.
+    Every matrix is CSR.  One pass over the edges gives each edge its own
+    copy of its grid (built once per point count and length), its potential
+    sampled on that copy, and its blocks (built once per kind: point count,
+    length and potential values); no cache outlives the call.
     """
     if scheme not in (UNIFORM, CHEBYSHEV):
         raise DiscretizationError(f"unknown scheme {scheme!r}")
-    grid = _build_grid(graph, scheme)
+    n = _resolve_counts(graph, scheme)
     ne = graph.num_edges
-    n_int = int(grid.n.sum())
+    n_int = int(n.sum())
     n_ext = n_int + 2 * ne
-    offsets = np.concatenate([[0], np.cumsum(grid.n + 2)])[:-1]
+    offsets = np.concatenate([[0], np.cumsum(n + 2)])[:-1]
 
     potential_ext = np.zeros(n_ext)
-    for e in graph.edges:
-        if e.potential is not None:
-            o = offsets[e.index - 1]
-            xe = grid.x_ext[e.index - 1]
-            potential_ext[o:o + len(xe)] = np.asarray(e.potential(xe), dtype=float)
-
-    kinds, pieces = {}, []
-    for e in graph.edges:
-        m = e.index - 1
-        o, nm = offsets[m], grid.n[m]
+    grids, kinds, edges = {}, {}, []
+    for e, nm, o in zip(graph.edges, n, offsets):
+        if (nm, e.length) not in grids:
+            grids[nm, e.length] = _edge_grid(scheme, nm, e.length)
+        hm, xe, xi, wm = grids[nm, e.length]
+        xe, xi, wm = xe.copy(), xi.copy(), wm.copy()
         pot = potential_ext[o:o + nm + 2]
-        key = (nm, e.length, pot.tobytes())
-        if key not in kinds:
-            kinds[key] = _edge_pieces(grid, m, pot)
-        pieces.append(kinds[key])
+        if e.potential is not None:
+            pot[:] = e.potential(xe)
+        kind = (nm, e.length, pot.tobytes())
+        if kind not in kinds:
+            kinds[kind] = _edge_pieces(scheme, hm, xe, xi, pot)
+        edges.append((hm, xe, xi, wm, kinds[kind]))
+    h, x_ext, x_int, weights, pieces = zip(*edges)
+    grid = Grid(scheme, n, x_ext, x_int, np.array(h), weights)
     lap, interp, deriv, values, outward = zip(*pieces)
     lap_int = _csr_from_pieces(lap, offsets, (n_int, n_ext))
     interp_int = _csr_from_pieces(interp, offsets, (n_int, n_ext))

@@ -205,7 +205,7 @@ def _imex_rk(problem: EvolutionProblem, u, a_im, a_ex):
 
 # ---------------------------------------------------------------------------
 
-_QUANTITIES = ("mass", "energy", "momentum", "total_heat")
+QUANTITIES = ("mass", "energy", "momentum", "total_heat")
 
 
 def conservation_trace(ctx: FunctionalContext, times, states,
@@ -217,8 +217,8 @@ def conservation_trace(ctx: FunctionalContext, times, states,
     with scale = |q0| (or 1 if q0 vanishes).
     """
     for q in quantities:
-        if q not in _QUANTITIES:
-            raise EvolutionError(f"unknown quantity {q!r}; pick from {_QUANTITIES}")
+        if q not in QUANTITIES:
+            raise EvolutionError(f"unknown quantity {q!r}; pick from {QUANTITIES}")
     states = np.asarray(states)
     table: dict[str, np.ndarray] = {"times": np.asarray(times, dtype=float)}
     for name in quantities:

@@ -32,17 +32,19 @@ def _sech(x):
 
 _AFFINE_FNS = {"sin": np.sin, "cos": np.cos, "sech": _sech, "exp": np.exp}
 
+# the keys each term function takes, besides "fn"
+_TERM_KEYS = {"poly": {"coeffs"}, "const": {"value"}, "gauss": {"scale", "x0", "rate"},
+              "soliton": {"v", "x0"}, "kink": {"c", "x0"}, "kink_velocity": {"c", "x0"},
+              **{fn: {"scale", "a", "b", "power"} for fn in _AFFINE_FNS}}
+
 
 def _term_callable(term: dict):
     if not isinstance(term, dict) or "fn" not in term:
         raise ConfigError(f"expression term must be a dict with an 'fn' key: {term!r}")
     fn = term["fn"]
-    known = set(_AFFINE_FNS) | {"poly", "const", "gauss", "soliton", "kink",
-                                "kink_velocity"}
-    extra = set(term) - {"fn", "scale", "a", "b", "power", "coeffs", "value",
-                         "x0", "rate", "v", "c"}
-    if fn not in known:
-        raise ConfigError(f"unknown expression function {fn!r}; known: {sorted(known)}")
+    if fn not in _TERM_KEYS:
+        raise ConfigError(f"unknown expression function {fn!r}; known: {sorted(_TERM_KEYS)}")
+    extra = set(term) - _TERM_KEYS[fn] - {"fn"}
     if extra:
         raise ConfigError(f"unknown keys {sorted(extra)} in expression term {fn!r}")
 

@@ -24,17 +24,10 @@ class FunctionalContext:
     bundle: OperatorBundle
     q: np.ndarray  # w_m * integration weight, aligned with the extended grid
 
-    @classmethod
-    def for_bundle(cls, bundle: OperatorBundle) -> "FunctionalContext":
-        q = bundle.quad_ext.copy()
-        for e in bundle.graph.edges:
-            if e.weight != 1.0:
-                q[bundle.edge_slice(e.index)] *= e.weight
-        return cls(bundle, q)
-
 
 def make_context(bundle: OperatorBundle) -> FunctionalContext:
-    return FunctionalContext.for_bundle(bundle)
+    weights = [e.weight for e in bundle.graph.edges]
+    return FunctionalContext(bundle, bundle.quad_ext * np.repeat(weights, bundle.grid.n + 2))
 
 
 def _check(ctx: FunctionalContext, u: np.ndarray) -> np.ndarray:
@@ -105,8 +98,5 @@ def momentum(ctx: FunctionalContext, u, orientations=None) -> float:
         orientations = np.asarray(orientations, dtype=float)
         if orientations.shape != (b.graph.num_edges,):
             raise FunctionalError("one orientation sign per edge required")
-        s = np.empty(b.n_ext)
-        for m in range(1, b.graph.num_edges + 1):
-            s[b.edge_slice(m)] = orientations[m - 1]
-        w = w * s
+        w = w * np.repeat(orientations, b.grid.n + 2)
     return float(np.imag(ctx.q @ w))

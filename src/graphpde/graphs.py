@@ -144,6 +144,8 @@ def _arc_points(p, q, theta, s):
     d = float(np.hypot(*chord))
     if d == 0.0:
         raise GraphError("arc directive needs distinct endpoints")
+    if not 0.0 < abs(theta) < 2.0 * math.pi:
+        raise GraphError(f"arc angle {theta!r} must be nonzero and less than 2 pi in size")
     radius = d / (2.0 * math.sin(abs(theta) / 2.0))
     mid = 0.5 * (p + q)
     # unit normal to the chord, pointing left of p->q

@@ -8,6 +8,7 @@ import pytest
 from graphpde import discretize, from_template
 from graphpde.discretize import load_state_csv
 from graphpde.cli import graph_from_config, main
+from graphpde.continuation import save_standing_wave
 from graphpde.expressions import ConfigError, compile_expression
 
 
@@ -61,6 +62,38 @@ def test_expression_whitelist():
         compile_expression({"fn": "sin", "bogus": 1})
     with pytest.raises(ConfigError):
         compile_expression("sin(x)")
+
+
+@pytest.mark.parametrize("term", [{"fn": "poly", "coeffs": [1.0], "value": 2.0},
+                                  {"fn": "const", "value": 2.0, "coeffs": [1.0]},
+                                  {"fn": "sin", "coeffs": [5], "rate": 3},
+                                  {"fn": "cos", "x0": 1.0},
+                                  {"fn": "sech", "c": 0.5},
+                                  {"fn": "exp", "v": 1.0},
+                                  {"fn": "gauss", "a": 2.0},
+                                  {"fn": "soliton", "scale": 2.0},
+                                  {"fn": "kink", "rate": 1.0},
+                                  {"fn": "kink_velocity", "power": 2.0}])
+def test_expression_terms_refuse_the_keys_of_other_functions(term):
+    with pytest.raises(ConfigError, match="unknown keys"):
+        compile_expression(term)
+
+
+def test_expression_terms_match_their_closed_forms():
+    x = np.linspace(-1.0, 3.0, 17)
+    gauss = compile_expression({"fn": "gauss", "scale": 3.0, "x0": 0.5, "rate": 2.0})
+    assert np.allclose(gauss(x), 3.0 * np.exp(-2.0 * (x - 0.5) ** 2), rtol=1e-14)
+    const = compile_expression({"fn": "const", "value": -1.5})
+    assert np.array_equal(const(x), np.full(x.shape, -1.5))
+    c, x0, gamma = 0.6, 1.0, 0.8  # gamma = sqrt(1 - c^2)
+    kink = compile_expression({"fn": "kink", "c": c, "x0": x0})
+    assert np.allclose(kink(x), 4.0 * np.arctan(np.exp((x - x0) / gamma)), rtol=1e-14)
+    velocity = compile_expression({"fn": "kink_velocity", "c": c, "x0": x0})
+    assert np.allclose(velocity(x), -(2.0 * c / gamma) / np.cosh((x - x0) / gamma),
+                       rtol=1e-14)
+    # the kink travels at speed c, so its time derivative is -c times its slope
+    d = 1e-5
+    assert np.allclose(velocity(x), -c * (kink(x + d) - kink(x - d)) / (2 * d), atol=1e-8)
 
 
 def test_graph_from_config_template_and_explicit():
@@ -215,6 +248,23 @@ def test_cli_evolve_every_scheme(tmp_path, scheme):
     assert cons.shape == (len(times), 3) and np.all(np.isfinite(cons))
 
 
+@pytest.mark.parametrize("conserve, word", [({"conserve": ["mass", "heat"]}, "heat"),
+                                           ({"conserve": ["momentum"],
+                                             "momentum_orientation": [1, 1]}, "orientation")])
+def test_cli_evolve_checks_its_conservation_table_before_writing_anything(
+        tmp_path, capsys, conserve, word):
+    cfg = write_config(tmp_path, {
+        "template": "dumbbell",
+        "evolution": {"scheme": "crank_nicolson", "tau": 0.1, "t_final": 0.3,
+                      "initial": [1.0, 1.0, 1.0], **conserve},
+    })
+    out = tmp_path / "data"
+    out.mkdir()
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+    assert word in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_cli_evolve_nls_star_soliton(tmp_path):
     cfg = write_config(tmp_path, {
         "template": "star",
@@ -256,6 +306,41 @@ def test_cli_continue_dumbbell(tmp_path):
     assert len(lam) <= 12
     assert (run / "logfile.txt").exists()
     assert (run / "diagram.csv").exists()
+
+
+def test_cli_continue_from_branch_point_end_and_saved_in_one_run(tmp_path):
+    def run_continue(table, max_points, name):
+        options = {"max_points": max_points, "ds": 0.05, "verbose_flag": False}
+        cfg = write_config(tmp_path, {"template": "dumbbell",
+                                      "continue": {**table, "options": options}}, name)
+        assert main(["continue", "--config", cfg, "--out", str(tmp_path / "data")]) == 0
+
+    run_continue({"from": "eig", "index": 1, "n_eigenfunctions": 2}, 12, "eig.json")
+    run = tmp_path / "data" / "dumbbell" / "001"
+    biftype = np.loadtxt(run / "branch001" / "biftype.csv")
+    assert np.any(biftype == 1)  # a pitchfork on the constant branch
+    point = int(np.flatnonzero(biftype == 1)[0])
+
+    run_continue({"from": "branch_point", "run_dir": str(run), "branch": 1,
+                  "point": point}, 3, "switch.json")
+    lam1 = np.loadtxt(run / "branch001" / "lambda.csv")
+    lam2 = np.loadtxt(run / "branch002" / "lambda.csv")
+    assert len(lam2) == 3 and lam2[0] == lam1[point]
+    assert json.loads((run / "branch002" / "provenance.json").read_text())["kind"] \
+        == "branch_point"
+
+    run_continue({"from": "end", "run_dir": str(run), "branch": 2}, 5, "end.json")
+    extended = np.loadtxt(run / "branch002" / "lambda.csv")
+    assert len(extended) == 5 and np.array_equal(extended[:3], lam2)
+
+    bundle = discretize(from_template("dumbbell"), "uniform")
+    name = save_standing_wave(run, bundle, np.full(bundle.n_ext, 0.5), -0.5)
+    run_continue({"from": "saved", "run_dir": str(run), "name": name}, 4, "saved.json")
+    lam3 = np.loadtxt(run / "branch003" / "lambda.csv")
+    assert len(lam3) == 4 and lam3[1] < lam3[0]  # the default direction lowers lambda
+    diagram = np.loadtxt(run / "diagram.csv", delimiter=",", skiprows=1)
+    assert sorted(set(diagram[:, 0])) == [1.0, 2.0, 3.0]
+    assert not (tmp_path / "data" / "dumbbell" / "002").exists()
 
 
 def test_cli_continue_determinism(tmp_path):
@@ -309,7 +394,9 @@ def test_cli_continue_refuses_a_zero_amplitude(tmp_path, capsys):
 
 @pytest.mark.parametrize("fault, word", [({"from": "eig", "amplitude": 0}, "amplitude"),
                                          ({"from": "eigenfunction"}, "eigenfunction"),
-                                         ({"from": "branch_point", "branch": 1}, "point")])
+                                         ({"from": "branch_point", "branch": 1}, "point"),
+                                         ({"from": "end", "branch": "x"}, "branch"),
+                                         ({"from": "eig", "index": "one"}, "index")])
 def test_cli_continue_checks_its_config_before_writing_anything(tmp_path, capsys,
                                                                 fault, word):
     cfg = write_config(tmp_path, {

@@ -182,6 +182,12 @@ def test_semicircular_arc_endpoints():
     assert np.allclose(pts, [[0, 0], [1, 1]], atol=1e-12)
 
 
+def test_zero_arc_angle_is_a_graph_error():
+    coords = PlotCoords(((0.0, 0.0), (2.0, 0.0)), (ArcEdge(0.0),))
+    with pytest.raises(GraphError, match="arc angle 0.0"):
+        build_graph([1], [2], 1.0, plot_coords=coords)
+
+
 def test_graph_hash_stable_and_sensitive():
     g1 = five_edge_graph()
     g2 = five_edge_graph()
