@@ -81,13 +81,27 @@ def _write_run_json(out: Path, args, cfg: dict, graph: MetricGraph, extra=None):
 
 
 def _number(table: dict, key: str, kind, default=None):
-    """table[key] converted by kind (int or float), or default when key is absent."""
+    """table[key] converted by kind (int or float), or default when key is absent.
+
+    An int key refuses a number with a fractional part instead of truncating it.
+    """
     if key not in table:
         return default
+    value = table[key]
     try:
-        return kind(table[key])
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return kind(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key!r} must be {kind.__name__}, got {table[key]!r}") from None
+        raise ConfigError(f"{key!r} must be {kind.__name__}, got {value!r}") from None
+
+
+def _list(table: dict, key: str, default: list) -> list:
+    """table[key], which must be a list, or default when key is absent."""
+    value = table.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"{key!r} must be a list, got {value!r}")
+    return value
 
 
 def _sampled_exact(bundle, cfg):
@@ -129,7 +143,7 @@ def _cmd_eigs(args) -> int:
     cfg = _load_config(args.config)
     graph = graph_from_config(cfg)
     bundle = discretize(graph, args.scheme)
-    m = int(cfg.get("m", 4))
+    m = _number(cfg, "m", int, 4)
     sigma = float(cfg.get("shift", 1e-2))
     lam, vecs = stationary.eigs(bundle, m, sigma=sigma)
     out = _out_dir(args)
@@ -153,7 +167,7 @@ def _cmd_secdet(args) -> int:
     cfg = _load_config(args.config)
     graph = graph_from_config(cfg)
     k_max = float(cfg.get("k_max", 2.0 * math.pi))
-    samples = int(cfg.get("samples", 800))
+    samples = _number(cfg, "samples", int, 800)
     if samples < 1:
         raise ConfigError(f"samples must be at least 1, got {samples}")
     sigma = stationary.secular_function(graph)
@@ -218,14 +232,14 @@ def _cmd_evolve(args) -> int:
     init = compile_edge_expressions(ev.get("initial"), graph.num_edges)
     if init is None:
         raise ConfigError("evolution config needs 'initial' edge expressions")
-    quantities = ev.get("conserve", ["mass"])
+    quantities = _list(ev, "conserve", ["mass"])
     unknown = [q for q in quantities if q not in evo.QUANTITIES]
     if unknown:
         raise ConfigError(f"unknown quantity {unknown[0]!r}; pick from {evo.QUANTITIES}")
     problem = evo.EvolutionProblem(
         bundle, mu=mu, f=_EVOLUTION_NONLINEARITIES.get(fname),
         tau=float(ev.get("tau", 1e-2)), t_final=float(ev.get("t_final", 1.0)),
-        n_skip=int(ev.get("n_skip", 1)))
+        n_skip=_number(ev, "n_skip", int, 1))
     u0 = apply_function_to_edges(bundle, init)
     times, states = _EVOLUTION_SCHEMES[scheme](problem, u0, ev)
     table = evo.conservation_trace(
@@ -254,7 +268,7 @@ def _cmd_continue(args) -> int:
     problem = stationary.nls_problem(bundle, sigma=float(cc.get("sigma", 1.0)))
     sys_ = cont.nls_system(problem, make_context(bundle))
     start = cc.get("from", "eig")
-    axes = tuple(cc.get("axes", ("lambda", "mass")))
+    axes = tuple(_list(cc, "axes", ["lambda", "mass"]))
     unknown = [ax for ax in axes if ax not in cont.DIAGRAM_AXES]
     if unknown:
         raise ConfigError(f"unknown axis {unknown[0]!r}; pick from {cont.DIAGRAM_AXES}")

@@ -6,6 +6,14 @@ vertex.  Each vertex carries either a weighted Robin-Kirchhoff condition
 (continuity plus a weighted flux balance with coefficient ``alpha``) or a
 Dirichlet condition pinning the value.  Self-loops are allowed and count
 twice toward the vertex degree.
+
+A graph may carry a plot layout (``PlotCoords``), checked where the
+``MetricGraph`` is made: one coordinate per vertex, all 2-d or all 3-d, and
+one directive per edge.  A straight edge, a semicircle and an arc meet
+their vertices by construction; curved directives need 2-d coordinates; a
+circle needs its two vertices to coincide within 1e-9 times the edge
+length and a 2-d center, and a semicircle or an arc needs distinct
+endpoints and an angle with 0 < |theta| < 2 pi.  No layout point is sampled.
 """
 from __future__ import annotations
 
@@ -110,6 +118,11 @@ class SemicircularEdge:
 
     side: float = 1.0
 
+    @property
+    def theta(self) -> float:
+        """Central angle of the half circle, as for ArcEdge."""
+        return self.side * math.pi
+
 
 @dataclass(frozen=True)
 class ArcEdge:
@@ -131,10 +144,6 @@ class PlotCoords:
     vertices: tuple[tuple[float, ...], ...]
     directives: tuple[Directive, ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.vertices[0])
-
 
 def _arc_points(p, q, theta, s):
     """Points along the arc from p to q subtending angle theta, at fractions s."""
@@ -142,10 +151,6 @@ def _arc_points(p, q, theta, s):
     q = np.asarray(q, dtype=float)
     chord = q - p
     d = float(np.hypot(*chord))
-    if d == 0.0:
-        raise GraphError("arc directive needs distinct endpoints")
-    if not 0.0 < abs(theta) < 2.0 * math.pi:
-        raise GraphError(f"arc angle {theta!r} must be nonzero and less than 2 pi in size")
     radius = d / (2.0 * math.sin(abs(theta) / 2.0))
     mid = 0.5 * (p + q)
     # unit normal to the chord, pointing left of p->q
@@ -169,8 +174,6 @@ def edge_coordinates(graph: "MetricGraph", m: int, x: np.ndarray) -> np.ndarray:
     s = np.asarray(x, dtype=float) / edge.length
     if isinstance(directive, StraightEdge):
         return p[None, :] + s[:, None] * (q - p)[None, :]
-    if graph.plot.dim != 2:
-        raise GraphError("curved layout directives require 2-d coordinates")
     if isinstance(directive, CircularEdge):
         c = np.asarray(directive.center, dtype=float)
         radius = float(np.hypot(*(p - c)))
@@ -178,11 +181,7 @@ def edge_coordinates(graph: "MetricGraph", m: int, x: np.ndarray) -> np.ndarray:
         angles = a0 + 2.0 * math.pi * s
         return np.column_stack([c[0] + radius * np.cos(angles),
                                 c[1] + radius * np.sin(angles)])
-    if isinstance(directive, SemicircularEdge):
-        return _arc_points(p, q, directive.side * math.pi, s)
-    if isinstance(directive, ArcEdge):
-        return _arc_points(p, q, directive.theta, s)
-    raise GraphError(f"unknown layout directive {directive!r}")
+    return _arc_points(p, q, directive.theta, s)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +234,37 @@ class MetricGraph:
     edges: tuple[Edge, ...]
     nx_is_density: bool = True
     plot: PlotCoords | None = None
+
+    def __post_init__(self):
+        """Check the plot layout by what each directive needs (module docstring)."""
+        plot = self.plot
+        if plot is None:
+            return
+        if len(plot.vertices) != self.num_vertices:
+            raise GraphError("one coordinate per vertex required")
+        if len(plot.directives) != self.num_edges:
+            raise GraphError("one layout directive per edge required")
+        dims = {len(v) for v in plot.vertices}
+        if dims not in ({2}, {3}):
+            raise GraphError("vertex coordinates must all be 2-d or all 3-d")
+        for e, directive in zip(self.edges, plot.directives):
+            if isinstance(directive, StraightEdge):
+                continue
+            if dims != {2}:
+                raise GraphError("curved layout directives require 2-d coordinates")
+            gap = math.dist(plot.vertices[e.source - 1], plot.vertices[e.target - 1])
+            if isinstance(directive, CircularEdge):
+                if gap > 1e-9 * e.length:
+                    raise GraphError(f"layout endpoints of edge {e.index} do not meet its vertices")
+                if len(directive.center) != 2:
+                    raise GraphError(f"circle center of edge {e.index} must be a 2-d point")
+            elif not isinstance(directive, (SemicircularEdge, ArcEdge)):
+                raise GraphError(f"unknown layout directive {directive!r}")
+            elif gap == 0.0:
+                raise GraphError("arc directive needs distinct endpoints")
+            elif not 0.0 < abs(directive.theta) < 2.0 * math.pi:
+                raise GraphError(f"arc angle {directive.theta!r} must be nonzero "
+                                 "and less than 2 pi in size")
 
     @property
     def num_vertices(self) -> int:
@@ -339,12 +369,8 @@ def build_graph(source: Sequence[int], target: Sequence[int],
     weights = _broadcast(weights, ne, "weights") or [1.0] * ne
 
     nx_is_density = nx is None or np.isscalar(nx)
-    if nx is None:
-        nx_list = [20.0] * ne
-    elif np.isscalar(nx):
-        nx_list = [float(nx)] * ne
-    else:
-        nx_list = [float(v) for v in _broadcast(nx, ne, "nx")]
+    nx_list = _broadcast(20.0 if nx is None else nx, ne, "nx")
+    if not nx_is_density:
         for i, v in enumerate(nx_list):
             if v < 2 or v != int(v):
                 raise GraphError(f"per-edge nx must be an integer >= 2 (edge {i + 1}: {v})")
@@ -368,30 +394,12 @@ def build_graph(source: Sequence[int], target: Sequence[int],
 
     edges = tuple(Edge(i + 1, source[i], target[i], lengths[i], weights[i],
                        nx_list[i], pot_list[i]) for i in range(ne))
-    graph = MetricGraph(vertices, edges, nx_is_density, None)
-    if plot_coords is not None:
-        graph = set_plot_coords(graph, plot_coords)
-    return graph
+    return MetricGraph(vertices, edges, nx_is_density, plot_coords)
 
 
 def set_plot_coords(graph: MetricGraph, coords: PlotCoords) -> MetricGraph:
-    """Attach plot coordinates, checking directive endpoints against vertices."""
-    if len(coords.vertices) != graph.num_vertices:
-        raise GraphError("one coordinate per vertex required")
-    if len(coords.directives) != graph.num_edges:
-        raise GraphError("one layout directive per edge required")
-    dims = {len(v) for v in coords.vertices}
-    if dims not in ({2}, {3}):
-        raise GraphError("vertex coordinates must all be 2-d or all 3-d")
-    out = replace(graph, plot=coords)
-    for e in graph.edges:
-        pts = edge_coordinates(out, e.index, np.array([0.0, e.length]))
-        p = np.asarray(coords.vertices[e.source - 1], dtype=float)
-        q = np.asarray(coords.vertices[e.target - 1], dtype=float)
-        tol = 1e-9 * e.length
-        if np.linalg.norm(pts[0] - p) > tol or np.linalg.norm(pts[-1] - q) > tol:
-            raise GraphError(f"layout endpoints of edge {e.index} do not meet its vertices")
-    return out
+    """The graph with plot coordinates attached (checked by MetricGraph)."""
+    return replace(graph, plot=coords)
 
 
 def as_node_data(graph: MetricGraph, values=None) -> np.ndarray:
@@ -431,27 +439,24 @@ def graph_hash(graph: MetricGraph) -> str:
 # ---------------------------------------------------------------------------
 # template gallery
 
-def _star_coords(k: int, lengths) -> PlotCoords:
-    verts = [(0.0, 0.0)]
-    for j in range(k):
-        a = 2.0 * math.pi * j / k
-        verts.append((lengths[j] * math.cos(a), lengths[j] * math.sin(a)))
-    return PlotCoords(tuple(verts), tuple(StraightEdge() for _ in range(k)))
-
-
 def _template_interval(length=1.0, robin=None, nx=None, weight=None):
-    g = build_graph([1], [2], length, robin_coeffs=robin, nx=nx, weights=weight)
-    coords = PlotCoords(((0.0, 0.0), (float(g.edges[0].length), 0.0)), (StraightEdge(),))
-    return set_plot_coords(g, coords)
+    (ell,) = _broadcast(length, 1, "lengths")
+    coords = PlotCoords(((0.0, 0.0), (ell, 0.0)), (StraightEdge(),))
+    return build_graph([1], [2], length, robin_coeffs=robin, nx=nx, weights=weight,
+                       plot_coords=coords)
 
 
 def _template_star(lengths=(1.0, 1.0, 1.0), robin=None, nx=None, weight=None):
     lengths = [float(v) for v in (lengths if not np.isscalar(lengths)
                                   else [lengths] * 3)]
     k = len(lengths)
-    g = build_graph([1] * k, list(range(2, k + 2)), lengths,
-                    robin_coeffs=robin, nx=nx, weights=weight)
-    return set_plot_coords(g, _star_coords(k, lengths))
+    verts = [(0.0, 0.0)]
+    for j in range(k):
+        a = 2.0 * math.pi * j / k
+        verts.append((lengths[j] * math.cos(a), lengths[j] * math.sin(a)))
+    coords = PlotCoords(tuple(verts), (StraightEdge(),) * k)
+    return build_graph([1] * k, list(range(2, k + 2)), lengths, robin_coeffs=robin,
+                       nx=nx, weights=weight, plot_coords=coords)
 
 
 def _template_y(lengths=(1.5, 1.0, 1.0), robin=None, nx=None, weight=None):
@@ -461,31 +466,30 @@ def _template_y(lengths=(1.5, 1.0, 1.0), robin=None, nx=None, weight=None):
 
 
 def _template_lasso(lengths=(4.0, 2.0 * math.pi), robin=None, nx=None, weight=None):
-    g = build_graph([1, 2], [2, 2], lengths, robin_coeffs=robin, nx=nx, weights=weight)
-    straight, loop = g.edges[0].length, g.edges[1].length
+    straight, loop = _broadcast(lengths, 2, "lengths")
     r = loop / (2.0 * math.pi)
     coords = PlotCoords(((0.0, 0.0), (straight, 0.0)),
                         (StraightEdge(), CircularEdge((straight + r, 0.0))))
-    return set_plot_coords(g, coords)
+    return build_graph([1, 2], [2, 2], lengths, robin_coeffs=robin, nx=nx, weights=weight,
+                       plot_coords=coords)
 
 
 def _template_ring(length=2.0 * math.pi, robin=None, nx=None, weight=None):
-    g = build_graph([1], [1], length, robin_coeffs=robin, nx=nx, weights=weight)
-    r = g.edges[0].length / (2.0 * math.pi)
-    coords = PlotCoords(((0.0, 0.0),), (CircularEdge((r, 0.0)),))
-    return set_plot_coords(g, coords)
+    (ell,) = _broadcast(length, 1, "lengths")
+    coords = PlotCoords(((0.0, 0.0),), (CircularEdge((ell / (2.0 * math.pi), 0.0)),))
+    return build_graph([1], [1], length, robin_coeffs=robin, nx=nx, weights=weight,
+                       plot_coords=coords)
 
 
 def _template_dumbbell(loop_length=2.0 * math.pi, handle_length=4.0,
                        robin=None, nx=None, weight=None):
     lengths = [loop_length, handle_length, loop_length]
-    g = build_graph([1, 1, 2], [1, 2, 2], lengths,
-                    robin_coeffs=robin, nx=nx, weights=weight)
     r = loop_length / (2.0 * math.pi)
     coords = PlotCoords(((0.0, 0.0), (handle_length, 0.0)),
                         (CircularEdge((-r, 0.0)), StraightEdge(),
                          CircularEdge((handle_length + r, 0.0))))
-    return set_plot_coords(g, coords)
+    return build_graph([1, 1, 2], [1, 2, 2], lengths, robin_coeffs=robin, nx=nx,
+                       weights=weight, plot_coords=coords)
 
 
 def _template_necklace(n_pairs=54, string_length=1.0, pearl_length=math.pi / 2.0,
@@ -494,29 +498,24 @@ def _template_necklace(n_pairs=54, string_length=1.0, pearl_length=math.pi / 2.0
     n_pairs = int(n_pairs)
     if n_pairs < 1:
         raise GraphError("necklace needs at least one string/pearl pair")
-    source, target, lengths = [], [], []
+    source, target, lengths, angles = [], [], [], []
     nv = 2 * n_pairs
+    # vertices around a circle; strings straight, pearl halves bulge out and in
+    per = string_length + 2.0 * pearl_length / math.pi  # chord-ish spacing
+    radius = nv * per / (2.0 * math.pi)
+    step = 2.0 * math.pi / nv
+    pos = 0.0
     for k in range(n_pairs):
         a, b, c = 2 * k + 1, 2 * k + 2, (2 * k + 3 - 1) % nv + 1
         source += [a, b, b]
         target += [b, c, c]
         lengths += [string_length, pearl_length, pearl_length]
-    g = build_graph(source, target, lengths, robin_coeffs=robin, nx=nx, weights=weight)
-    # vertices around a circle; strings as arcs, pearl halves bulge in/out
-    per = string_length + 2.0 * pearl_length / math.pi  # chord-ish spacing
-    radius = nv * per / (2.0 * math.pi)
-    verts, directives = [], []
-    step = 2.0 * math.pi / nv
-    pos = 0.0
-    angles = []
-    for k in range(n_pairs):
         angles += [pos, pos + step]
         pos += 2 * step
-    for a in angles:
-        verts.append((radius * math.cos(a), radius * math.sin(a)))
-    for k in range(n_pairs):
-        directives += [StraightEdge(), SemicircularEdge(1.0), SemicircularEdge(-1.0)]
-    return set_plot_coords(g, PlotCoords(tuple(verts), tuple(directives)))
+    verts = tuple((radius * math.cos(a), radius * math.sin(a)) for a in angles)
+    directives = (StraightEdge(), SemicircularEdge(1.0), SemicircularEdge(-1.0)) * n_pairs
+    return build_graph(source, target, lengths, robin_coeffs=robin, nx=nx, weights=weight,
+                       plot_coords=PlotCoords(verts, directives))
 
 
 def _template_bubble_tower(base_length=10.0,
@@ -525,8 +524,6 @@ def _template_bubble_tower(base_length=10.0,
     """Two line segments, two 2-edge bubbles, and a terminal circle."""
     c1, c2, c3 = [float(c) for c in circumferences]
     lengths = [base_length, c1 / 2, c1 / 2, c2 / 2, c2 / 2, base_length, c3]
-    g = build_graph([1, 2, 2, 3, 3, 4, 5], [2, 3, 3, 4, 4, 5, 5], lengths,
-                    robin_coeffs=robin, nx=nx, weights=weight)
     y2 = base_length
     y3 = y2 + c1 / math.pi
     y4 = y3 + c2 / math.pi
@@ -536,18 +533,19 @@ def _template_bubble_tower(base_length=10.0,
     directives = (StraightEdge(), SemicircularEdge(1.0), SemicircularEdge(-1.0),
                   SemicircularEdge(1.0), SemicircularEdge(-1.0), StraightEdge(),
                   CircularEdge((r3, y5)))
-    return set_plot_coords(g, PlotCoords(verts, directives))
+    return build_graph([1, 2, 2, 3, 3, 4, 5], [2, 3, 3, 4, 4, 5, 5], lengths,
+                       robin_coeffs=robin, nx=nx, weights=weight,
+                       plot_coords=PlotCoords(verts, directives))
 
 
 def _template_tetrahedron(length=1.0, robin=None, nx=None, weight=None):
     """Edges and vertices of a regular tetrahedron (3-d layout)."""
-    g = build_graph([1, 1, 1, 2, 2, 3], [2, 3, 4, 3, 4, 4], length,
-                    robin_coeffs=robin, nx=nx, weights=weight)
-    ell = g.edges[0].length
-    scale = ell / (2.0 * math.sqrt(2.0))
+    scale = _broadcast(length, 6, "lengths")[0] / (2.0 * math.sqrt(2.0))
     verts = tuple(tuple(scale * c for c in v) for v in
                   ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)))
-    return set_plot_coords(g, PlotCoords(verts, tuple(StraightEdge() for _ in range(6))))
+    return build_graph([1, 1, 1, 2, 2, 3], [2, 3, 4, 3, 4, 4], length,
+                       robin_coeffs=robin, nx=nx, weights=weight,
+                       plot_coords=PlotCoords(verts, tuple(StraightEdge() for _ in range(6))))
 
 
 TEMPLATES: dict[str, Callable[..., MetricGraph]] = {

@@ -411,6 +411,40 @@ def test_cli_continue_checks_its_config_before_writing_anything(tmp_path, capsys
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, cfg, key", [
+    ("evolve", {"evolution": {"scheme": "crank_nicolson", "tau": 0.1, "t_final": 0.3,
+                              "initial": [1.0, 1.0, 1.0], "conserve": "mass"}}, "conserve"),
+    ("continue", {"continue": {"from": "eig", "index": 1, "n_eigenfunctions": 2,
+                               "axes": "lambda"}}, "axes"),
+])
+def test_cli_refuses_a_bare_string_for_a_list_before_writing_anything(
+        tmp_path, capsys, command, cfg, key):
+    cfg = write_config(tmp_path, {"template": "dumbbell", **cfg})
+    out = tmp_path / "data"
+    out.mkdir()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"'{key}' must be a list" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("eigs", {"m": 3.7}, "m"),
+    ("secdet", {"k_max": 4.0, "samples": 50.5}, "samples"),
+    ("evolve", {"evolution": {"scheme": "crank_nicolson", "tau": 0.1, "t_final": 0.3,
+                              "initial": [1.0, 1.0, 1.0], "n_skip": 1.5}}, "n_skip"),
+    ("continue", {"continue": {"from": "eig", "index": 1.9}}, "index"),
+    ("continue", {"continue": {"from": "branch_point", "branch": 1, "point": 2.5}}, "point"),
+])
+def test_cli_refuses_a_fractional_integer_before_writing_anything(
+        tmp_path, capsys, command, cfg, key):
+    cfg = write_config(tmp_path, {"template": "dumbbell", **cfg})
+    out = tmp_path / "data"
+    out.mkdir()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"'{key}' must be int" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_cli_template_commands(capsys):
     assert main(["template", "list"]) == 0
     names = capsys.readouterr().out.split()

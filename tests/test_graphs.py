@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from graphpde import DIRICHLET, build_graph, from_template, set_plot_coords
+from graphpde import graphs
 from graphpde.graphs import (GraphError, PlotCoords, StraightEdge, CircularEdge,
                              SemicircularEdge, ArcEdge, edge_coordinates,
                              graph_config, graph_hash, TEMPLATES)
@@ -186,6 +188,49 @@ def test_zero_arc_angle_is_a_graph_error():
     coords = PlotCoords(((0.0, 0.0), (2.0, 0.0)), (ArcEdge(0.0),))
     with pytest.raises(GraphError, match="arc angle 0.0"):
         build_graph([1], [2], 1.0, plot_coords=coords)
+
+
+def test_a_shallow_arc_on_a_unit_chord_builds():
+    # its radius is about 1e8, so sampling its ends misses the vertices by roundoff
+    coords = PlotCoords(((0.0, 0.0), (1.0, 0.0)), (ArcEdge(1e-8),))
+    g = build_graph([1], [2], 1.0, plot_coords=coords)
+    assert g.plot == coords
+
+
+def test_every_template_layout_meets_its_vertices():
+    for tag in TEMPLATES:
+        g = from_template(tag)
+        for e in g.edges:
+            ends = edge_coordinates(g, e.index, np.array([0.0, e.length]))
+            p, q = g.plot.vertices[e.source - 1], g.plot.vertices[e.target - 1]
+            assert np.linalg.norm(ends[0] - p) <= 1e-9 * e.length, (tag, e.index)
+            assert np.linalg.norm(ends[1] - q) <= 1e-9 * e.length, (tag, e.index)
+
+
+@pytest.mark.parametrize("coords, message", [
+    (PlotCoords(((0.0, 0.0), (2.0, 0.0)), (CircularEdge((1.0, 0.0)),)),
+     "layout endpoints of edge 1 do not meet its vertices"),
+    (PlotCoords(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), (SemicircularEdge(),)),
+     "curved layout directives require 2-d coordinates"),
+    (PlotCoords(((1.0, 1.0), (1.0, 1.0)), (ArcEdge(1.0),)),
+     "arc directive needs distinct endpoints"),
+    (PlotCoords(((1.0, 1.0), (1.0, 1.0)), (CircularEdge((0.0, 1.0, 1.0)),)),
+     "circle center of edge 1 must be a 2-d point"),
+])
+def test_replacing_the_layout_checks_it(coords, message):
+    g = build_graph([1], [2], 1.0)
+    with pytest.raises(GraphError, match=message):
+        dataclasses.replace(g, plot=coords)
+
+
+def test_building_a_template_samples_no_layout_point(monkeypatch):
+    calls = []
+    sample = graphs.edge_coordinates
+    monkeypatch.setattr(graphs, "edge_coordinates",
+                        lambda *args: calls.append(args) or sample(*args))
+    for tag in TEMPLATES:
+        assert from_template(tag).plot is not None
+    assert calls == []
 
 
 def test_graph_hash_stable_and_sensitive():
