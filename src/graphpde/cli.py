@@ -305,15 +305,10 @@ def _cmd_continue(args) -> int:
     else:
         branch = cont.continue_from_end(run_dir, sys_, branch_id, opts)
 
-    diagram = cont.bifurcation_diagram(run_dir, axes)
-    rows = []
-    for bid, table in diagram.items():
-        for row in table:
-            rows.append([bid, *row])
-    save_scalar_csv(Path(run_dir) / "diagram.csv", rows,
-                    header=",".join(("branch",) + axes))
-    _write_run_json(Path(run_dir), args, cfg, graph,
-                    {"points": len(branch.points)})
+    rows = [[bid, *row] for bid, table in cont.bifurcation_diagram(run_dir, axes).items()
+            for row in table]
+    save_scalar_csv(Path(run_dir) / "diagram.csv", rows, header=",".join(("branch",) + axes))
+    _write_run_json(Path(run_dir), args, cfg, graph, {"points": len(branch.points)})
     return 0
 
 

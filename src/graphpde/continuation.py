@@ -21,7 +21,7 @@ localized in pseudo-arclength by a safeguarded secant on the signed
 determinant (see locate_branch_point); folds flip the sign of
 d(lambda)/ds without a bordered sign change and are tagged at the nearer
 point.  Simultaneous events resolve as branch points.  Switching onto the
-crossing branch reads only the stored branch point from its directory.
+crossing branch uses only the stored branch point from its directory.
 
 Seeds (continue_branch, continue_from_eig, continue_from_saved) are
 polished at their fixed lambda by stationary.newton, the loop behind
@@ -611,30 +611,41 @@ def _branch_dir(run_dir, branch_id: int) -> Path:
     return Path(run_dir) / f"branch{branch_id:03d}"
 
 
-def _stored_branch_dir(run_dir, branch_id: int, bundle: OperatorBundle) -> Path:
-    """The directory of a saved branch, after checking the run's layout."""
+# per-point files of a branch directory (CSVs; .npy rows) and their BranchPoint fields
+_BRANCH_SCALARS = {"lambda": "lam", "mass": "mass", "energy": "energy",
+                   "biftype": "bif_type", "lambda_dot": "tangent_lam"}
+_BRANCH_STATES = {"psi": "psi", "tangent": "tangent_psi"}
+
+
+def _load_states(path, shape) -> np.ndarray:
+    """The float64 array of the given shape stored at path, else StaleLayoutError."""
+    try:
+        states = np.load(path, allow_pickle=False)
+    except ValueError as exc:  # an object array, or not an .npy file
+        raise StaleLayoutError(f"{path}: {exc}") from exc
+    if states.dtype != np.float64 or states.shape != shape:
+        raise StaleLayoutError(f"{path} holds {states.dtype} {states.shape}, not float64 {shape}")
+    return states
+
+
+def _stored_branch_dir(run_dir, branch_id: int, bundle: OperatorBundle):
+    """A saved branch's directory and state arrays; StaleLayoutError if either is stale."""
     check_run_layout(run_dir, bundle)
     bdir = _branch_dir(run_dir, branch_id)
     if not bdir.exists():
         raise ContinuationError(f"no branch directory {bdir}")
-    return bdir
-
-
-# per-point scalar files of a branch directory and the BranchPoint field of each
-_BRANCH_SCALARS = {"lambda": "lam", "mass": "mass", "energy": "energy",
-                   "biftype": "bif_type", "lambda_dot": "tangent_lam"}
-
-
-def next_branch_id(run_dir) -> int:
-    return _first_free(lambda k: _branch_dir(run_dir, k))
+    if not (bdir / "psi.npy").exists() and (bdir / "psi_0001.csv").exists():
+        raise StaleLayoutError(f"{bdir / 'psi_0001.csv'} has the older per-point layout")
+    shape = (np.loadtxt(bdir / "lambda.csv", ndmin=1).size, bundle.n_ext)
+    return bdir, {kind: _load_states(bdir / f"{kind}.npy", shape) for kind in _BRANCH_STATES}
 
 
 def save_branch(run_dir, branch: Branch, bundle: OperatorBundle,
                 branch_id: int | None = None) -> int:
-    """Write a branch directory (atomically: staged then renamed)."""
+    """Write a branch directory, staged and then renamed so that it appears whole."""
     check_run_layout(run_dir, bundle)
     if branch_id is None:
-        branch_id = next_branch_id(run_dir)
+        branch_id = _first_free(lambda k: _branch_dir(run_dir, k))
     final = _branch_dir(run_dir, branch_id)
     stage = final.with_name(final.name + ".stage")
     if stage.exists():
@@ -642,11 +653,11 @@ def save_branch(run_dir, branch: Branch, bundle: OperatorBundle,
     stage.mkdir(parents=True)
     for name, attr in _BRANCH_SCALARS.items():
         save_scalar_csv(stage / f"{name}.csv", [getattr(p, attr) for p in branch.points])
-    for k, p in enumerate(branch.points, start=1):
-        save_state_csv(bundle, p.psi, stage / f"psi_{k:04d}.csv")
-        save_state_csv(bundle, p.tangent_psi, stage / f"tangent_{k:04d}.csv")
+    for name, attr in _BRANCH_STATES.items():
+        rows = np.array([getattr(p, attr) for p in branch.points], dtype=float)
+        np.save(stage / f"{name}.npy", rows, allow_pickle=False)
     for idx, pert in branch.perturbations.items():
-        save_state_csv(bundle, pert, stage / f"perturbation_{idx + 1:04d}.csv")
+        np.save(stage / f"perturbation_{idx + 1:04d}.npy", pert, allow_pickle=False)
     write_text_atomic(stage / "options.json", json.dumps(asdict(branch.options), indent=1))
     write_text_atomic(stage / "provenance.json", json.dumps(branch.provenance, indent=1))
     if final.exists():
@@ -657,23 +668,17 @@ def save_branch(run_dir, branch: Branch, bundle: OperatorBundle,
 
 
 def load_branch(run_dir, branch_id: int, bundle: OperatorBundle) -> Branch:
-    bdir = _stored_branch_dir(run_dir, branch_id, bundle)
+    bdir, states = _stored_branch_dir(run_dir, branch_id, bundle)
     columns = [np.loadtxt(bdir / f"{name}.csv", ndmin=1) for name in _BRANCH_SCALARS]
     options = json.loads((bdir / "options.json").read_text())
     options.pop("plot_flag", None)  # an unused flag that older run directories store
     options = ContinuationOptions(**options)
     provenance = json.loads((bdir / "provenance.json").read_text())
-    points = []
-    rows = zip(*columns, strict=True)
-    for k, (lam, mass, energy, bif, lamdot) in enumerate(rows, start=1):
-        psi = np.real(load_state_csv(bundle, bdir / f"psi_{k:04d}.csv"))
-        tpsi = np.real(load_state_csv(bundle, bdir / f"tangent_{k:04d}.csv"))
-        points.append(BranchPoint(psi, float(lam), float(mass), float(energy),
-                                  int(bif), tpsi, float(lamdot)))
-    perturbations = {}
-    for f in sorted(bdir.glob("perturbation_*.csv")):
-        idx = int(f.stem.split("_")[1]) - 1
-        perturbations[idx] = np.real(load_state_csv(bundle, f))
+    rows = zip(*columns, states["psi"], states["tangent"], strict=True)
+    points = [BranchPoint(psi, float(lam), float(mass), float(energy), int(bif), tpsi, float(ldot))
+              for lam, mass, energy, bif, ldot, psi, tpsi in rows]
+    perturbations = {int(f.stem.split("_")[1]) - 1: _load_states(f, (bundle.n_ext,))
+                     for f in sorted(bdir.glob("perturbation_*.npy"))}
     return Branch(points, provenance, options, perturbations)
 
 
@@ -758,19 +763,19 @@ def continue_from_branch_point(run_dir, sys: ContinuationSystem, branch_id: int,
                                opts: ContinuationOptions | None = None) -> Branch:
     """Switch onto the branch crossing at a stored branch point.
 
-    Reads only that point's lambda, state and perturbation from the parent
-    branch directory.
+    Uses only that point's lambda, state (its row of psi.npy) and
+    perturbation from the parent branch directory.
     """
     opts = opts or ContinuationOptions()
     bundle = sys.bundle
-    bdir = _stored_branch_dir(run_dir, branch_id, bundle)
-    pert_file = bdir / f"perturbation_{point_index + 1:04d}.csv"
+    bdir, states = _stored_branch_dir(run_dir, branch_id, bundle)
+    pert_file = bdir / f"perturbation_{point_index + 1:04d}.npy"
     if not pert_file.exists():
         raise ContinuationError(
             f"branch {branch_id} has no stored perturbation at point {point_index}")
     lam0 = float(np.loadtxt(bdir / "lambda.csv", ndmin=1)[point_index])
-    psi0 = np.real(load_state_csv(bundle, bdir / f"psi_{point_index + 1:04d}.csv"))
-    pert = math.copysign(1.0, sign) * np.real(load_state_csv(bundle, pert_file))
+    psi0 = states["psi"][point_index]
+    pert = math.copysign(1.0, sign) * _load_states(pert_file, (bundle.n_ext,))
     t_u, t_lam = _normalized(sys, pert, 0.0, opts.beta)
     u1, lam1, _ = corrector(sys, opts, psi0 + pert, lam0, t_u, t_lam)
     points = [_make_point(sys, psi0, lam0, t_u, t_lam, bif_type=1),
@@ -810,9 +815,6 @@ def bifurcation_diagram(run_dir, axes=("lambda", "mass")) -> dict[int, np.ndarra
     for ax in axes:
         if ax not in DIAGRAM_AXES:
             raise ContinuationError(f"unknown axis {ax!r}; pick from {DIAGRAM_AXES}")
-    out = {}
-    for branch_id in list_branches(run_dir):
-        bdir = _branch_dir(run_dir, branch_id)
-        cols = [np.loadtxt(bdir / f"{ax}.csv", ndmin=1) for ax in axes]
-        out[branch_id] = np.column_stack(cols)
-    return out
+    return {bid: np.column_stack([np.loadtxt(_branch_dir(run_dir, bid) / f"{ax}.csv", ndmin=1)
+                                  for ax in axes])
+            for bid in list_branches(run_dir)}

@@ -375,15 +375,12 @@ def graph_to_column(bundle: OperatorBundle, per_edge) -> np.ndarray:
     per_edge = list(per_edge)
     if len(per_edge) != bundle.graph.num_edges:
         raise DiscretizationError("one sample array per edge required")
-    parts = []
     for m, arr in enumerate(per_edge, start=1):
-        arr = np.asarray(arr)
         want = bundle.grid.n[m - 1] + 2
-        if arr.shape != (want,):
+        if np.shape(arr) != (want,):
             raise DiscretizationError(
-                f"edge {m}: expected {want} extended-grid samples, got {arr.shape}")
-        parts.append(arr)
-    return np.concatenate(parts)
+                f"edge {m}: expected {want} extended-grid samples, got {np.shape(arr)}")
+    return np.concatenate(per_edge)
 
 
 def column_to_graph(bundle: OperatorBundle, u: np.ndarray):
@@ -429,11 +426,8 @@ def apply_graphical_function(bundle: OperatorBundle, f) -> np.ndarray:
         raise GraphError("graph has no plot coordinates")
     if not callable(f):
         return np.full(bundle.n_ext, f)
-    parts = []
-    for m in range(1, bundle.graph.num_edges + 1):
-        pts = edge_coordinates(bundle.graph, m, bundle.grid.x_ext[m - 1])
-        parts.append(np.asarray(f(*pts.T)))
-    return np.concatenate(parts)
+    return np.concatenate([np.asarray(f(*edge_coordinates(bundle.graph, m, x).T))
+                           for m, x in enumerate(bundle.grid.x_ext, start=1)])
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ Dirichlet condition pinning the value.  Self-loops are allowed and count
 twice toward the vertex degree.
 
 A graph may carry a plot layout (``PlotCoords``), checked where the
-``MetricGraph`` is made: one coordinate per vertex, all 2-d or all 3-d, and
-one directive per edge.  A straight edge, a semicircle and an arc meet
-their vertices by construction; curved directives need 2-d coordinates; a
-circle needs its two vertices to coincide within 1e-9 times the edge
-length and a 2-d center, and a semicircle or an arc needs distinct
-endpoints and an angle with 0 < |theta| < 2 pi.  No layout point is sampled.
+``MetricGraph`` is made: one coordinate per vertex, all 2-d or all 3-d and
+all finite reals, and one directive per edge.  Straight edges, semicircles
+and arcs meet their vertices by construction; curved directives need 2-d
+coordinates; a circle needs its two vertices to coincide within 1e-9 times
+the edge length and a 2-d center of finite reals, and a semicircle or an
+arc needs distinct endpoints and 0 < |theta| < 2 pi.  No point is sampled.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ import hashlib
 import inspect
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
@@ -145,6 +146,10 @@ class PlotCoords:
     directives: tuple[Directive, ...]
 
 
+def _finite_real(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 def _arc_points(p, q, theta, s):
     """Points along the arc from p to q subtending angle theta, at fractions s."""
     p = np.asarray(p, dtype=float)
@@ -247,6 +252,9 @@ class MetricGraph:
         dims = {len(v) for v in plot.vertices}
         if dims not in ({2}, {3}):
             raise GraphError("vertex coordinates must all be 2-d or all 3-d")
+        for n, point in enumerate(plot.vertices, start=1):
+            if not all(map(_finite_real, point)):
+                raise GraphError(f"coordinates {point!r} of vertex {n} must be finite reals")
         for e, directive in zip(self.edges, plot.directives):
             if isinstance(directive, StraightEdge):
                 continue
@@ -256,8 +264,9 @@ class MetricGraph:
             if isinstance(directive, CircularEdge):
                 if gap > 1e-9 * e.length:
                     raise GraphError(f"layout endpoints of edge {e.index} do not meet its vertices")
-                if len(directive.center) != 2:
-                    raise GraphError(f"circle center of edge {e.index} must be a 2-d point")
+                if len(directive.center) != 2 or not all(map(_finite_real, directive.center)):
+                    raise GraphError(f"circle center of edge {e.index} must be a 2-d point "
+                                     f"of finite reals, got {directive.center!r}")
             elif not isinstance(directive, (SemicircularEdge, ArcEdge)):
                 raise GraphError(f"unknown layout directive {directive!r}")
             elif gap == 0.0:

@@ -355,12 +355,11 @@ def test_cli_continue_determinism(tmp_path):
     out1, out2 = tmp_path / "d1", tmp_path / "d2"
     assert main(["continue", "--config", cfg, "--seed", "3", "--out", str(out1)]) == 0
     assert main(["continue", "--config", cfg, "--seed", "3", "--out", str(out2)]) == 0
-    b1 = (out1 / "dumbbell" / "001" / "branch001" / "lambda.csv").read_bytes()
-    b2 = (out2 / "dumbbell" / "001" / "branch001" / "lambda.csv").read_bytes()
-    assert b1 == b2
-    p1 = (out1 / "dumbbell" / "001" / "branch001" / "psi_0003.csv").read_bytes()
-    p2 = (out2 / "dumbbell" / "001" / "branch001" / "psi_0003.csv").read_bytes()
-    assert p1 == p2
+    # the state arrays hold every point of the branch, one row each
+    for name in ("lambda.csv", "psi.npy", "tangent.npy"):
+        b1 = (out1 / "dumbbell" / "001" / "branch001" / name).read_bytes()
+        b2 = (out2 / "dumbbell" / "001" / "branch001" / name).read_bytes()
+        assert b1 == b2, name
 
 
 def test_cli_continue_refuses_an_unknown_axis_before_any_output(tmp_path, capsys):

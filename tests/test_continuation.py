@@ -9,6 +9,7 @@ from graphpde import discretize, from_template, make_context, nls_problem
 from graphpde.continuation import (ContinuationError, ContinuationOptions,
                                    beta_metric, continue_branch, corrector,
                                    nls_system)
+from graphpde.discretize import save_state_csv
 from graphpde.stationary import NewtonError
 
 
@@ -201,8 +202,65 @@ def test_run_persistence_round_trip(tmp_path):
         assert p.bif_type == q.bif_type and p.tangent_lam == q.tangent_lam
         assert np.array_equal(p.psi, q.psi)
         assert np.array_equal(p.tangent_psi, q.tangent_psi)
+    assert branch.perturbations and loaded.perturbations.keys() == branch.perturbations.keys()
+    for idx, pert in branch.perturbations.items():
+        assert loaded.perturbations[idx].dtype == np.float64
+        assert np.array_equal(loaded.perturbations[idx], pert)
     assert loaded.provenance["kind"] == "eigenfunction"
     assert loaded.options.ds == opts.ds
+
+
+def test_branch_directory_holds_one_file_per_kind(tmp_path):
+    b, sys_ = dumbbell_setup()
+    run = cont.create_run(tmp_path, "dumbbell", b)
+    cont.save_eigenfunctions(run, b, 2)
+    fixed = {"lambda.csv", "mass.csv", "energy.csv", "biftype.csv", "lambda_dot.csv",
+             "psi.npy", "tangent.npy", "options.json", "provenance.json"}
+    for max_points in (4, 8):
+        branch = cont.continue_from_eig(run, sys_, 1, 1e-2,
+                                        quiet_opts(ds=0.05, max_points=max_points))
+        bdir = run / f"branch{cont.save_branch(run, branch, b):03d}"
+        perts = {f"perturbation_{idx + 1:04d}.npy" for idx in branch.perturbations}
+        assert {f.name for f in bdir.iterdir()} == fixed | perts
+        for name in ("psi.npy", "tangent.npy"):
+            assert np.load(bdir / name).shape == (max_points, b.n_ext)
+
+
+def _switch_readers(run, sys_, branch):
+    """The three readers of a stored branch, each as a call."""
+    idx = [i for i, p in enumerate(branch.points) if p.bif_type == 1][0]
+    opts = quiet_opts(ds=0.05, max_points=14)
+    return [lambda: cont.load_branch(run, 1, sys_.bundle),
+            lambda: cont.continue_from_branch_point(run, sys_, 1, idx, +1, opts),
+            lambda: cont.continue_from_end(run, sys_, 1, opts)]
+
+
+def test_per_point_csv_branch_layout_is_refused(tmp_path):
+    b, sys_, run, branch = _switching_run(tmp_path)
+    bdir = run / "branch001"
+    for k, p in enumerate(branch.points, start=1):
+        save_state_csv(b, p.psi, bdir / f"psi_{k:04d}.csv")
+        save_state_csv(b, p.tangent_psi, bdir / f"tangent_{k:04d}.csv")
+    (bdir / "psi.npy").unlink()
+    (bdir / "tangent.npy").unlink()
+    for read in _switch_readers(run, sys_, branch):
+        with pytest.raises(cont.StaleLayoutError, match="psi_0001.csv"):
+            read()
+
+
+@pytest.mark.parametrize("name, reshape", [
+    ("psi.npy", lambda a: a.astype(np.float32)),
+    ("tangent.npy", lambda a: a.astype(complex)),
+    ("psi.npy", lambda a: a[:-1]),
+    ("tangent.npy", lambda a: np.column_stack([a, a[:, :1]])),
+], ids=["psi-float32", "tangent-complex", "psi-row-short", "tangent-column-long"])
+def test_malformed_state_arrays_are_refused(tmp_path, name, reshape):
+    b, sys_, run, branch = _switching_run(tmp_path)
+    path = run / "branch001" / name
+    np.save(path, reshape(np.load(path)))
+    for read in _switch_readers(run, sys_, branch):
+        with pytest.raises(cont.StaleLayoutError, match=name):
+            read()
 
 
 def test_load_branch_accepts_legacy_plot_flag(tmp_path):

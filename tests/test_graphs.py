@@ -216,6 +216,12 @@ def test_every_template_layout_meets_its_vertices():
      "arc directive needs distinct endpoints"),
     (PlotCoords(((1.0, 1.0), (1.0, 1.0)), (CircularEdge((0.0, 1.0, 1.0)),)),
      "circle center of edge 1 must be a 2-d point"),
+    *[(PlotCoords(((0.0, 0.0), (1.0, bad)), (StraightEdge(),)),
+       "coordinates .* of vertex 2 must be finite reals")
+      for bad in ("1.0", None, math.nan, math.inf)],
+    *[(PlotCoords(((1.0, 1.0), (1.0, 1.0)), (CircularEdge((bad, 1.0)),)),
+       "circle center of edge 1 must be a 2-d point of finite reals")
+      for bad in ("0.0", None, math.nan, -math.inf)],
 ])
 def test_replacing_the_layout_checks_it(coords, message):
     g = build_graph([1], [2], 1.0)
