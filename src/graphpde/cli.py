@@ -7,11 +7,16 @@
     qg continue --config cfg.json --out data/
     qg template list | show TAG
 
+A command reads only the keys of its table in _SCHEMAS, and an unknown or
+ill-typed key exits with code 2 before anything is written.  A config names
+a template or lists edges, never both.
+
 Exit codes: 0 success, 1 solver failure, 2 configuration error.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -31,10 +36,12 @@ from .graphs import DIRICHLET, GraphError, MetricGraph, TEMPLATES, build_graph, 
 
 
 def graph_from_config(cfg: dict) -> MetricGraph:
-    """Build a graph from a JSON config: a template reference or edge lists."""
+    """Build a graph from a JSON config: a template reference or edge lists, not both."""
+    named, listed = cfg.keys() & {"template", "overrides"}, cfg.keys() & _EDGE_KEYS
+    if named and listed:
+        raise ConfigError(f"config: {min(named)!r} excludes the edge keys {sorted(listed)}")
     if "template" in cfg:
-        overrides = dict(cfg.get("overrides", {}))
-        return from_template(cfg["template"], **overrides)
+        return from_template(cfg["template"], **cfg.get("overrides", {}))
     for key in ("source", "target", "length"):
         if key not in cfg:
             raise ConfigError(f"graph config is missing the {key!r} key")
@@ -44,9 +51,7 @@ def graph_from_config(cfg: dict) -> MetricGraph:
     elif robin is not None and not np.isscalar(robin):
         robin = [DIRICHLET if isinstance(v, str) and v.lower() == "dirichlet"
                  else float(v) for v in robin]
-    potentials = None
-    if cfg.get("potential") is not None:
-        potentials = compile_edge_expressions(cfg["potential"], len(cfg["source"]))
+    potentials = compile_edge_expressions(cfg.get("potential"), len(cfg["source"]))
     return build_graph(cfg["source"], cfg["target"], cfg["length"],
                        weights=cfg.get("weight"), robin_coeffs=robin,
                        nx=cfg.get("nx"), potentials=potentials)
@@ -80,75 +85,72 @@ def _write_run_json(out: Path, args, cfg: dict, graph: MetricGraph, extra=None):
     (out / "run.json").write_text(json.dumps(payload, indent=1, sort_keys=True))
 
 
-def _number(table: dict, key: str, kind, default=None):
-    """table[key] converted by kind (int or float), or default when key is absent.
-
-    An int key refuses a number with a fractional part instead of truncating it.
-    """
-    if key not in table:
-        return default
-    value = table[key]
-    try:
-        if kind is int and isinstance(value, float) and not value.is_integer():
-            raise ValueError
+def _typed(value, kind, key: str, where: str):
+    """value as kind; an int key takes an integral float, and no number key a bool."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float and number or kind is int and number and value % 1 == 0:
         return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key!r} must be {kind.__name__}, got {value!r}") from None
+    if kind not in (int, float) and isinstance(value, kind):
+        return value
+    what = {list: "a list", dict: "a table"}.get(kind, kind.__name__)
+    raise ConfigError(f"{where}: {key!r} must be {what}, got {value!r}")
 
 
-def _list(table: dict, key: str, default: list) -> list:
-    """table[key], which must be a list, or default when key is absent."""
-    value = table.get(key, default)
-    if not isinstance(value, list):
-        raise ConfigError(f"{key!r} must be a list, got {value!r}")
-    return value
-
-
-def _sampled_exact(bundle, cfg):
-    exprs = cfg.get("exact")
-    if exprs is None:
-        return None
-    fns = compile_edge_expressions(exprs, bundle.graph.num_edges)
-    return apply_function_to_edges(bundle, fns)
+def _read(table, schema: dict, where: str) -> dict:
+    """table checked against schema (see _SCHEMAS), with every absent key at its default."""
+    if not isinstance(table, dict):
+        raise ConfigError(f"{where} must be a table, got {table!r}")
+    unknown = sorted(table.keys() - schema.keys())
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
+    cfg = {}
+    for key, default in schema.items():
+        if isinstance(default, dict):
+            cfg[key] = _read(table.get(key, {}), default, f"{where}.{key}")
+        elif isinstance(default, tuple):
+            default, choices = default
+            cfg[key] = table.get(key, default)
+            many = isinstance(default, list)
+            for entry in _typed(cfg[key], list, key, where) if many else [cfg[key]]:
+                if entry not in choices:
+                    raise ConfigError(f"{where}: {key!r} takes one of {choices}, got {entry!r}")
+        elif key not in table:
+            cfg[key] = None if isinstance(default, type) else default
+        else:
+            kind = default if isinstance(default, type) else type(default)
+            cfg[key] = _typed(table[key], kind, key, where)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_poisson(args) -> int:
-    cfg = _load_config(args.config)
-    graph = graph_from_config(cfg)
+def _cmd_poisson(args, raw, cfg, graph) -> int:
     bundle = discretize(graph, args.scheme)
-    f = None
-    if cfg.get("edge_data") is not None:
-        fns = compile_edge_expressions(cfg["edge_data"], graph.num_edges)
-        f = apply_function_to_edges(bundle, fns)
-    psi = stationary.solve_poisson(bundle, f, cfg.get("node_data"))
+    edge_data, exact = (compile_edge_expressions(cfg[key], graph.num_edges)
+                        for key in ("edge_data", "exact"))
+    f = None if edge_data is None else apply_function_to_edges(bundle, edge_data)
+    psi = stationary.solve_poisson(bundle, f, cfg["node_data"])
     out = _out_dir(args)
     save_state_csv(bundle, psi, out / "solution.csv")
     extra = {}
-    exact = _sampled_exact(bundle, cfg)
     if exact is not None:
-        err = np.abs(psi - exact)
+        err = np.abs(psi - apply_function_to_edges(bundle, exact))
         per_edge = {str(m): float(np.max(err[bundle.edge_slice(m)]))
                     for m in range(1, graph.num_edges + 1)}
         report = {"max_error": float(np.max(err)), "per_edge": per_edge}
         (out / "error_report.json").write_text(json.dumps(report, indent=1))
         extra["max_error"] = report["max_error"]
-    _write_run_json(out, args, cfg, graph, extra)
+    _write_run_json(out, args, raw, graph, extra)
     return 0
 
 
-def _cmd_eigs(args) -> int:
-    cfg = _load_config(args.config)
-    graph = graph_from_config(cfg)
+def _cmd_eigs(args, raw, cfg, graph) -> int:
     bundle = discretize(graph, args.scheme)
-    m = _number(cfg, "m", int, 4)
-    sigma = float(cfg.get("shift", 1e-2))
-    lam, vecs = stationary.eigs(bundle, m, sigma=sigma)
+    lam, vecs = stationary.eigs(bundle, cfg["m"], sigma=cfg["shift"])
     out = _out_dir(args)
     residuals = []
-    for j in range(m):
+    for j in range(cfg["m"]):
         r = bundle.lap_vc @ vecs[:, j] - lam[j] * (bundle.interp_zero @ vecs[:, j])
         residuals.append(float(np.linalg.norm(r)))
         save_state_csv(bundle, vecs[:, j], out / f"eigenvector_{j + 1:03d}.csv")
@@ -159,15 +161,12 @@ def _cmd_eigs(args) -> int:
         "residuals": residuals,
     }
     (out / "spectrum.json").write_text(json.dumps(spectrum, indent=1))
-    _write_run_json(out, args, cfg, graph)
+    _write_run_json(out, args, raw, graph)
     return 0
 
 
-def _cmd_secdet(args) -> int:
-    cfg = _load_config(args.config)
-    graph = graph_from_config(cfg)
-    k_max = float(cfg.get("k_max", 2.0 * math.pi))
-    samples = _number(cfg, "samples", int, 800)
+def _cmd_secdet(args, raw, cfg, graph) -> int:
+    k_max, samples = cfg["k_max"], cfg["samples"]
     if samples < 1:
         raise ConfigError(f"samples must be at least 1, got {samples}")
     sigma = stationary.secular_function(graph)
@@ -182,7 +181,7 @@ def _cmd_secdet(args) -> int:
                 "scheme": "secular", "residual": float(res)}
                for (k, mult), res in zip(zeros, residuals)]
     (out / "zeros.json").write_text(json.dumps(payload, indent=1))
-    _write_run_json(out, args, cfg, graph)
+    _write_run_json(out, args, raw, graph)
     return 0
 
 
@@ -194,10 +193,10 @@ _EVOLUTION_NONLINEARITIES = {
 
 def _leapfrog(problem, u0, ev):
     b = problem.bundle
-    vel = compile_edge_expressions(ev.get("initial_velocity"), b.graph.num_edges)
+    vel = compile_edge_expressions(ev["initial_velocity"], b.graph.num_edges)
     if vel is None:
         raise ConfigError("leapfrog needs 'initial_velocity' edge expressions")
-    name = ev.get("nonlinearity", "sine_gordon")
+    name = "sine_gordon" if ev["nonlinearity"] is None else ev["nonlinearity"]
     g = {"sine_gordon": np.sin, "none": lambda u: 0.0 * u}.get(name)
     if g is None:
         raise ConfigError(f"unknown leapfrog nonlinearity {name!r}")
@@ -213,39 +212,28 @@ _EVOLUTION_SCHEMES = {
 }
 
 
-def _cmd_evolve(args) -> int:
-    cfg = _load_config(args.config)
-    graph = graph_from_config(cfg)
+def _cmd_evolve(args, raw, cfg, graph) -> int:
     bundle = discretize(graph, args.scheme)
-    ev = cfg.get("evolution")
-    if not isinstance(ev, dict):
-        raise ConfigError("config needs an 'evolution' table")
-    scheme = ev.get("scheme")
-    if scheme not in _EVOLUTION_SCHEMES:
-        raise ConfigError(f"unknown evolution scheme {scheme!r}")
-    mu = ev.get("mu", 1.0)
-    if isinstance(mu, (list, tuple)):
+    ev = cfg["evolution"]
+    scheme = ev["scheme"]
+    mu = 1.0 if ev["mu"] is None else ev["mu"]
+    if isinstance(mu, list):
         mu = complex(mu[0], mu[1])
-    fname = ev.get("nonlinearity", "none")
+    fname = "none" if ev["nonlinearity"] is None else ev["nonlinearity"]
     if scheme != "leapfrog" and fname not in _EVOLUTION_NONLINEARITIES:
         raise ConfigError(f"unknown nonlinearity {fname!r}")
-    init = compile_edge_expressions(ev.get("initial"), graph.num_edges)
+    init = compile_edge_expressions(ev["initial"], graph.num_edges)
     if init is None:
         raise ConfigError("evolution config needs 'initial' edge expressions")
-    quantities = _list(ev, "conserve", ["mass"])
-    unknown = [q for q in quantities if q not in evo.QUANTITIES]
-    if unknown:
-        raise ConfigError(f"unknown quantity {unknown[0]!r}; pick from {evo.QUANTITIES}")
     problem = evo.EvolutionProblem(
         bundle, mu=mu, f=_EVOLUTION_NONLINEARITIES.get(fname),
-        tau=float(ev.get("tau", 1e-2)), t_final=float(ev.get("t_final", 1.0)),
-        n_skip=_number(ev, "n_skip", int, 1))
+        tau=ev["tau"], t_final=ev["t_final"], n_skip=ev["n_skip"])
     u0 = apply_function_to_edges(bundle, init)
     times, states = _EVOLUTION_SCHEMES[scheme](problem, u0, ev)
     table = evo.conservation_trace(
-        make_context(bundle), times, states, quantities, sigma=float(ev.get("sigma", 1.0)),
-        momentum_orientations=ev.get("momentum_orientation"))
-    names = ["times"] + [n for q in quantities for n in (q, q + "_drift")]
+        make_context(bundle), times, states, ev["conserve"], sigma=ev["sigma"],
+        momentum_orientations=ev["momentum_orientation"])
+    names = ["times"] + [n for q in ev["conserve"] for n in (q, q + "_drift")]
 
     out = _out_dir(args)
     save_scalar_csv(out / "times.csv", times)
@@ -253,62 +241,50 @@ def _cmd_evolve(args) -> int:
         save_state_csv(bundle, states[:, j], out / f"state_{j:04d}.csv")
     save_scalar_csv(out / "conservation.csv", np.column_stack([table[n] for n in names]),
                     header=",".join(names))
-    _write_run_json(out, args, cfg, graph, {"evolution_scheme": scheme})
+    _write_run_json(out, args, raw, graph, {"evolution_scheme": scheme})
     return 0
 
 
-def _cmd_continue(args) -> int:
-    cfg = _load_config(args.config)
-    graph = graph_from_config(cfg)
-    bundle = discretize(graph, args.scheme)
-    cc = cfg.get("continue")
-    if not isinstance(cc, dict):
+def _cmd_continue(args, raw, cfg, graph) -> int:
+    if "continue" not in raw:
         raise ConfigError("config needs a 'continue' table")
-    opts = cont.ContinuationOptions(**cc.get("options", {}))
-    problem = stationary.nls_problem(bundle, sigma=float(cc.get("sigma", 1.0)))
+    bundle = discretize(graph, args.scheme)
+    cc = cfg["continue"]
+    opts = cont.ContinuationOptions(**cc["options"])
+    problem = stationary.nls_problem(bundle, sigma=cc["sigma"])
     sys_ = cont.nls_system(problem, make_context(bundle))
-    start = cc.get("from", "eig")
-    axes = tuple(_list(cc, "axes", ["lambda", "mass"]))
-    unknown = [ax for ax in axes if ax not in cont.DIAGRAM_AXES]
-    if unknown:
-        raise ConfigError(f"unknown axis {unknown[0]!r}; pick from {cont.DIAGRAM_AXES}")
-    # checked before any output: the start, its keys and the amplitude
-    needs = {"eig": (), "branch_point": ("branch", "point"), "saved": ("name",),
-             "end": ("branch",)}
-    if start not in needs:
-        raise ConfigError(f"unknown continuation start {start!r}")
-    missing = [key for key in needs[start] if key not in cc]
+    start, axes = cc["from"], tuple(cc["axes"])
+    # checked before any output: the start's keys and the amplitude
+    needs = {"branch_point": ("branch", "point"), "saved": ("name",), "end": ("branch",)}
+    missing = [key for key in needs.get(start, ()) if cc[key] is None]
     if missing:
         raise ConfigError(f"continuation from {start!r} needs the {missing[0]!r} key")
-    amplitude = _number(cc, "amplitude", float, 1e-2)
+    amplitude = cc["amplitude"]
     if amplitude == 0.0 or not math.isfinite(amplitude):
         raise ConfigError(f"amplitude must be finite and nonzero, got {amplitude}")
-    index = _number(cc, "index", int, 1)
-    count = _number(cc, "n_eigenfunctions", int, max(6, index + 2))
-    branch_id, point = _number(cc, "branch", int), _number(cc, "point", int)
-    sign = _number(cc, "sign", int, 1)
-    direction = _number(cc, "direction", float, -1.0)
-    if "run_dir" in cc:
+    count = max(6, cc["index"] + 2) if cc["n_eigenfunctions"] is None else cc["n_eigenfunctions"]
+    if cc["run_dir"] is not None:
         run_dir = Path(cc["run_dir"])
         cont.check_run_layout(run_dir, bundle)
     else:
-        tag = cfg.get("template", "graph")
-        run_dir = cont.create_run(_out_dir(args), tag, bundle)
+        run_dir = cont.create_run(_out_dir(args), cfg["template"] or "graph", bundle)
     if start == "eig":
         if not (Path(run_dir) / "eigenfunctions").exists():
             cont.save_eigenfunctions(run_dir, bundle, count)
-        branch = cont.continue_from_eig(run_dir, sys_, index, amplitude, opts)
+        branch = cont.continue_from_eig(run_dir, sys_, cc["index"], amplitude, opts)
     elif start == "branch_point":
-        branch = cont.continue_from_branch_point(run_dir, sys_, branch_id, point, sign, opts)
+        branch = cont.continue_from_branch_point(run_dir, sys_, cc["branch"], cc["point"],
+                                                 cc["sign"], opts)
     elif start == "saved":
-        branch = cont.continue_from_saved(run_dir, sys_, cc["name"], opts, direction=direction)
+        branch = cont.continue_from_saved(run_dir, sys_, cc["name"], opts,
+                                          direction=cc["direction"])
     else:
-        branch = cont.continue_from_end(run_dir, sys_, branch_id, opts)
+        branch = cont.continue_from_end(run_dir, sys_, cc["branch"], opts)
 
     rows = [[bid, *row] for bid, table in cont.bifurcation_diagram(run_dir, axes).items()
             for row in table]
     save_scalar_csv(Path(run_dir) / "diagram.csv", rows, header=",".join(("branch",) + axes))
-    _write_run_json(Path(run_dir), args, cfg, graph, {"points": len(branch.points)})
+    _write_run_json(Path(run_dir), args, raw, graph, {"points": len(branch.points)})
     return 0
 
 
@@ -317,8 +293,6 @@ def _cmd_template(args) -> int:
         for tag in sorted(TEMPLATES):
             print(tag)
         return 0
-    if args.tag not in TEMPLATES:
-        raise ConfigError(f"unknown template {args.tag!r}")
     graph = from_template(args.tag)
     info = graph_config(graph)
     info["vertices"] = graph.num_vertices
@@ -350,13 +324,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the keys of an explicit graph; a template's own are "template" and "overrides"
+_EDGE_KEYS = {"source": list, "target": list, "length": object, "weight": object,
+              "robin": object, "nx": object, "potential": list}
+_GRAPH = {"template": str, "overrides": dict, **_EDGE_KEYS}
+
+# Each command's keys and their defaults.  The default gives the kind: a number,
+# bool, string or list takes only that type, and an int no fractional number.
+# A type means that type, None when absent; a dict is a nested table; a pair
+# (default, choices) takes one of choices, or a list of them if default is one.
+_SCHEMAS = {
+    "poisson": {**_GRAPH, "edge_data": list, "node_data": object, "exact": list},
+    "eigs": {**_GRAPH, "m": 4, "shift": 1e-2},
+    "secdet": {**_GRAPH, "k_max": 2.0 * math.pi, "samples": 800},
+    "evolve": {**_GRAPH, "evolution": {
+        "scheme": (None, tuple(_EVOLUTION_SCHEMES)), "initial": list,
+        "initial_velocity": list, "mu": object, "nonlinearity": str, "tau": 1e-2,
+        "t_final": 1.0, "n_skip": 1, "conserve": (["mass"], evo.QUANTITIES), "sigma": 1.0,
+        "momentum_orientation": list}},
+    "continue": {**_GRAPH, "continue": {
+        "from": ("eig", ("eig", "branch_point", "saved", "end")), "run_dir": str,
+        "options": {f.name: f.default for f in dataclasses.fields(cont.ContinuationOptions)},
+        "sigma": 1.0, "axes": (["lambda", "mass"], cont.DIAGRAM_AXES), "index": 1,
+        "n_eigenfunctions": int, "amplitude": 1e-2, "branch": int, "point": int, "sign": 1,
+        "name": str, "direction": -1.0}},
+}
+
 _COMMANDS = {
     "poisson": _cmd_poisson,
     "eigs": _cmd_eigs,
     "secdet": _cmd_secdet,
     "evolve": _cmd_evolve,
     "continue": _cmd_continue,
-    "template": _cmd_template,
 }
 
 
@@ -367,14 +366,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
-    except (ConfigError, GraphError, KeyError) as exc:
-        print(f"qg {args.command}: configuration error: {exc}", file=sys.stderr)
-        return 2
-    except np.linalg.LinAlgError as exc:
+        if args.command == "template":
+            return _cmd_template(args)
+        raw = _load_config(args.config)
+        cfg = _read(raw, _SCHEMAS[args.command], "config")
+        return _COMMANDS[args.command](args, raw, cfg, graph_from_config(raw))
+    except np.linalg.LinAlgError as exc:  # a ValueError, so caught before the next clause
         print(f"qg {args.command}: {exc}", file=sys.stderr)
         return 1
-    except (TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # ConfigError, GraphError among them
         print(f"qg {args.command}: configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # solver-level failure

@@ -36,7 +36,7 @@ import json
 import math
 import os
 import shutil
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -91,16 +91,17 @@ class ContinuationOptions:
     max_newton: int = 25
 
     def __post_init__(self):
+        # written as "not inside" so that NaN fails too; n_thresh and
+        # lambda_thresh stay unchecked, since +-inf turns a threshold off
         if not 0.0 < self.max_theta < 90.0:
             raise ValueError("max_theta must lie in (0, 90) degrees")
-        if self.min_norm_delta <= 0:
-            raise ValueError("min_norm_delta must be positive")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.max_points < 2:
-            raise ValueError("max_points must be at least 2")
-        if self.ds <= 0 or self.newton_tol <= 0:
-            raise ValueError("ds and newton_tol must be positive")
+        for name in ("min_norm_delta", "beta", "ds", "newton_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name, least in (("max_points", 2), ("max_newton", 1)):
+            value = getattr(self, name)
+            if not (value >= least and value % 1 == 0):
+                raise ValueError(f"{name} must be an integer of at least {least}")
 
 
 @dataclass
@@ -671,7 +672,9 @@ def load_branch(run_dir, branch_id: int, bundle: OperatorBundle) -> Branch:
     bdir, states = _stored_branch_dir(run_dir, branch_id, bundle)
     columns = [np.loadtxt(bdir / f"{name}.csv", ndmin=1) for name in _BRANCH_SCALARS]
     options = json.loads((bdir / "options.json").read_text())
-    options.pop("plot_flag", None)  # an unused flag that older run directories store
+    stale = sorted(options.keys() - {f.name for f in fields(ContinuationOptions)})
+    if stale:
+        raise StaleLayoutError(f"{bdir / 'options.json'} holds the unknown option {stale[0]!r}")
     options = ContinuationOptions(**options)
     provenance = json.loads((bdir / "provenance.json").read_text())
     rows = zip(*columns, states["psi"], states["tangent"], strict=True)

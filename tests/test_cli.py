@@ -395,7 +395,8 @@ def test_cli_continue_refuses_a_zero_amplitude(tmp_path, capsys):
                                          ({"from": "eigenfunction"}, "eigenfunction"),
                                          ({"from": "branch_point", "branch": 1}, "point"),
                                          ({"from": "end", "branch": "x"}, "branch"),
-                                         ({"from": "eig", "index": "one"}, "index")])
+                                         ({"from": "eig", "index": "one"}, "index"),
+                                         ({"from": 3}, "'from' takes one of")])
 def test_cli_continue_checks_its_config_before_writing_anything(tmp_path, capsys,
                                                                 fault, word):
     cfg = write_config(tmp_path, {
@@ -433,6 +434,7 @@ def test_cli_refuses_a_bare_string_for_a_list_before_writing_anything(
                               "initial": [1.0, 1.0, 1.0], "n_skip": 1.5}}, "n_skip"),
     ("continue", {"continue": {"from": "eig", "index": 1.9}}, "index"),
     ("continue", {"continue": {"from": "branch_point", "branch": 1, "point": 2.5}}, "point"),
+    ("continue", {"continue": {"from": "eig", "options": {"max_points": 4.5}}}, "max_points"),
 ])
 def test_cli_refuses_a_fractional_integer_before_writing_anything(
         tmp_path, capsys, command, cfg, key):
@@ -441,6 +443,37 @@ def test_cli_refuses_a_fractional_integer_before_writing_anything(
     out.mkdir()
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert f"'{key}' must be int" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+_QUIET = {"max_points": 4, "verbose_flag": False}
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("poisson", {"edge_dat": [1.0, 1.0, 1.0]}, "config: unknown key 'edge_dat'"),
+    ("eigs", {"mm": 3, "shfit": 5}, "config: unknown key 'mm'"),
+    ("secdet", {"sampels": 50}, "config: unknown key 'sampels'"),
+    ("evolve", {"evolutoin": {}}, "config: unknown key 'evolutoin'"),
+    ("continue", {"contineu": {}}, "config: unknown key 'contineu'"),
+    ("evolve", {"evolution": {"scheme": "crank_nicolson", "initial": [1.0, 1.0, 1.0],
+                              "tua": 0.1}}, "config.evolution: unknown key 'tua'"),
+    ("continue", {"continue": {"ampltude": 0.1, "options": _QUIET}},
+     "config.continue: unknown key 'ampltude'"),
+    ("continue", {"continue": {"options": {**_QUIET, "max_pionts": 4}}},
+     "config.continue.options: unknown key 'max_pionts'"),
+    ("eigs", {"source": [1], "target": [2], "length": [1.0]},
+     "config: 'template' excludes the edge keys ['length', 'source', 'target']"),
+    ("continue", {"continue": {"options": {**_QUIET, "verbose_flag": "no"}}},
+     "config.continue.options: 'verbose_flag' must be bool"),
+    ("eigs", {"shift": "0.5"}, "config: 'shift' must be float"),
+])
+def test_cli_refuses_an_unknown_or_ill_typed_key_before_writing_anything(
+        tmp_path, capsys, command, cfg, message):
+    cfg = write_config(tmp_path, {"template": "dumbbell", **cfg})
+    out = tmp_path / "data"
+    out.mkdir()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 

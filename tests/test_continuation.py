@@ -54,6 +54,18 @@ def test_options_validation():
         ContinuationOptions(max_points=1)
 
 
+@pytest.mark.parametrize("bad", [{"max_newton": 0}, {"max_newton": -3}, {"max_newton": 2.5},
+                                 {"max_points": 2.5}, {"max_points": math.inf},
+                                 {"ds": math.nan}, {"ds": math.inf}, {"beta": math.nan},
+                                 {"beta": math.inf}, {"newton_tol": math.nan},
+                                 {"newton_tol": math.inf}, {"min_norm_delta": math.nan},
+                                 {"min_norm_delta": math.inf}])
+def test_options_refuse_values_that_break_a_run(bad):
+    # checked at construction only: a NaN min_norm_delta turns the step floor off
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        ContinuationOptions(**bad)
+
+
 def test_beta_metric_values():
     sys_ = circle_system()
     u = np.array([2.0])
@@ -263,8 +275,9 @@ def test_malformed_state_arrays_are_refused(tmp_path, name, reshape):
             read()
 
 
-def test_load_branch_accepts_legacy_plot_flag(tmp_path):
-    # run directories written before plot_flag was deleted store it in options.json
+def test_load_branch_refuses_an_option_it_does_not_know(tmp_path):
+    # plot_flag was deleted; every directory written before that is refused
+    # for its per-point CSVs, so an options.json holding it is stale
     b, sys_ = dumbbell_setup()
     run = cont.create_run(tmp_path, "dumbbell", b)
     cont.save_eigenfunctions(run, b, 3)
@@ -274,9 +287,8 @@ def test_load_branch_accepts_legacy_plot_flag(tmp_path):
     stored = json.loads(path.read_text())
     assert "plot_flag" not in stored
     path.write_text(json.dumps(dict(stored, plot_flag=True), indent=1))
-    loaded = cont.load_branch(run, bid, b)
-    assert loaded.options == opts
-    assert not hasattr(loaded.options, "plot_flag")
+    with pytest.raises(cont.StaleLayoutError, match="plot_flag"):
+        cont.load_branch(run, bid, b)
 
 
 def test_stale_layout_rejected(tmp_path):
