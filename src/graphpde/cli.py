@@ -26,7 +26,7 @@ import numpy as np
 
 from . import continuation as cont
 from . import evolution as evo
-from . import stationary
+from . import stationary, store
 from .discretize import (apply_function_to_edges, discretize, save_scalar_csv,
                          save_state_csv)
 from .expressions import ConfigError, compile_edge_expressions
@@ -217,17 +217,23 @@ def _cmd_evolve(args, raw, cfg, graph) -> int:
     ev = cfg["evolution"]
     scheme = ev["scheme"]
     mu = 1.0 if ev["mu"] is None else ev["mu"]
-    if isinstance(mu, list):
-        mu = complex(mu[0], mu[1])
+    parts = mu if isinstance(mu, list) and len(mu) == 2 else [mu]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
+        raise ConfigError("config.evolution: 'mu' must be a number or a list of two numbers, "
+                          f"got {mu!r}")
+    mu = complex(*parts) if isinstance(mu, list) else mu
     fname = "none" if ev["nonlinearity"] is None else ev["nonlinearity"]
     if scheme != "leapfrog" and fname not in _EVOLUTION_NONLINEARITIES:
         raise ConfigError(f"unknown nonlinearity {fname!r}")
     init = compile_edge_expressions(ev["initial"], graph.num_edges)
     if init is None:
         raise ConfigError("evolution config needs 'initial' edge expressions")
-    problem = evo.EvolutionProblem(
-        bundle, mu=mu, f=_EVOLUTION_NONLINEARITIES.get(fname),
-        tau=ev["tau"], t_final=ev["t_final"], n_skip=ev["n_skip"])
+    try:
+        problem = evo.EvolutionProblem(
+            bundle, mu=mu, f=_EVOLUTION_NONLINEARITIES.get(fname),
+            tau=ev["tau"], t_final=ev["t_final"], n_skip=ev["n_skip"])
+    except evo.EvolutionError as exc:
+        raise ConfigError(f"config.evolution: {exc}") from exc
     u0 = apply_function_to_edges(bundle, init)
     times, states = _EVOLUTION_SCHEMES[scheme](problem, u0, ev)
     table = evo.conservation_trace(
@@ -254,7 +260,7 @@ def _cmd_continue(args, raw, cfg, graph) -> int:
     problem = stationary.nls_problem(bundle, sigma=cc["sigma"])
     sys_ = cont.nls_system(problem, make_context(bundle))
     start, axes = cc["from"], tuple(cc["axes"])
-    # checked before any output: the start's keys and the amplitude
+    # checked before any output: the start's keys, the amplitude and the index
     needs = {"branch_point": ("branch", "point"), "saved": ("name",), "end": ("branch",)}
     missing = [key for key in needs.get(start, ()) if cc[key] is None]
     if missing:
@@ -262,16 +268,19 @@ def _cmd_continue(args, raw, cfg, graph) -> int:
     amplitude = cc["amplitude"]
     if amplitude == 0.0 or not math.isfinite(amplitude):
         raise ConfigError(f"amplitude must be finite and nonzero, got {amplitude}")
-    count = max(6, cc["index"] + 2) if cc["n_eigenfunctions"] is None else cc["n_eigenfunctions"]
+    index, count = cc["index"], cc["n_eigenfunctions"]
+    if index < 1 or count is not None and index > count:
+        raise ConfigError("config.continue: 'index' must be at least 1 and at most "
+                          f"'n_eigenfunctions', got {index}")
+    count = max(6, index + 2) if count is None else count
     if cc["run_dir"] is not None:
         run_dir = Path(cc["run_dir"])
-        cont.check_run_layout(run_dir, bundle)
     else:
-        run_dir = cont.create_run(_out_dir(args), cfg["template"] or "graph", bundle)
+        run_dir = store.create_run(_out_dir(args), cfg["template"] or "graph", bundle)
     if start == "eig":
-        if not (Path(run_dir) / "eigenfunctions").exists():
-            cont.save_eigenfunctions(run_dir, bundle, count)
-        branch = cont.continue_from_eig(run_dir, sys_, cc["index"], amplitude, opts)
+        if not store.eigenfunctions_saved(run_dir):
+            store.save_eigenfunctions(run_dir, bundle, count)
+        branch = cont.continue_from_eig(run_dir, sys_, index, amplitude, opts)
     elif start == "branch_point":
         branch = cont.continue_from_branch_point(run_dir, sys_, cc["branch"], cc["point"],
                                                  cc["sign"], opts)
@@ -281,9 +290,7 @@ def _cmd_continue(args, raw, cfg, graph) -> int:
     else:
         branch = cont.continue_from_end(run_dir, sys_, cc["branch"], opts)
 
-    rows = [[bid, *row] for bid, table in cont.bifurcation_diagram(run_dir, axes).items()
-            for row in table]
-    save_scalar_csv(Path(run_dir) / "diagram.csv", rows, header=",".join(("branch",) + axes))
+    store.save_diagram(run_dir, axes)
     _write_run_json(Path(run_dir), args, raw, graph, {"points": len(branch.points)})
     return 0
 
@@ -345,7 +352,7 @@ _SCHEMAS = {
     "continue": {**_GRAPH, "continue": {
         "from": ("eig", ("eig", "branch_point", "saved", "end")), "run_dir": str,
         "options": {f.name: f.default for f in dataclasses.fields(cont.ContinuationOptions)},
-        "sigma": 1.0, "axes": (["lambda", "mass"], cont.DIAGRAM_AXES), "index": 1,
+        "sigma": 1.0, "axes": (["lambda", "mass"], store.DIAGRAM_AXES), "index": 1,
         "n_eigenfunctions": int, "amplitude": 1e-2, "branch": int, "point": int, "sign": 1,
         "name": str, "direction": -1.0}},
 }

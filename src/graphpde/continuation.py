@@ -1,4 +1,4 @@
-"""Pseudo-arclength continuation with bifurcation detection and persistence.
+"""Pseudo-arclength continuation with bifurcation detection.
 
 Branches of solutions of F(u, lambda) = 0 are traced with a secant
 predictor and a Newton corrector on the bordered system
@@ -30,29 +30,22 @@ raises the residual, and stationary.NewtonError if it does not converge.
 """
 from __future__ import annotations
 
-import datetime
-import hashlib
-import json
 import math
-import os
-import shutil
-from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .discretize import (OperatorBundle, load_state_csv, save_scalar_csv, save_state_csv,
-                         write_text_atomic)
+from .discretize import OperatorBundle
 from .functionals import FunctionalContext, energy_nls, inner_product, mass
-from .graphs import graph_config, graph_hash
-from .stationary import NLSProblem, eigs, newton, nls_jacobian, nls_residual
-
-
-class ContinuationError(RuntimeError):
-    pass
+from .stationary import NLSProblem, newton, nls_jacobian, nls_residual
+# the store's own objects, also bound here under the names they had in this module
+from .store import (DIAGRAM_AXES, ContinuationError, StaleLayoutError, append_log,
+                    bifurcation_diagram, bundle_hash, check_run_layout, create_run,
+                    list_branches, load_eigenfunction, load_standing_wave, read_branch,
+                    save_branch, save_eigenfunctions, save_standing_wave)
 
 
 class CorrectorError(ContinuationError):
@@ -60,10 +53,6 @@ class CorrectorError(ContinuationError):
 
 
 class CodimensionTwoError(ContinuationError):
-    pass
-
-
-class StaleLayoutError(ContinuationError):
     pass
 
 
@@ -429,14 +418,6 @@ def locate_branch_point(sys: ContinuationSystem, opts: ContinuationOptions,
 # ---------------------------------------------------------------------------
 # main driver
 
-def _log(run_dir, message):
-    if run_dir is None:
-        return
-    stamp = datetime.datetime.now().isoformat(timespec="seconds")
-    with open(Path(run_dir) / "logfile.txt", "a") as fh:
-        fh.write(f"{stamp}  {message}\n")
-
-
 def _run_continuation(sys, opts, points, prev_dir, *, run_dir=None):
     """Advance a branch from its last point; points is extended in place."""
     ds = opts.ds
@@ -457,7 +438,7 @@ def _run_continuation(sys, opts, points, prev_dir, *, run_dir=None):
     def note(msg):
         if opts.verbose_flag:
             print(f"[continuation] {msg}")
-        _log(run_dir, f"branch: {msg}")
+        append_log(run_dir, f"branch: {msg}")
 
     while len(points) < opts.max_points:
         # one rejection rule halves ds: the corrector failed, or its point is
@@ -536,157 +517,12 @@ def continue_branch(sys: ContinuationSystem, seed_u, seed_lam,
     return Branch(points, {"kind": "seed", "termination": termination}, opts, perturbations)
 
 
-# ---------------------------------------------------------------------------
-# run directories and persistence
-
-def bundle_hash(bundle: OperatorBundle) -> str:
-    payload = json.dumps({
-        "graph": graph_hash(bundle.graph),
-        "scheme": bundle.scheme,
-        "n": [int(v) for v in bundle.grid.n],
-    }, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def create_run(base, tag: str, bundle: OperatorBundle) -> Path:
-    """Create data/<tag>/<run id>/ with template.json and a fresh log."""
-    root = Path(base) / tag
-    root.mkdir(parents=True, exist_ok=True)
-    run_dir = root / f"{_first_free(lambda k: root / f'{k:03d}'):03d}"
-    run_dir.mkdir()
-    template = {
-        "tag": tag,
-        "scheme": bundle.scheme,
-        "graph": graph_config(bundle.graph),
-        "n_per_edge": [int(v) for v in bundle.grid.n],
-        "hash": bundle_hash(bundle),
-    }
-    write_text_atomic(run_dir / "template.json", json.dumps(template, indent=1))
-    _log(run_dir, f"created run {tag}/{run_dir.name}")
-    return run_dir
-
-
-def check_run_layout(run_dir, bundle: OperatorBundle) -> None:
-    meta = json.loads((Path(run_dir) / "template.json").read_text())
-    if meta["hash"] != bundle_hash(bundle):
-        raise StaleLayoutError(
-            f"run directory {run_dir} was created for a different discretization "
-            f"({meta['hash']} != {bundle_hash(bundle)})")
-
-
-def _first_free(path_of) -> int:
-    """The least k >= 1 for which path_of(k) does not exist."""
-    k = 1
-    while path_of(k).exists():
-        k += 1
-    return k
-
-
-def save_eigenfunctions(run_dir, bundle: OperatorBundle, count: int):
-    """Compute the count eigenpairs nearest zero and persist them under
-    <run>/eigenfunctions/ as the seeds of continue_from_eig."""
-    check_run_layout(run_dir, bundle)
-    lam, vecs = eigs(bundle, count)
-    edir = Path(run_dir) / "eigenfunctions"
-    edir.mkdir(exist_ok=True)
-    save_scalar_csv(edir / "eigenvalues.csv", np.real(lam))
-    for j in range(count):
-        save_state_csv(bundle, np.real(vecs[:, j]), edir / f"eigenfunction_{j + 1:03d}.csv")
-    _log(run_dir, f"saved {count} eigenfunctions")
-    return lam, vecs
-
-
-def save_standing_wave(run_dir, bundle: OperatorBundle, psi, lam: float) -> str:
-    """Persist a standing wave as the first free <run>/saved/wave_NNN; returns that name."""
-    check_run_layout(run_dir, bundle)
-    sdir = Path(run_dir) / "saved"
-    sdir.mkdir(exist_ok=True)
-    name = f"wave_{_first_free(lambda k: sdir / f'wave_{k:03d}_psi.csv'):03d}"
-    save_state_csv(bundle, psi, sdir / f"{name}_psi.csv")
-    save_scalar_csv(sdir / f"{name}_lambda.csv", [lam])
-    _log(run_dir, f"saved standing wave {name} at lambda={lam:.8g}")
-    return name
-
-
-def _branch_dir(run_dir, branch_id: int) -> Path:
-    return Path(run_dir) / f"branch{branch_id:03d}"
-
-
-# per-point files of a branch directory (CSVs; .npy rows) and their BranchPoint fields
-_BRANCH_SCALARS = {"lambda": "lam", "mass": "mass", "energy": "energy",
-                   "biftype": "bif_type", "lambda_dot": "tangent_lam"}
-_BRANCH_STATES = {"psi": "psi", "tangent": "tangent_psi"}
-
-
-def _load_states(path, shape) -> np.ndarray:
-    """The float64 array of the given shape stored at path, else StaleLayoutError."""
-    try:
-        states = np.load(path, allow_pickle=False)
-    except ValueError as exc:  # an object array, or not an .npy file
-        raise StaleLayoutError(f"{path}: {exc}") from exc
-    if states.dtype != np.float64 or states.shape != shape:
-        raise StaleLayoutError(f"{path} holds {states.dtype} {states.shape}, not float64 {shape}")
-    return states
-
-
-def _stored_branch_dir(run_dir, branch_id: int, bundle: OperatorBundle):
-    """A saved branch's directory and state arrays; StaleLayoutError if either is stale."""
-    check_run_layout(run_dir, bundle)
-    bdir = _branch_dir(run_dir, branch_id)
-    if not bdir.exists():
-        raise ContinuationError(f"no branch directory {bdir}")
-    if not (bdir / "psi.npy").exists() and (bdir / "psi_0001.csv").exists():
-        raise StaleLayoutError(f"{bdir / 'psi_0001.csv'} has the older per-point layout")
-    shape = (np.loadtxt(bdir / "lambda.csv", ndmin=1).size, bundle.n_ext)
-    return bdir, {kind: _load_states(bdir / f"{kind}.npy", shape) for kind in _BRANCH_STATES}
-
-
-def save_branch(run_dir, branch: Branch, bundle: OperatorBundle,
-                branch_id: int | None = None) -> int:
-    """Write a branch directory, staged and then renamed so that it appears whole."""
-    check_run_layout(run_dir, bundle)
-    if branch_id is None:
-        branch_id = _first_free(lambda k: _branch_dir(run_dir, k))
-    final = _branch_dir(run_dir, branch_id)
-    stage = final.with_name(final.name + ".stage")
-    if stage.exists():
-        shutil.rmtree(stage)
-    stage.mkdir(parents=True)
-    for name, attr in _BRANCH_SCALARS.items():
-        save_scalar_csv(stage / f"{name}.csv", [getattr(p, attr) for p in branch.points])
-    for name, attr in _BRANCH_STATES.items():
-        rows = np.array([getattr(p, attr) for p in branch.points], dtype=float)
-        np.save(stage / f"{name}.npy", rows, allow_pickle=False)
-    for idx, pert in branch.perturbations.items():
-        np.save(stage / f"perturbation_{idx + 1:04d}.npy", pert, allow_pickle=False)
-    write_text_atomic(stage / "options.json", json.dumps(asdict(branch.options), indent=1))
-    write_text_atomic(stage / "provenance.json", json.dumps(branch.provenance, indent=1))
-    if final.exists():
-        shutil.rmtree(final)
-    os.replace(stage, final)
-    _log(run_dir, f"saved branch{branch_id:03d} ({len(branch.points)} points)")
-    return branch_id
-
-
 def load_branch(run_dir, branch_id: int, bundle: OperatorBundle) -> Branch:
-    bdir, states = _stored_branch_dir(run_dir, branch_id, bundle)
-    columns = [np.loadtxt(bdir / f"{name}.csv", ndmin=1) for name in _BRANCH_SCALARS]
-    options = json.loads((bdir / "options.json").read_text())
-    stale = sorted(options.keys() - {f.name for f in fields(ContinuationOptions)})
-    if stale:
-        raise StaleLayoutError(f"{bdir / 'options.json'} holds the unknown option {stale[0]!r}")
-    options = ContinuationOptions(**options)
-    provenance = json.loads((bdir / "provenance.json").read_text())
-    rows = zip(*columns, states["psi"], states["tangent"], strict=True)
-    points = [BranchPoint(psi, float(lam), float(mass), float(energy), int(bif), tpsi, float(ldot))
-              for lam, mass, energy, bif, ldot, psi, tpsi in rows]
-    perturbations = {int(f.stem.split("_")[1]) - 1: _load_states(f, (bundle.n_ext,))
-                     for f in sorted(bdir.glob("perturbation_*.npy"))}
-    return Branch(points, provenance, options, perturbations)
-
-
-def list_branches(run_dir) -> list[int]:
-    return [int(d.name[-3:]) for d in sorted(Path(run_dir).glob("branch[0-9][0-9][0-9]"))]
+    """A saved branch, read by store.read_branch."""
+    points, perturbations, options, provenance = read_branch(
+        run_dir, branch_id, bundle, [f.name for f in fields(ContinuationOptions)])
+    return Branch([BranchPoint(**p) for p in points], provenance,
+                  ContinuationOptions(**options), perturbations)
 
 
 # ---------------------------------------------------------------------------
@@ -719,14 +555,7 @@ def continue_from_eig(run_dir, sys: ContinuationSystem, index: int,
     if amplitude == 0.0 or not math.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite and nonzero, got {amplitude}")
     opts = opts or ContinuationOptions()
-    bundle = sys.bundle
-    check_run_layout(run_dir, bundle)
-    edir = Path(run_dir) / "eigenfunctions"
-    lams = np.loadtxt(edir / "eigenvalues.csv", ndmin=1)
-    if not 1 <= index <= len(lams):
-        raise ContinuationError(f"eigenfunction index {index} not saved")
-    lam_j = float(lams[index - 1])
-    v = np.real(load_state_csv(bundle, edir / f"eigenfunction_{index:03d}.csv"))
+    lam_j, v = load_eigenfunction(run_dir, sys.bundle, index)
 
     a = amplitude
     f = sys.problem.f
@@ -735,7 +564,7 @@ def continue_from_eig(run_dir, sys: ContinuationSystem, index: int,
     seed = _polish(sys, a * v, lam_seed, opts)
     direction = v if sys.inner(v, seed) >= 0 else -v
     t = _normalized(sys, direction, 0.0, opts.beta)
-    _log(run_dir, f"continue_from_eig index={index} lambda_seed={lam_seed:.8g}")
+    append_log(run_dir, f"continue_from_eig index={index} lambda_seed={lam_seed:.8g}")
     return _run_and_save(run_dir, sys, opts, [_make_point(sys, seed, lam_seed, *t)], t,
                          {"kind": "eigenfunction", "index": index, "amplitude": amplitude})
 
@@ -746,17 +575,13 @@ def continue_from_saved(run_dir, sys: ContinuationSystem, name: str,
     """Continue a saved standing wave, first polished by stationary.newton
     (NewtonError on failure); direction sets d(lambda)/ds."""
     opts = opts or ContinuationOptions()
-    bundle = sys.bundle
-    check_run_layout(run_dir, bundle)
-    sdir = Path(run_dir) / "saved"
-    psi = np.real(load_state_csv(bundle, sdir / f"{name}_psi.csv"))
-    lam = float(np.loadtxt(sdir / f"{name}_lambda.csv"))
+    psi, lam = load_standing_wave(run_dir, sys.bundle, name)
     psi = _polish(sys, psi, lam, opts)
     t_u, t_lam = tangent_at(sys, psi, lam, np.zeros_like(psi),
                             math.copysign(1.0, direction), opts.beta)
     # normalized again, as continue_branch normalizes any given tangent
     t = _normalized(sys, t_u, t_lam, opts.beta)
-    _log(run_dir, f"continue_from_saved {name}")
+    append_log(run_dir, f"continue_from_saved {name}")
     return _run_and_save(run_dir, sys, opts, [_make_point(sys, psi, lam, *t)], t,
                          {"kind": "saved", "name": name})
 
@@ -766,19 +591,17 @@ def continue_from_branch_point(run_dir, sys: ContinuationSystem, branch_id: int,
                                opts: ContinuationOptions | None = None) -> Branch:
     """Switch onto the branch crossing at a stored branch point.
 
-    Uses only that point's lambda, state (its row of psi.npy) and
-    perturbation from the parent branch directory.
+    Uses only that point's lambda, state and perturbation from the parent
+    branch, as store.read_branch gives them.
     """
     opts = opts or ContinuationOptions()
-    bundle = sys.bundle
-    bdir, states = _stored_branch_dir(run_dir, branch_id, bundle)
-    pert_file = bdir / f"perturbation_{point_index + 1:04d}.npy"
-    if not pert_file.exists():
+    stored, perturbations, _, _ = read_branch(run_dir, branch_id, sys.bundle,
+                                              [f.name for f in fields(ContinuationOptions)])
+    if point_index not in perturbations:
         raise ContinuationError(
             f"branch {branch_id} has no stored perturbation at point {point_index}")
-    lam0 = float(np.loadtxt(bdir / "lambda.csv", ndmin=1)[point_index])
-    psi0 = states["psi"][point_index]
-    pert = math.copysign(1.0, sign) * _load_states(pert_file, (bundle.n_ext,))
+    lam0, psi0 = stored[point_index]["lam"], stored[point_index]["psi"]
+    pert = math.copysign(1.0, sign) * perturbations[point_index]
     t_u, t_lam = _normalized(sys, pert, 0.0, opts.beta)
     u1, lam1, _ = corrector(sys, opts, psi0 + pert, lam0, t_u, t_lam)
     points = [_make_point(sys, psi0, lam0, t_u, t_lam, bif_type=1),
@@ -786,8 +609,8 @@ def continue_from_branch_point(run_dir, sys: ContinuationSystem, branch_id: int,
     du, dlam = u1 - psi0, lam1 - lam0
     prev_dir = _normalized(sys, du, dlam, opts.beta)
     points[1].tangent_psi, points[1].tangent_lam = prev_dir
-    _log(run_dir, f"continue_from_branch_point branch{branch_id:03d} "
-                  f"point {point_index} sign {sign:+d}")
+    append_log(run_dir, f"continue_from_branch_point branch{branch_id:03d} "
+                        f"point {point_index} sign {sign:+d}")
     return _run_and_save(run_dir, sys, opts, points, prev_dir,
                          {"kind": "branch_point", "parent": branch_id,
                           "point": point_index, "sign": int(sign)})
@@ -802,22 +625,8 @@ def continue_from_end(run_dir, sys: ContinuationSystem, branch_id: int,
         raise ContinuationError("need at least two points to extend a branch")
     a, b = branch.points[-2], branch.points[-1]
     prev_dir = _normalized(sys, b.psi - a.psi, b.lam - a.lam, opts.beta)
-    _log(run_dir, f"continue_from_end branch{branch_id:03d}")
+    append_log(run_dir, f"continue_from_end branch{branch_id:03d}")
     return _run_and_save(run_dir, sys, opts, branch.points, prev_dir,
                          {**branch.provenance, "extended": True}, branch.perturbations,
                          branch_id)
 
-
-# ---------------------------------------------------------------------------
-
-DIAGRAM_AXES = ("lambda", "mass", "energy")
-
-
-def bifurcation_diagram(run_dir, axes=("lambda", "mass")) -> dict[int, np.ndarray]:
-    """Per-branch polyline tables of the requested axes (from stored CSVs)."""
-    for ax in axes:
-        if ax not in DIAGRAM_AXES:
-            raise ContinuationError(f"unknown axis {ax!r}; pick from {DIAGRAM_AXES}")
-    return {bid: np.column_stack([np.loadtxt(_branch_dir(run_dir, bid) / f"{ax}.csv", ndmin=1)
-                                  for ax in axes])
-            for bid in list_branches(run_dir)}

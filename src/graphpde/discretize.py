@@ -464,8 +464,8 @@ def save_state_csv(bundle: OperatorBundle, u: np.ndarray, path) -> None:
         fh.write(bundle.state_csv_format % tuple(values))
 
 
-def save_scalar_csv(path, rows, header=None) -> None:
-    """Write numbers, or rows of numbers, one line each as %.17g, atomically.
+def scalar_csv_text(rows, header=None) -> str:
+    """Numbers, or rows of numbers, one line each as %.17g.
 
     A header line, when given, comes first.
     """
@@ -473,7 +473,12 @@ def save_scalar_csv(path, rows, header=None) -> None:
     for row in rows:
         values = [row] if np.ndim(row) == 0 else row
         lines.append(",".join("%.17g" % v for v in values))
-    write_text_atomic(path, "".join(line + "\n" for line in lines))
+    return "".join(line + "\n" for line in lines)
+
+
+def save_scalar_csv(path, rows, header=None) -> None:
+    """Write scalar_csv_text(rows, header) to path atomically."""
+    write_text_atomic(path, scalar_csv_text(rows, header))
 
 
 def write_text_atomic(path, text: str) -> None:

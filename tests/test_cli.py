@@ -493,3 +493,30 @@ def test_cli_unknown_evolution_scheme(tmp_path):
         "evolution": {"scheme": "magic", "initial": [1.0]},
     })
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("keys", [{"index": 0}, {"index": 4, "n_eigenfunctions": 3}],
+                         ids=["index-0", "index-above-count"])
+def test_cli_continue_refuses_an_index_of_no_eigenfunction_before_any_output(
+        tmp_path, capsys, keys):
+    cfg = write_config(tmp_path, {"template": "dumbbell",
+                                  "continue": {**keys, "options": _QUIET}})
+    out = tmp_path / "data"
+    assert main(["continue", "--config", cfg, "--out", str(out)]) == 2
+    assert "config.continue: 'index' must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [{"tau": -0.1}, {"t_final": 0}, {"n_skip": 0}, {"mu": [1.0]}],
+                         ids=["tau", "t_final", "n_skip", "mu"])
+def test_cli_evolve_refuses_bad_run_values_as_configuration_errors(tmp_path, capsys, bad):
+    cfg = write_config(tmp_path, {
+        "template": "dumbbell",
+        "evolution": {"scheme": "crank_nicolson", "tau": 0.1, "t_final": 0.3,
+                      "initial": [1.0, 1.0, 1.0], **bad},
+    })
+    out = tmp_path / "data"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: config.evolution:" in err and next(iter(bad)) in err
+    assert not out.exists()
