@@ -35,25 +35,30 @@ from .graphs import DIRICHLET, GraphError, MetricGraph, TEMPLATES, build_graph, 
     from_template, graph_config, graph_hash
 
 
+def _robin(value):
+    """A config's robin, a number or a list, with each "dirichlet" read as DIRICHLET."""
+    if isinstance(value, list):
+        return [_robin(v) for v in value]
+    if isinstance(value, str):
+        return DIRICHLET if value.lower() == "dirichlet" else float(value)
+    return value
+
+
 def graph_from_config(cfg: dict) -> MetricGraph:
     """Build a graph from a JSON config: a template reference or edge lists, not both."""
     named, listed = cfg.keys() & {"template", "overrides"}, cfg.keys() & _EDGE_KEYS
     if named and listed:
         raise ConfigError(f"config: {min(named)!r} excludes the edge keys {sorted(listed)}")
     if "template" in cfg:
-        return from_template(cfg["template"], **cfg.get("overrides", {}))
+        overrides = {key: _robin(v) if key == "robin" else v
+                     for key, v in cfg.get("overrides", {}).items()}
+        return from_template(cfg["template"], **overrides)
     for key in ("source", "target", "length"):
         if key not in cfg:
             raise ConfigError(f"graph config is missing the {key!r} key")
-    robin = cfg.get("robin")
-    if isinstance(robin, str):
-        robin = DIRICHLET if robin.lower() == "dirichlet" else float(robin)
-    elif robin is not None and not np.isscalar(robin):
-        robin = [DIRICHLET if isinstance(v, str) and v.lower() == "dirichlet"
-                 else float(v) for v in robin]
     potentials = compile_edge_expressions(cfg.get("potential"), len(cfg["source"]))
     return build_graph(cfg["source"], cfg["target"], cfg["length"],
-                       weights=cfg.get("weight"), robin_coeffs=robin,
+                       weights=cfg.get("weight"), robin_coeffs=_robin(cfg.get("robin")),
                        nx=cfg.get("nx"), potentials=potentials)
 
 
@@ -260,7 +265,7 @@ def _cmd_continue(args, raw, cfg, graph) -> int:
     problem = stationary.nls_problem(bundle, sigma=cc["sigma"])
     sys_ = cont.nls_system(problem, make_context(bundle))
     start, axes = cc["from"], tuple(cc["axes"])
-    # checked before any output: the start's keys, the amplitude and the index
+    # checked before any output: the start's keys, the amplitude, the index and count
     needs = {"branch_point": ("branch", "point"), "saved": ("name",), "end": ("branch",)}
     missing = [key for key in needs.get(start, ()) if cc[key] is None]
     if missing:
@@ -273,6 +278,9 @@ def _cmd_continue(args, raw, cfg, graph) -> int:
         raise ConfigError("config.continue: 'index' must be at least 1 and at most "
                           f"'n_eigenfunctions', got {index}")
     count = max(6, index + 2) if count is None else count
+    if count > bundle.n_int:  # the pencil's finite eigenvalues, one per interior point
+        raise ConfigError("config.continue: 'n_eigenfunctions' (default max(6, index + 2)) "
+                          f"must be at most {bundle.n_int} on this grid, got {count}")
     if cc["run_dir"] is not None:
         run_dir = Path(cc["run_dir"])
     else:

@@ -1,15 +1,16 @@
 """Continuation run directories; only this module names the files in them.
 
     <base>/<tag>/<NNN>/  template.json (with the bundle hash), logfile.txt,
-      eigenfunctions/    eigenvalues.csv, eigenfunction_NNN.csv
-      saved/             wave_NNN_psi.csv, wave_NNN_lambda.csv
+      eigenfunctions/    eigenvalues.csv, eigenfunctions.npy (a row per eigenpair)
+      saved/             wave_NNN_psi.npy, wave_NNN_lambda.csv
       branchNNN/         lambda, mass, energy, biftype, lambda_dot CSVs, psi.npy
-                         and tangent.npy (float64, a row per point),
+                         and tangent.npy (a row per point),
                          perturbation_NNNN.npy, options.json, provenance.json
       diagram.csv
 
-Every reader checks the run's hash against the bundle first; StaleLayoutError
-marks another discretization or an older layout.
+Every state is a float64 .npy, read back through _load_states; every scalar
+is a %.17g CSV.  Every reader checks the run's hash against the bundle first;
+StaleLayoutError marks another discretization or an older layout.
 """
 from __future__ import annotations
 
@@ -23,8 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discretize import (OperatorBundle, load_state_csv, save_scalar_csv, save_state_csv,
-                         scalar_csv_text, write_text_atomic)
+from .discretize import OperatorBundle, save_scalar_csv, scalar_csv_text, write_text_atomic
 from .graphs import graph_config, graph_hash
 from .stationary import eigs
 
@@ -88,6 +88,17 @@ def _first_free(path_of) -> int:
     return k
 
 
+def _load_states(path, shape) -> np.ndarray:
+    """The float64 array of the given shape stored at path, else StaleLayoutError."""
+    try:
+        states = np.load(path, allow_pickle=False)
+    except ValueError as exc:  # an object array, or not an .npy file
+        raise StaleLayoutError(f"{path}: {exc}") from exc
+    if states.dtype != np.float64 or states.shape != shape:
+        raise StaleLayoutError(f"{path} holds {states.dtype} {states.shape}, not float64 {shape}")
+    return states
+
+
 def eigenfunctions_saved(run_dir) -> bool:
     return (Path(run_dir) / "eigenfunctions").exists()
 
@@ -100,8 +111,7 @@ def save_eigenfunctions(run_dir, bundle: OperatorBundle, count: int):
     edir = Path(run_dir) / "eigenfunctions"
     edir.mkdir(exist_ok=True)
     save_scalar_csv(edir / "eigenvalues.csv", np.real(lam))
-    for j in range(count):
-        save_state_csv(bundle, np.real(vecs[:, j]), edir / f"eigenfunction_{j + 1:03d}.csv")
+    np.save(edir / "eigenfunctions.npy", np.real(vecs).T, allow_pickle=False)
     append_log(run_dir, f"saved {count} eigenfunctions")
     return lam, vecs
 
@@ -113,17 +123,17 @@ def load_eigenfunction(run_dir, bundle: OperatorBundle, index: int):
     lams = np.loadtxt(edir / "eigenvalues.csv", ndmin=1)
     if not 1 <= index <= len(lams):
         raise ContinuationError(f"eigenfunction index {index} not saved")
-    state = load_state_csv(bundle, edir / f"eigenfunction_{index:03d}.csv")
-    return float(lams[index - 1]), np.real(state)
+    states = _load_states(edir / "eigenfunctions.npy", (len(lams), bundle.n_ext))
+    return float(lams[index - 1]), states[index - 1]
 
 
 def save_standing_wave(run_dir, bundle: OperatorBundle, psi, lam: float) -> str:
-    """Persist a standing wave as the first free <run>/saved/wave_NNN; returns that name."""
+    """Save a wave's n_ext real values as the first free saved/wave_NNN; returns that name."""
     check_run_layout(run_dir, bundle)
     sdir = Path(run_dir) / "saved"
     sdir.mkdir(exist_ok=True)
-    name = f"wave_{_first_free(lambda k: sdir / f'wave_{k:03d}_psi.csv'):03d}"
-    save_state_csv(bundle, psi, sdir / f"{name}_psi.csv")
+    name = f"wave_{_first_free(lambda k: sdir / f'wave_{k:03d}_psi.npy'):03d}"
+    np.save(sdir / f"{name}_psi.npy", np.real(psi).astype(float).reshape(bundle.n_ext))
     save_scalar_csv(sdir / f"{name}_lambda.csv", [lam])
     append_log(run_dir, f"saved standing wave {name} at lambda={lam:.8g}")
     return name
@@ -133,7 +143,7 @@ def load_standing_wave(run_dir, bundle: OperatorBundle, name: str):
     """(real state, lambda) of the standing wave saved under name."""
     check_run_layout(run_dir, bundle)
     sdir = Path(run_dir) / "saved"
-    return (np.real(load_state_csv(bundle, sdir / f"{name}_psi.csv")),
+    return (_load_states(sdir / f"{name}_psi.npy", (bundle.n_ext,)),
             float(np.loadtxt(sdir / f"{name}_lambda.csv")))
 
 
@@ -145,17 +155,6 @@ def _branch_dir(run_dir, branch_id: int) -> Path:
 _BRANCH_SCALARS = {"lambda": ("lam", float), "mass": ("mass", float), "energy": ("energy", float),
                    "biftype": ("bif_type", int), "lambda_dot": ("tangent_lam", float)}
 _BRANCH_STATES = {"psi": "psi", "tangent": "tangent_psi"}
-
-
-def _load_states(path, shape) -> np.ndarray:
-    """The float64 array of the given shape stored at path, else StaleLayoutError."""
-    try:
-        states = np.load(path, allow_pickle=False)
-    except ValueError as exc:  # an object array, or not an .npy file
-        raise StaleLayoutError(f"{path}: {exc}") from exc
-    if states.dtype != np.float64 or states.shape != shape:
-        raise StaleLayoutError(f"{path} holds {states.dtype} {states.shape}, not float64 {shape}")
-    return states
 
 
 def save_branch(run_dir, branch, bundle: OperatorBundle, branch_id: int | None = None) -> int:

@@ -520,3 +520,34 @@ def test_cli_evolve_refuses_bad_run_values_as_configuration_errors(tmp_path, cap
     err = capsys.readouterr().err
     assert "configuration error: config.evolution:" in err and next(iter(bad)) in err
     assert not out.exists()
+
+
+def test_cli_template_overrides_take_dirichlet_robin(tmp_path, capsys):
+    # the Y template's default robin is [0, 0, DIRICHLET, DIRICHLET]
+    spectra = []
+    for k, graph in enumerate([{}, {"overrides": {"robin": [0, 0, "dirichlet", "Dirichlet"]}}]):
+        cfg = write_config(tmp_path, {"template": "Y", "m": 3, **graph}, f"y{k}.json")
+        out = tmp_path / f"y{k}"
+        assert main(["eigs", "--config", cfg, "--out", str(out)]) == 0
+        spectra.append((out / "spectrum.json").read_bytes())
+    assert spectra[0] == spectra[1]
+    cfg = write_config(tmp_path, {"template": "Y", "overrides": {"robin": [0, 0, "dirichlet",
+                                                                           "neumann"]}})
+    assert main(["eigs", "--config", cfg, "--out", str(tmp_path / "bad")]) == 2
+    assert "'neumann'" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("graph, keys, count", [
+    ({"template": "dumbbell"}, {"n_eigenfunctions": 400}, 400),
+    ({"template": "interval", "overrides": {"nx": [4]}}, {"n_eigenfunctions": 5}, 5),
+    ({"template": "interval", "overrides": {"nx": [2]}}, {}, 6),
+], ids=["dumbbell-400", "interval-nx4-5", "interval-nx2-default"])
+def test_cli_continue_refuses_more_eigenfunctions_than_the_pencil_has_before_any_output(
+        tmp_path, capsys, graph, keys, count):
+    cfg = write_config(tmp_path, {**graph, "continue": {**keys, "options": _QUIET}})
+    out = tmp_path / "data"
+    assert main(["continue", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config.continue: 'n_eigenfunctions'" in err and err.rstrip().endswith(f"got {count}")
+    assert not out.exists()

@@ -6,10 +6,13 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import graphpde.continuation as cont
 import graphpde.store as store
 from graphpde import discretize, from_template, make_context, nls_problem
-from graphpde.discretize import save_scalar_csv
+from graphpde.discretize import save_scalar_csv, save_state_csv
 
 
 def test_continuation_binds_the_store_objects():
@@ -58,3 +61,76 @@ def test_save_branch_writes_each_staged_file_once(tmp_path, monkeypatch):
         assert (bdir / f"{name}.csv").read_bytes() == (tmp_path / f"{name}.csv").read_bytes()
     assert (bdir / "options.json").read_text() == json.dumps(asdict(opts), indent=1)
     assert (bdir / "provenance.json").read_text() == json.dumps(branch.provenance, indent=1)
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "chebyshev"])
+def test_seeds_load_bitwise_as_float64(tmp_path, scheme):
+    b = discretize(from_template("dumbbell"), scheme)
+    run = store.create_run(tmp_path, "dumbbell", b)
+    lam, vecs = store.save_eigenfunctions(run, b, 4)
+    for j in range(4):
+        lam_j, v = store.load_eigenfunction(run, b, j + 1)
+        assert lam_j == np.real(lam[j])
+        assert v.dtype == np.float64 and v.tobytes() == np.real(vecs[:, j]).tobytes()
+
+    wave = np.linspace(-1.0, 1.0, b.n_ext) ** 3
+    wave[::7] = -0.0
+    complex_wave = wave.astype(complex)
+    complex_wave.imag = wave[::-1]  # assigned: a sum would turn -0.0 real parts into +0.0
+    for psi in (wave, complex_wave):  # a complex wave keeps its real part
+        psi_back, lam_back = store.load_standing_wave(run, b, store.save_standing_wave(
+            run, b, psi, -0.75))
+        assert psi_back.dtype == np.float64 and psi_back.tobytes() == wave.tobytes()
+        assert lam_back == -0.75
+
+
+def _seed_run(tmp_path):
+    b = discretize(from_template("dumbbell"), "uniform")
+    run = store.create_run(tmp_path, "dumbbell", b)
+    store.save_eigenfunctions(run, b, 3)
+    name = store.save_standing_wave(run, b, np.full(b.n_ext, 0.5), -0.5)
+    return b, run, name
+
+
+@pytest.mark.parametrize("path, reshape", [
+    ("eigenfunctions/eigenfunctions.npy", lambda a: a.astype(np.float32)),
+    ("eigenfunctions/eigenfunctions.npy", lambda a: a.astype(complex)),
+    ("eigenfunctions/eigenfunctions.npy", lambda a: a[:-1]),
+    ("eigenfunctions/eigenfunctions.npy", lambda a: a[:, :-1]),
+    ("saved/wave_001_psi.npy", lambda a: a.astype(np.float32)),
+    ("saved/wave_001_psi.npy", lambda a: a.astype(complex)),
+    ("saved/wave_001_psi.npy", lambda a: a[:-1]),
+    ("saved/wave_001_psi.npy", lambda a: a[None, :]),
+], ids=["eig-float32", "eig-complex", "eig-row-short", "eig-column-short",
+        "wave-float32", "wave-complex", "wave-short", "wave-2d"])
+def test_malformed_seed_arrays_are_refused(tmp_path, path, reshape):
+    b, run, name = _seed_run(tmp_path)
+    np.save(run / path, reshape(np.load(run / path)))
+    read = {"eigenfunctions": lambda: store.load_eigenfunction(run, b, 1),
+            "saved": lambda: store.load_standing_wave(run, b, name)}[path.split("/")[0]]
+    with pytest.raises(store.StaleLayoutError, match=Path(path).name):
+        read()
+
+
+def test_csv_seeds_of_an_older_run_name_the_missing_npy(tmp_path):
+    b, run, name = _seed_run(tmp_path)
+    edir, sdir = run / "eigenfunctions", run / "saved"
+    # the older layout: one %.17g state CSV per eigenfunction and per saved wave
+    for j, row in enumerate(np.load(edir / "eigenfunctions.npy"), start=1):
+        save_state_csv(b, row, edir / f"eigenfunction_{j:03d}.csv")
+    save_state_csv(b, np.load(sdir / f"{name}_psi.npy"), sdir / f"{name}_psi.csv")
+    (edir / "eigenfunctions.npy").unlink()
+    (sdir / f"{name}_psi.npy").unlink()
+    with pytest.raises(FileNotFoundError, match="eigenfunctions.npy"):
+        store.load_eigenfunction(run, b, 1)
+    with pytest.raises(FileNotFoundError, match="wave_001_psi.npy"):
+        store.load_standing_wave(run, b, name)
+
+
+def test_a_wave_of_another_length_is_refused_when_saved(tmp_path):
+    b, run, name = _seed_run(tmp_path)
+    for psi in (np.ones(b.n_ext - 1), np.ones(b.n_ext + 1)):
+        with pytest.raises(ValueError, match=str(b.n_ext)):
+            store.save_standing_wave(run, b, psi, -0.5)
+    assert sorted(f.name for f in (run / "saved").iterdir()) == [f"{name}_lambda.csv",
+                                                                  f"{name}_psi.npy"]
