@@ -212,20 +212,6 @@ class ConditionMatrices:
     first_row: np.ndarray   # first row of each vertex block
     anchor: np.ndarray      # edge end (column of A) of each vertex's anchor
 
-    @cached_property
-    def edge_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """AB grouped by (row, edge): for each of the n pairs it touches,
-        the row, the edge (0-based) and the (4, n) coefficients A at the
-        source and target ends, then B at the source and target ends.
-        """
-        C = self.AB.tocoo()
-        ne = C.shape[0] // 2
-        end = C.col % (2 * ne)
-        pairs, where = np.unique(C.row * ne + end // 2, return_inverse=True)
-        coef = np.zeros((4, pairs.size))
-        coef[2 * (C.col >= 2 * ne) + end % 2, where] = C.data
-        return pairs // ne, pairs % ne, coef
-
 
 @dataclass(frozen=True, eq=False)
 class MetricGraph:

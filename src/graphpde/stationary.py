@@ -104,48 +104,49 @@ def _check_secular_graph(graph: MetricGraph):
 
 
 def secular_matrix(graph: MetricGraph, k) -> np.ndarray:
-    """Vertex-condition system for plane-wave edge solutions at wavenumber k.
+    """Vertex-condition system S(k) = [A B] @ W(k) at wavenumber k.
 
-    Edge m carries psi_m = a_m e^{ikx} + b_m e^{ik(l_m - x)}, so with
-    z_m = e^{ikl_m} its end values are F = (a + b z, a z + b) and its
-    outward derivatives F' = ik (a - b z, b - a z), source end first.
-    S(k) is A F + B F' for the graph's vertex_conditions (A, B), in the
-    unknowns (a_1, b_1, ..., a_E, b_E): the same rows in the same order
-    as the discretized constraint block.  The flux rows are divided by k,
-    which keeps Sigma proportional to the symbolic determinant.  A scalar
-    k gives one (2E, 2E) matrix; a 1-D array of K wavenumbers gives the
-    stack (K, 2E, 2E).
+    Edge m carries psi_m = c_m cos kx + s_m sin(kx) / k; with C = cos k l_m
+    and S = sin k l_m, the trace matrix W(k) (4E x 2E, unknowns c_1, s_1,
+    ..., c_E, s_E) holds its end values F = (c, c C + s S / k) and outward
+    derivatives F' = (s, c k S - s C), source end first.  S(k) is real and
+    has the rows of the discretized vc_rows = [A B] @ end_traces, the flux
+    rows divided by k to keep Sigma proportional to the symbolic
+    determinant.  A scalar k gives one (2E, 2E) matrix, a 1-D array of K
+    wavenumbers the stack (K, 2E, 2E), equal to the scalar calls bit for bit.
     """
     _check_secular_graph(graph)
     k = np.asarray(k, dtype=float)
     if np.any(k == 0.0):
         raise SecularError("secular matrix is not defined at k = 0")
     ks = k.reshape(-1)
-    ne = graph.num_edges
-    rows, edges, (a0, a1, b0, b1) = graph.vertex_conditions.edge_blocks
-    z = np.exp(1j * ks[:, None] * np.array([e.length for e in graph.edges]))[:, edges]
-    ik = 1j * ks[:, None]
-    # the a and b columns of A [F_source, F_target] + B [F'_source, F'_target]
-    # per (row, edge) block; no product of two general complex numbers is
-    # formed, so fused multiply-adds cannot change the last bits
-    S = np.zeros((ks.size, 2 * ne, 2 * ne), dtype=complex)
-    S[:, rows, 2 * edges] = ik * b0 + ik * -(b1 * z) + a0 + a1 * z
-    S[:, rows, 2 * edges + 1] = ik * -(b0 * z) + ik * b1 + a0 * z + a1
-    S[:, np.unique(rows[b0 + b1 > 0])] /= ks[:, None, None]  # the flux rows
+    vc, ne = graph.vertex_conditions, graph.num_edges
+    kl = np.outer([e.length for e in graph.edges], ks)
+    cos, sin = np.cos(kl), np.sin(kl)
+    # W(k) as (4E, K, 2E): end rows of edge m, then the K wavenumbers
+    m = np.arange(ne)
+    W = np.zeros((4 * ne, ks.size, 2 * ne))
+    W[2 * m, :, 2 * m] = 1.0
+    W[2 * m + 1, :, 2 * m], W[2 * m + 1, :, 2 * m + 1] = cos, sin / ks
+    W[2 * ne + 2 * m, :, 2 * m + 1] = 1.0
+    W[2 * ne + 2 * m + 1, :, 2 * m], W[2 * ne + 2 * m + 1, :, 2 * m + 1] = ks * sin, -cos
+    # the sparse product sums each row in a fixed order, whatever the batch
+    S = (vc.AB @ W.reshape(4 * ne, -1)).reshape(2 * ne, ks.size, 2 * ne).transpose(1, 0, 2)
+    flux = [r for r, v in zip(vc.first_row, graph.vertices) if not v.is_dirichlet]
+    S[:, flux] /= ks[:, None, None]
     return S.reshape(k.shape + S.shape[1:])
 
 
-# entries in one stacked batch of secular (2 MiB) or Dirichlet-to-Neumann
+# entries in one stacked batch of secular (1 MiB) or Dirichlet-to-Neumann
 # matrices; longer k-grids are evaluated in chunks, which bounds memory on
 # large graphs
 _SECULAR_BATCH_ENTRIES = 1 << 17
 
 
-def _secular_batches(graph: MetricGraph, ks: np.ndarray, fn) -> np.ndarray:
-    """fn(k_chunk, secular_matrix(graph, k_chunk)) over chunks of the 1-D ks, concatenated."""
-    step = max(1, _SECULAR_BATCH_ENTRIES // (2 * graph.num_edges) ** 2)
-    return np.concatenate([fn(ks[i:i + step], secular_matrix(graph, ks[i:i + step]))
-                           for i in range(0, max(ks.size, 1), step)])
+def _batched(fn, ks: np.ndarray, n: int) -> np.ndarray:
+    """fn over chunks of the 1-D ks, each with _SECULAR_BATCH_ENTRIES / n^2 ks, concatenated."""
+    step = max(1, _SECULAR_BATCH_ENTRIES // n ** 2)
+    return np.concatenate([fn(ks[i:i + step]) for i in range(0, max(ks.size, 1), step)])
 
 
 def secular_singular_values(graph: MetricGraph, ks) -> np.ndarray:
@@ -154,62 +155,42 @@ def secular_singular_values(graph: MetricGraph, ks) -> np.ndarray:
     One stacked svd per batch; sigma_min / sigma_max is the scale-free
     distance of S(k) from singularity.
     """
-    return _secular_batches(graph, np.asarray(ks, dtype=float),
-                            lambda _, S: np.linalg.svd(S, compute_uv=False))
+    return _batched(lambda k: np.linalg.svd(secular_matrix(graph, k), compute_uv=False),
+                    np.asarray(ks, dtype=float), 2 * graph.num_edges)
 
 
 def secular_function(graph: MetricGraph) -> Callable:
-    """Real-normalized secular determinant Sigma(k) as a callable.
+    """Real-normalized secular determinant Sigma(k) = s (2k)^E det S(k) as a callable.
 
-    det S(k) is multiplied by exp(-ik sum_m l_m) and by one constant
-    unit-modulus phase, fixed at k = 1 (or 0.75, 2.37); realness of the
-    result is then asserted, not assumed.  (In the a_m e^{ikx} +
-    b_m e^{ik(l_m - x)} parameterization each edge contributes one factor
-    e^{ik l_m} to the determinant, so the full total length appears here.)
-    The imaginary part must stay within 1e-10 of max(1, prod_r |S_r(k)|),
-    Hadamard's bound on |det S(k)|, which is the scale of the LU roundoff.
-    The callable takes a scalar k (returns a float) or an array of
-    wavenumbers (returns an array of the same shape), evaluated as stacked
-    determinants.
+    (2k)^E undoes the factor 1 / (2k) per edge of the cos/sin basis against
+    the plane waves a e^{ikx} + b e^{ik(l - x)}.  det S(k) comes from one
+    Householder QR: prod sign(R_ii), times -1 per nonzero reflector, times
+    a magnitude summed in logs, so that no partial product overflows.  The
+    sign s makes the first of Sigma(1), Sigma(0.75) and Sigma(2.37) above
+    1e-12 in size positive.  The callable takes a scalar k (returns a float)
+    or an array of wavenumbers (returns an array of the same shape).
     """
     _check_secular_graph(graph)
-    total = sum(e.length for e in graph.edges)
+    ne = graph.num_edges
 
-    def raw(ks, S):
-        d, e = np.linalg.det(S), np.exp(-1j * ks * total)
-        # the product in real arithmetic: numpy's vectorized complex multiply
-        # may fuse multiply-adds, which makes the last bits CPU-dependent
-        z = np.empty_like(d)
-        z.real = d.real * e.real - d.imag * e.imag
-        z.imag = d.real * e.imag + d.imag * e.real
-        return z
+    def scaled_det(ks):
+        h, tau = np.linalg.qr(secular_matrix(graph, ks), mode="raw")
+        # a contiguous copy: a strided reduction may round differently
+        # for a batch than for one k
+        r = np.diagonal(h, axis1=-2, axis2=-1).copy()
+        sign = np.prod(np.sign(r), axis=-1) * (-1.0) ** np.count_nonzero(tau, axis=-1)
+        return sign * np.exp(ne * np.log(2.0 * ks) + np.log(np.abs(r)).sum(axis=-1))
 
-    phase = None
-    for z in _secular_batches(graph, np.array([1.0, 0.75, 2.37]), raw):
-        if abs(z) > 1e-12:
-            phase = z / abs(z)
+    for v in _batched(scaled_det, np.array([1.0, 0.75, 2.37]), 2 * ne):
+        if abs(v) > 1e-12:
+            s = math.copysign(1.0, v)
             break
-    if phase is None:
-        raise SecularError("could not calibrate the secular normalization phase")
-
-    def normalized(ks, S):
-        z = raw(ks, S) / phase
-        # Hadamard's bound prod_r |S_r|; einsum on the real and imaginary
-        # views makes no stack-sized temporaries
-        rows = (np.einsum("kij,kij->ki", S.real, S.real)
-                + np.einsum("kij,kij->ki", S.imag, S.imag))
-        hadamard = np.prod(np.sqrt(rows), axis=-1)
-        bad = np.flatnonzero(np.abs(z.imag) > 1e-10 * np.maximum(1.0, hadamard))
-        if bad.size:
-            i = bad[0]
-            raise SecularError(
-                f"secular determinant did not normalize to a real value at k={ks[i]} "
-                f"(imaginary part {z[i].imag:.2e})")
-        return z.real
+    else:
+        raise SecularError("could not calibrate the secular normalization sign")
 
     def sigma(k):
         k = np.asarray(k, dtype=float)
-        vals = _secular_batches(graph, k.reshape(-1), normalized).reshape(k.shape)
+        vals = s * _batched(scaled_det, k.reshape(-1), 2 * ne).reshape(k.shape)
         return float(vals) if k.ndim == 0 else vals
 
     return sigma
@@ -243,8 +224,7 @@ def _eigenvalue_counts(split, ks: np.ndarray) -> np.ndarray:
         return (np.floor(kl / math.pi).sum(axis=1).astype(int)
                 + np.count_nonzero(np.linalg.eigvalsh(M) > 0.0, axis=1))
 
-    step = max(1, _SECULAR_BATCH_ENTRIES // n ** 2)
-    return np.concatenate([count(ks[i:i + step]) for i in range(0, ks.size, step)])
+    return _batched(count, ks, n)
 
 
 def find_spectrum_secular(graph: MetricGraph, k_max: float):
@@ -273,10 +253,7 @@ def find_spectrum_secular(graph: MetricGraph, k_max: float):
     flux = vc.AB.toarray()[vc.first_row]
     free = flux[:, 2 * ne:].any(axis=1)  # a Dirichlet row carries no flux
     B = flux[free, 2 * ne:]
-    weights = B.sum(axis=0).reshape(ne, 2).max(axis=1)
-    # an edge with two Dirichlet ends carries no flux coefficient; its
-    # split vertex is a block of its own, whose count ignores the weight
-    weights[weights == 0.0] = 1.0
+    weights = np.array([e.weight for e in graph.edges])
     sub = np.outer([e.length for e in graph.edges], [_SPLIT, 1.0 - _SPLIT]).ravel()
     split = (sub, B, weights, flux[free, vc.anchor[free]])
     a = np.array([1e-4 / math.sqrt(np.min(sub) * np.mean(sub))])

@@ -94,7 +94,7 @@ def test_eigs_y_graph_double_eigenvalue():
 def test_secular_matrix_shape_and_errors():
     g = from_template("Y")
     S = secular_matrix(g, 1.3)
-    assert S.shape == (6, 6) and S.dtype == complex
+    assert S.shape == (6, 6) and S.dtype == float
     with pytest.raises(SecularError):
         secular_matrix(g, 0.0)
     # weighted edges are allowed: S(k) is singular at every zero found
@@ -249,7 +249,7 @@ def _chebyshev_wavenumbers(tag, kw, k_max):
     return g, np.sort(k[(k > 1e-3) & (k <= k_max)])
 
 
-@pytest.mark.parametrize("tag, kw, k_max", [
+SECULAR_EIGS_CASES = (
     # a double zero 1.23e-2 below the 16-fold one at k = 2, in the flank
     # of the (k - 2)^16 factor of Sigma
     ("necklace", {"n_pairs": 16}, 2.45),
@@ -259,7 +259,14 @@ def _chebyshev_wavenumbers(tag, kw, k_max):
     ("star", {"robin": -0.8}, 5.5),
     ("lasso", {"robin": [DIRICHLET, 1.3]}, 2.9),
     ("star", {"weight": [2, 1, 1], "robin": [0.0, 1.3, DIRICHLET, -0.8]}, 5.5),
-])
+    # weighted edges with two Dirichlet ends: the weight is read from the
+    # graph, not from the flux rows, which hold none for such an edge
+    ("star", {"weight": [3, 1, 1], "robin": [DIRICHLET, DIRICHLET, 0.0, 0.0]}, 5.5),
+    ("interval", {"robin": [DIRICHLET, DIRICHLET], "weight": 3.0}, 7.0),
+)
+
+
+@pytest.mark.parametrize("tag, kw, k_max", SECULAR_EIGS_CASES)
 def test_secular_spectrum_matches_eigs(tag, kw, k_max):
     g, k_eigs = _chebyshev_wavenumbers(tag, kw, k_max)
     zeros = find_spectrum_secular(g, k_max)
@@ -268,6 +275,36 @@ def test_secular_spectrum_matches_eigs(tag, kw, k_max):
     assert np.max(np.abs(k_sec - k_eigs)) <= 1e-8
     if tag == "necklace":
         assert (1.98766659, 2) in [(round(k, 8), m) for k, m in zeros]
+
+
+def test_secular_sign_changes_match_zero_multiplicities():
+    # Sigma changes sign between two samples exactly when the zeros the
+    # counting scan finds between them have an odd total multiplicity
+    for tag, kw, k_max in SECULAR_GALLERY + SECULAR_EIGS_CASES:
+        g = from_template(tag, **kw)
+        ks = np.linspace(k_max / 400, k_max, 400)
+        signs = np.sign(secular_function(g)(ks))
+        zeros = find_spectrum_secular(g, k_max)
+        for lo, hi, flip in zip(ks[:-1], ks[1:], signs[:-1] != signs[1:]):
+            if any(min(abs(z - lo), abs(z - hi)) <= 1e-8 for z, _ in zeros):
+                continue
+            odd = sum(m for z, m in zeros if lo < z <= hi) % 2 == 1
+            assert flip == odd, (tag, kw, lo, hi)
+
+
+def test_secular_function_is_accurate_on_the_large_necklace():
+    # on the 54-pair necklace, |Sigma| must match (2k)^E prod sigma_i(S)
+    # wherever S(k) is well conditioned: the QR determinant is backward
+    # stable, while an LU of S grows tiny pivots there
+    g = from_template("necklace")
+    grid = np.linspace(2.45 / 300, 2.45, 300)
+    ks = np.concatenate([grid[::25], grid[[138, 140, 143, 145, 146, 147]]])
+    sv = secular_singular_values(g, ks)
+    well = sv[:, 0] <= 1e3 * sv[:, -1]
+    assert well.sum() >= 12
+    want = np.exp(g.num_edges * np.log(2 * ks) + np.log(sv).sum(axis=1))
+    got = np.abs(secular_function(g)(ks))
+    assert np.max(np.abs(got - want)[well] / want[well]) <= 1e-10
 
 
 def test_secular_scan_starts_clear_of_zero_on_short_edges():
@@ -298,22 +335,20 @@ def test_secular_multiple_zero_on_a_bisection_midpoint():
     assert sum(m for _, m in zeros) == len(k_eigs)
 
 
-def _plane_wave_states(bundle, ks, rng):
-    """Coefficients c = (a_1, b_1, ...) and samples of psi_m = a_m e^{ikx} +
-    b_m e^{ik(l_m - x)} on the extended grid, one pair per k."""
+def _edge_wave_states(bundle, ks, rng):
+    """Coefficients c = (c_1, s_1, ...) and samples of psi_m = c_m cos kx +
+    s_m sin(kx) / k on the extended grid, one pair per k."""
     for k in ks:
         c = rng.standard_normal(2 * bundle.graph.num_edges) \
             + 1j * rng.standard_normal(2 * bundle.graph.num_edges)
-        psi = np.concatenate([c[2 * m] * np.exp(1j * k * x)
-                              + c[2 * m + 1] * np.exp(1j * k * (e.length - x))
-                              for m, (e, x) in enumerate(zip(bundle.graph.edges,
-                                                             bundle.grid.x_ext))])
+        psi = np.concatenate([c[2 * m] * np.cos(k * x) + c[2 * m + 1] * np.sin(k * x) / k
+                              for m, x in enumerate(bundle.grid.x_ext)])
         yield k, c, psi
 
 
 @pytest.mark.parametrize("scheme", ["uniform", "chebyshev"])
 def test_vertex_rows_agree_with_secular_matrix(scheme):
-    # vc_rows and S(k) come from the same vertex conditions: on a plane-wave
+    # vc_rows and S(k) come from the same vertex conditions: on an edge-wave
     # state they give the same rows, up to the 1/k on the flux rows and the
     # discretization error of the scheme's end traces
     ks = (0.6, 1.7, 2.9)
@@ -328,7 +363,7 @@ def test_vertex_rows_agree_with_secular_matrix(scheme):
         b = discretize(g, scheme)
         flux = [r - b.n_int for r, v in zip(b.vertex_row, g.vertices) if not v.is_dirichlet]
         degree = max(g.degree(n) for n in range(1, g.num_vertices + 1))
-        for k, c, psi in _plane_wave_states(b, ks, rng):
+        for k, c, psi in _edge_wave_states(b, ks, rng):
             want = secular_matrix(g, k) @ c
             want[flux] *= k
             err = np.abs(b.vc_rows @ psi - want)
