@@ -265,7 +265,8 @@ def _cmd_continue(args, raw, cfg, graph) -> int:
     problem = stationary.nls_problem(bundle, sigma=cc["sigma"])
     sys_ = cont.nls_system(problem, make_context(bundle))
     start, axes = cc["from"], tuple(cc["axes"])
-    # checked before any output: the start's keys, the amplitude, the index and count
+    # checked before any output: the start's keys, the amplitude, the index, the
+    # sign and the count
     needs = {"branch_point": ("branch", "point"), "saved": ("name",), "end": ("branch",)}
     missing = [key for key in needs.get(start, ()) if cc[key] is None]
     if missing:
@@ -277,6 +278,8 @@ def _cmd_continue(args, raw, cfg, graph) -> int:
     if index < 1 or count is not None and index > count:
         raise ConfigError("config.continue: 'index' must be at least 1 and at most "
                           f"'n_eigenfunctions', got {index}")
+    if cc["sign"] not in (1, -1):
+        raise ConfigError(f"config.continue: 'sign' must be 1 or -1, got {cc['sign']}")
     count = max(6, index + 2) if count is None else count
     if count > bundle.n_int:  # the pencil's finite eigenvalues, one per interior point
         raise ConfigError("config.continue: 'n_eigenfunctions' (default max(6, index + 2)) "

@@ -39,7 +39,7 @@ import scipy.sparse as sp
 
 from . import linalg
 from .discretize import OperatorBundle
-from .functionals import FunctionalContext, energy_nls, inner_product, mass
+from .functionals import FunctionalContext, energy_nls
 from .stationary import NLSProblem, newton, nls_jacobian, nls_residual
 # the store's own objects, also bound here under the names they had in this module
 from .store import (DIAGRAM_AXES, ContinuationError, StaleLayoutError, append_log,
@@ -131,47 +131,40 @@ class Branch:
 
 @dataclass(eq=False)
 class ContinuationSystem:
-    """Minimal interface continuation needs from a parameterized problem.
+    """What continuation needs from a problem F(u, lambda) = 0.
 
-    inner must be symmetric positive (the beta-metric base);
-    inner_gradient(v) returns the row vector r with r @ x == inner(x, v).
+    residual, jacobian and dlam give F, dF/du and dF/dlambda at (u, lambda).
+    Angles, distances and the mass <u, u> use <u, v> = sum(weights u v), a
+    plain dot product when weights is None.  Only the initializers that
+    read or write a run directory use bundle and problem.
     """
 
     residual: Callable
     jacobian: Callable
     dlam: Callable
-    inner: Callable = None
-    inner_gradient: Callable = None
-    mass: Callable = None
-    energy: Callable = None
+    weights: np.ndarray | None = None
+    energy: Callable = lambda u, lam: 0.0
+    bundle: OperatorBundle | None = None
+    problem: NLSProblem | None = None
 
-    def __post_init__(self):
-        if self.inner is None:
-            self.inner = lambda u, v: float(np.dot(u, v))
-        if self.inner_gradient is None:
-            self.inner_gradient = lambda v: np.asarray(v, dtype=float)
-        if self.mass is None:
-            self.mass = lambda u: self.inner(u, u)
-        if self.energy is None:
-            self.energy = lambda u, lam: 0.0
+    def inner(self, u, v) -> float:
+        return float(np.dot(u, v) if self.weights is None else self.weights @ (u * v))
 
 
 def nls_system(problem: NLSProblem, ctx: FunctionalContext) -> ContinuationSystem:
-    """Continuation system for real standing waves of the stationary NLS."""
-    b = problem.bundle
+    """Continuation system for real standing waves of the stationary NLS.
 
-    sys = ContinuationSystem(
+    ctx must be made from problem.bundle.  The energy column is the
+    power-law energy of problem.sigma, also when problem has another f.
+    """
+    b = problem.bundle
+    if ctx.bundle is not b:
+        raise ValueError("the functional context belongs to another bundle")
+    return ContinuationSystem(
         residual=lambda u, lam: nls_residual(problem, u, lam),
         jacobian=lambda u, lam: nls_jacobian(problem, u, lam),
-        dlam=lambda u, lam: b.interp_zero @ u,
-        inner=lambda u, v: float(np.real(inner_product(ctx, u, v))),
-        inner_gradient=lambda v: ctx.q * np.asarray(v, dtype=float),
-        mass=lambda u: mass(ctx, u),
-        energy=lambda u, lam: energy_nls(ctx, u, problem.sigma),
-    )
-    sys.problem = problem
-    sys.bundle = b
-    return sys
+        dlam=lambda u, lam: b.interp_zero @ u, weights=ctx.q,
+        energy=lambda u, lam: energy_nls(ctx, u, problem.sigma), bundle=b, problem=problem)
 
 
 def beta_metric(sys: ContinuationSystem, u1, lam1, u2, lam2, beta: float) -> float:
@@ -216,8 +209,8 @@ def _bordered_matrix(J, col, row, corner):
 
 
 def _bordered_factor(sys, u, lam, t_u, t_lam, beta):
-    M = _bordered_matrix(sys.jacobian(u, lam), sys.dlam(u, lam),
-                         sys.inner_gradient(t_u), beta * t_lam)
+    row = t_u if sys.weights is None else sys.weights * t_u
+    M = _bordered_matrix(sys.jacobian(u, lam), sys.dlam(u, lam), row, beta * t_lam)
     return linalg.factorize(M)
 
 
@@ -268,7 +261,7 @@ def tangent_at(sys: ContinuationSystem, u, lam, guess_u, guess_lam, beta):
 
 
 def _make_point(sys, u, lam, t_u, t_lam, bif_type=0):
-    return BranchPoint(np.array(u), float(lam), sys.mass(u),
+    return BranchPoint(np.array(u), float(lam), sys.inner(u, u),
                        sys.energy(u, lam), bif_type, np.array(t_u), float(t_lam))
 
 
@@ -513,8 +506,7 @@ def continue_branch(sys: ContinuationSystem, seed_u, seed_lam,
     opts = opts or ContinuationOptions()
     t = _normalized(sys, np.asarray(tangent_u, dtype=float), float(tangent_lam), opts.beta)
     points = [_make_point(sys, _polish(sys, seed_u, seed_lam, opts), seed_lam, *t)]
-    perturbations, termination = _run_continuation(sys, opts, points, t)
-    return Branch(points, {"kind": "seed", "termination": termination}, opts, perturbations)
+    return _run_and_save(None, sys, opts, points, t, {"kind": "seed"})
 
 
 def load_branch(run_dir, branch_id: int, bundle: OperatorBundle) -> Branch:
@@ -530,7 +522,7 @@ def load_branch(run_dir, branch_id: int, bundle: OperatorBundle) -> Branch:
 
 def _run_and_save(run_dir, sys: ContinuationSystem, opts: ContinuationOptions, points,
                   prev_dir, provenance: dict, perturbations=None, branch_id=None) -> Branch:
-    """Advance points along prev_dir and save the branch when save_flag is set.
+    """Advance points along prev_dir; save the branch if save_flag and run_dir are set.
 
     The termination reason goes into the provenance, and the perturbations
     found are merged over the given ones.
@@ -538,7 +530,7 @@ def _run_and_save(run_dir, sys: ContinuationSystem, opts: ContinuationOptions, p
     found, termination = _run_continuation(sys, opts, points, prev_dir, run_dir=run_dir)
     branch = Branch(points, {**provenance, "termination": termination}, opts,
                     {**(perturbations or {}), **found})
-    if opts.save_flag:
+    if opts.save_flag and run_dir is not None:
         save_branch(run_dir, branch, sys.bundle, branch_id)
     return branch
 
@@ -592,8 +584,11 @@ def continue_from_branch_point(run_dir, sys: ContinuationSystem, branch_id: int,
     """Switch onto the branch crossing at a stored branch point.
 
     Uses only that point's lambda, state and perturbation from the parent
-    branch, as store.read_branch gives them.
+    branch, as store.read_branch gives them.  sign (1 or -1, ValueError
+    otherwise) chooses the leg.
     """
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign}")
     opts = opts or ContinuationOptions()
     stored, perturbations, _, _ = read_branch(run_dir, branch_id, sys.bundle,
                                               [f.name for f in fields(ContinuationOptions)])
@@ -601,7 +596,7 @@ def continue_from_branch_point(run_dir, sys: ContinuationSystem, branch_id: int,
         raise ContinuationError(
             f"branch {branch_id} has no stored perturbation at point {point_index}")
     lam0, psi0 = stored[point_index]["lam"], stored[point_index]["psi"]
-    pert = math.copysign(1.0, sign) * perturbations[point_index]
+    pert = sign * perturbations[point_index]
     t_u, t_lam = _normalized(sys, pert, 0.0, opts.beta)
     u1, lam1, _ = corrector(sys, opts, psi0 + pert, lam0, t_u, t_lam)
     points = [_make_point(sys, psi0, lam0, t_u, t_lam, bif_type=1),

@@ -81,8 +81,6 @@ class _Sampler:
     def push(self, step_index, u, final=False):
         if step_index % self.n_skip == 0 or final:
             t = step_index * self.tau
-            if self.times and self.times[-1] == t:
-                return
             if not np.all(np.isfinite(u)):
                 raise EvolutionError(f"non-finite state at step {step_index} (t = {t:g})")
             self.times.append(t)

@@ -291,17 +291,27 @@ def _default_fprime(z):
 class NLSProblem:
     """Stationary NLS data: bundle, nonlinearity power, f and f'.
 
-    The default cubic pair f(z) = 2 z^3, f'(z) = 6 z^2 is the sigma = 1
-    case.  f(0) = 0 is required so that linear eigenfunctions continue from
-    the zero solution.
+    Give both f and fprime or neither; left out, they are the power law
+    (sigma + 1) |z|^(2 sigma) z and its derivative, the cubic 2 z^3, 6 z^2
+    at sigma = 1.  f(0) = 0 is required so that linear eigenfunctions
+    continue from the zero solution.
     """
 
     bundle: OperatorBundle
     sigma: float = 1.0
-    f: Callable = _default_f
-    fprime: Callable = _default_fprime
+    f: Callable | None = None
+    fprime: Callable | None = None
 
     def __post_init__(self):
+        if (self.f is None) != (self.fprime is None):
+            raise ValueError("provide both f and fprime, or neither")
+        if self.f is None:
+            s = self.sigma
+            f, fprime = ((_default_f, _default_fprime) if s == 1.0 else
+                         (lambda z: (s + 1.0) * np.abs(z) ** (2.0 * s) * z,
+                          lambda z: (s + 1.0) * (2.0 * s + 1.0) * np.abs(z) ** (2.0 * s)))
+            object.__setattr__(self, "f", f)
+            object.__setattr__(self, "fprime", fprime)
         if abs(float(self.f(0.0))) > 0.0:
             raise ValueError("nonlinearity must satisfy f(0) = 0")
 
@@ -324,18 +334,6 @@ class NLSProblem:
 
 def nls_problem(bundle: OperatorBundle, sigma: float = 1.0,
                 f=None, fprime=None) -> NLSProblem:
-    if (f is None) != (fprime is None):
-        raise ValueError("provide both f and fprime, or neither")
-    if f is None:
-        if sigma == 1.0:
-            return NLSProblem(bundle)
-
-        def f(z, _s=sigma):
-            return (_s + 1.0) * np.abs(z) ** (2.0 * _s) * z
-
-        def fprime(z, _s=sigma):
-            return (_s + 1.0) * (2.0 * _s + 1.0) * np.abs(z) ** (2.0 * _s)
-
     return NLSProblem(bundle, sigma, f, fprime)
 
 

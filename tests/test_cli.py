@@ -507,6 +507,23 @@ def test_cli_continue_refuses_an_index_of_no_eigenfunction_before_any_output(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sign", [0, 2, -3])
+def test_cli_continue_refuses_a_branch_point_sign_other_than_one_before_any_output(
+        tmp_path, capsys, sign):
+    out = tmp_path / "data"
+    cfg = write_config(tmp_path, {"template": "dumbbell", "continue": {
+        "from": "eig", "n_eigenfunctions": 2, "options": {**_QUIET, "ds": 0.05}}})
+    assert main(["continue", "--config", cfg, "--out", str(out)]) == 0
+    run = out / "dumbbell" / "001"
+    cfg = write_config(tmp_path, {"template": "dumbbell", "continue": {
+        "from": "branch_point", "run_dir": str(run), "branch": 1, "point": 0,
+        "sign": sign, "options": _QUIET}}, "switch.json")
+    capsys.readouterr()
+    assert main(["continue", "--config", cfg, "--out", str(out)]) == 2
+    assert f"'sign' must be 1 or -1, got {sign}" in capsys.readouterr().err
+    assert sorted(p.name for p in run.glob("branch*")) == ["branch001"]
+
+
 @pytest.mark.parametrize("bad", [{"tau": -0.1}, {"t_final": 0}, {"n_skip": 0}, {"mu": [1.0]}],
                          ids=["tau", "t_final", "n_skip", "mu"])
 def test_cli_evolve_refuses_bad_run_values_as_configuration_errors(tmp_path, capsys, bad):

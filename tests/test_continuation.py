@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import graphpde.continuation as cont
-from graphpde import discretize, from_template, make_context, nls_problem
+from graphpde import (apply_function_to_edges, discretize, from_template, make_context,
+                      nls_problem)
 from graphpde.continuation import (ContinuationError, ContinuationOptions,
                                    beta_metric, continue_branch, corrector,
                                    nls_system)
@@ -340,6 +341,30 @@ def test_full_dumbbell_workflow(tmp_path):
     assert "branch point located" in log
 
 
+def test_continue_from_end_needs_two_points(tmp_path):
+    b, sys_ = dumbbell_setup()
+    run = cont.create_run(tmp_path, "dumbbell", b)
+    cont.save_eigenfunctions(run, b, 2)
+    branch = cont.continue_from_eig(run, sys_, 1, 1e-2, quiet_opts(ds=0.05, max_points=3))
+    branch.points = branch.points[:1]
+    bid = cont.save_branch(run, branch, b)
+    with pytest.raises(ContinuationError, match="need at least two points"):
+        cont.continue_from_end(run, sys_, bid, quiet_opts(ds=0.05, max_points=4))
+
+
+def test_nls_system_refuses_a_context_of_another_bundle():
+    # both schemes give this dumbbell n_ext 76, so the lengths cannot tell them apart
+    g = from_template("dumbbell", nx=[20, 30, 20])
+    uniform, chebyshev = discretize(g, "uniform"), discretize(g, "chebyshev")
+    assert uniform.n_ext == chebyshev.n_ext
+    with pytest.raises(ValueError, match="another bundle"):
+        nls_system(nls_problem(uniform), make_context(chebyshev))
+    # with its own context, the mass of (cos, 1, cos) is 2 pi + 4
+    sys_ = nls_system(nls_problem(uniform), make_context(uniform))
+    psi = apply_function_to_edges(uniform, [np.cos, 1.0, np.cos])
+    assert sys_.inner(psi, psi) == pytest.approx(2 * math.pi + 4, rel=1e-12)
+
+
 def test_continue_from_end_appends(tmp_path):
     b, sys_ = dumbbell_setup()
     run = cont.create_run(tmp_path, "dumbbell", b)
@@ -357,16 +382,19 @@ def test_continue_from_end_appends(tmp_path):
     assert len(reloaded.points) == 9
 
 
-def test_continue_from_saved(tmp_path):
+# the last step of the +1 leg crosses a branch point, which adds a point
+@pytest.mark.parametrize("direction, count", [(-1.0, 6), (1.0, 7)])
+def test_continue_from_saved(tmp_path, direction, count):
     b, sys_ = dumbbell_setup()
     run = cont.create_run(tmp_path, "dumbbell", b)
     lam0 = -0.35
     psi0 = np.full(b.n_ext, math.sqrt(-lam0 / 2))
     name = cont.save_standing_wave(run, b, psi0, lam0)
     opts = quiet_opts(ds=0.05, max_points=6, save_flag=True)
-    branch = cont.continue_from_saved(run, sys_, name, opts, direction=-1.0)
-    assert len(branch.points) == 6
-    assert branch.points[1].lam < lam0  # moved in the requested direction
+    branch = cont.continue_from_saved(run, sys_, name, opts, direction=direction)
+    assert len(branch.points) == count
+    # moved in the requested direction
+    assert (branch.points[1].lam - lam0) * direction > 0
     dev = max(np.max(np.abs(p.psi - math.sqrt(-p.lam / 2))) for p in branch.points)
     assert dev <= 1e-8
 
@@ -515,6 +543,14 @@ def test_branch_switch_reads_one_point(tmp_path, monkeypatch):
     step = leg.points[1].psi - bp.psi
     assert np.allclose(step / np.linalg.norm(step), branch.perturbations[idx]
                        / np.linalg.norm(branch.perturbations[idx]), atol=1e-2)
+
+
+def test_branch_switch_refuses_a_sign_other_than_one_before_reading(tmp_path):
+    b, sys_ = dumbbell_setup()
+    run = cont.create_run(tmp_path, "dumbbell", b)  # no branch: reading it would fail
+    for sign in (0, 7, -3):
+        with pytest.raises(ValueError, match=f"sign must be 1 or -1, got {sign}"):
+            cont.continue_from_branch_point(run, sys_, 1, 0, sign, quiet_opts())
 
 
 def test_branch_switch_error_contract(tmp_path):

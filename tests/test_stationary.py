@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from graphpde import (DIRICHLET, apply_function_to_edges, build_graph, discretize,
-                      eigs, find_spectrum_secular, from_template, make_context,
+from graphpde import (DIRICHLET, NLSProblem, apply_function_to_edges, build_graph,
+                      discretize, eigs, find_spectrum_secular, from_template, make_context,
                       mass, nls_jacobian, nls_problem, nls_residual, secular_det,
                       secular_matrix, solve_newton, solve_poisson)
 from graphpde.graphs import TEMPLATES
@@ -212,8 +212,8 @@ def test_secular_scan_is_batched(monkeypatch):
 
 @pytest.mark.parametrize("n_pairs, total", [(5, 15), (10, 32)])
 def test_secular_large_necklace_scans(n_pairs, total):
-    # the roundoff of det S grows like prod_r |S_r|, far above |Sigma| near
-    # a zero; a realness test scaled by |Sigma| raised here
+    # the counting scan's total multiplicity on the 5- and 10-pair necklaces,
+    # and the n_pairs-fold zero at k = 2
     zeros = find_spectrum_secular(from_template("necklace", n_pairs=n_pairs), 2.8)
     # Chebyshev eigs finds this many eigenvalues with k <= 2.8
     assert sum(m for _, m in zeros) == total
@@ -450,9 +450,10 @@ def test_newton_nonconvergence_reported():
         solve_newton(p, 100.0 * rng.standard_normal(b.n_ext), -1.0, max_iter=3)
 
 
-def test_general_sigma_nonlinearity():
+@pytest.mark.parametrize("make", [nls_problem, NLSProblem])
+def test_general_sigma_nonlinearity(make):
     b = discretize(build_graph([1], [2], 1.0, nx=10), "uniform")
-    p = nls_problem(b, sigma=2.0)
+    p = make(b, sigma=2.0)
     z = np.array([0.5, -1.2])
     assert np.allclose(p.f(z), 3.0 * np.abs(z) ** 4 * z)
     assert np.allclose(p.fprime(z), 15.0 * np.abs(z) ** 4)
