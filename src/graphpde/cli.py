@@ -190,30 +190,18 @@ def _cmd_secdet(args, raw, cfg, graph) -> int:
     return 0
 
 
-_EVOLUTION_NONLINEARITIES = {
-    "none": None,
-    "nls_cubic": lambda z: -2j * np.abs(z) ** 2 * z,
-}
+_NLS_NONLINEARITIES = {"none": None, "nls_cubic": lambda z: -2j * np.abs(z) ** 2 * z}
 
-
-def _leapfrog(problem, u0, ev):
-    b = problem.bundle
-    vel = compile_edge_expressions(ev["initial_velocity"], b.graph.num_edges)
-    if vel is None:
-        raise ConfigError("leapfrog needs 'initial_velocity' edge expressions")
-    name = "sine_gordon" if ev["nonlinearity"] is None else ev["nonlinearity"]
-    g = {"sine_gordon": np.sin, "none": lambda u: 0.0 * u}.get(name)
-    if g is None:
-        raise ConfigError(f"unknown leapfrog nonlinearity {name!r}")
-    return evo.leapfrog_klein_gordon(problem, g, u0, apply_function_to_edges(b, vel))
-
-
-# scheme -> run(problem, u0, evolution table); the implicit steppers read f
-_EVOLUTION_SCHEMES = {
-    "crank_nicolson": lambda p, u0, ev: evo.crank_nicolson_heat(p, u0),
-    "imex_euler": lambda p, u0, ev: evo.imex_euler(p, u0),
-    "sdirk443": lambda p, u0, ev: evo.sdirk443(p, u0),
-    "leapfrog": _leapfrog,
+# scheme -> (stepper, its nonlinearities by name with the default first, the
+# evolution key it does not read).  An implicit stepper takes its nonlinearity
+# as the problem's f and reads mu; leapfrog takes it as the g of
+# psi_tt = Lap(psi) - g(psi) and reads initial_velocity.
+_EVOLUTION = {
+    "crank_nicolson": (evo.crank_nicolson_heat, {"none": None}, "initial_velocity"),
+    "imex_euler": (evo.imex_euler, _NLS_NONLINEARITIES, "initial_velocity"),
+    "sdirk443": (evo.sdirk443, _NLS_NONLINEARITIES, "initial_velocity"),
+    "leapfrog": (evo.leapfrog_klein_gordon,
+                 {"sine_gordon": np.sin, "none": lambda u: 0.0 * u}, "mu"),
 }
 
 
@@ -221,26 +209,38 @@ def _cmd_evolve(args, raw, cfg, graph) -> int:
     bundle = discretize(graph, args.scheme)
     ev = cfg["evolution"]
     scheme = ev["scheme"]
+    stepper, nonlinearities, unread = _EVOLUTION[scheme]
+    if ev[unread] is not None:
+        raise ConfigError(f"config.evolution: {scheme} does not read {unread!r}")
+    name = next(iter(nonlinearities)) if ev["nonlinearity"] is None else ev["nonlinearity"]
+    if name not in nonlinearities:
+        raise ConfigError(f"config.evolution: 'nonlinearity' of {scheme} takes one of "
+                          f"{tuple(nonlinearities)}, got {name!r}")
+    f, leapfrog = nonlinearities[name], scheme == "leapfrog"
     mu = 1.0 if ev["mu"] is None else ev["mu"]
     parts = mu if isinstance(mu, list) and len(mu) == 2 else [mu]
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
         raise ConfigError("config.evolution: 'mu' must be a number or a list of two numbers, "
                           f"got {mu!r}")
     mu = complex(*parts) if isinstance(mu, list) else mu
-    fname = "none" if ev["nonlinearity"] is None else ev["nonlinearity"]
-    if scheme != "leapfrog" and fname not in _EVOLUTION_NONLINEARITIES:
-        raise ConfigError(f"unknown nonlinearity {fname!r}")
     init = compile_edge_expressions(ev["initial"], graph.num_edges)
     if init is None:
-        raise ConfigError("evolution config needs 'initial' edge expressions")
+        raise ConfigError("config.evolution: 'initial' edge expressions are required")
     try:
         problem = evo.EvolutionProblem(
-            bundle, mu=mu, f=_EVOLUTION_NONLINEARITIES.get(fname),
+            bundle, mu=mu, f=None if leapfrog else f,
             tau=ev["tau"], t_final=ev["t_final"], n_skip=ev["n_skip"])
     except evo.EvolutionError as exc:
         raise ConfigError(f"config.evolution: {exc}") from exc
     u0 = apply_function_to_edges(bundle, init)
-    times, states = _EVOLUTION_SCHEMES[scheme](problem, u0, ev)
+    if leapfrog:
+        vel = compile_edge_expressions(ev["initial_velocity"], graph.num_edges)
+        if vel is None:
+            raise ConfigError("config.evolution: leapfrog needs 'initial_velocity' "
+                              "edge expressions")
+        times, states = stepper(problem, f, u0, apply_function_to_edges(bundle, vel))
+    else:
+        times, states = stepper(problem, u0)
     table = evo.conservation_trace(
         make_context(bundle), times, states, ev["conserve"], sigma=ev["sigma"],
         momentum_orientations=ev["momentum_orientation"])
@@ -356,7 +356,7 @@ _SCHEMAS = {
     "eigs": {**_GRAPH, "m": 4, "shift": 1e-2},
     "secdet": {**_GRAPH, "k_max": 2.0 * math.pi, "samples": 800},
     "evolve": {**_GRAPH, "evolution": {
-        "scheme": (None, tuple(_EVOLUTION_SCHEMES)), "initial": list,
+        "scheme": (None, tuple(_EVOLUTION)), "initial": list,
         "initial_velocity": list, "mu": object, "nonlinearity": str, "tau": 1e-2,
         "t_final": 1.0, "n_skip": 1, "conserve": (["mass"], evo.QUANTITIES), "sigma": 1.0,
         "momentum_orientation": list}},

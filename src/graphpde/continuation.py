@@ -42,10 +42,10 @@ from .discretize import OperatorBundle
 from .functionals import FunctionalContext, energy_nls
 from .stationary import NLSProblem, newton, nls_jacobian, nls_residual
 # the store's own objects, also bound here under the names they had in this module
-from .store import (DIAGRAM_AXES, ContinuationError, StaleLayoutError, append_log,
-                    bifurcation_diagram, bundle_hash, check_run_layout, create_run,
-                    list_branches, load_eigenfunction, load_standing_wave, read_branch,
-                    save_branch, save_eigenfunctions, save_standing_wave)
+from .store import (DIAGRAM_AXES, ContinuationError, StaleLayoutError, bifurcation_diagram,
+                    bundle_hash, check_run_layout, create_run, list_branches,
+                    load_eigenfunction, load_standing_wave, read_branch, save_branch,
+                    save_eigenfunctions, save_standing_wave)
 
 
 class CorrectorError(ContinuationError):
@@ -411,8 +411,8 @@ def locate_branch_point(sys: ContinuationSystem, opts: ContinuationOptions,
 # ---------------------------------------------------------------------------
 # main driver
 
-def _run_continuation(sys, opts, points, prev_dir, *, run_dir=None):
-    """Advance a branch from its last point; points is extended in place."""
+def _run_continuation(sys, opts, points, prev_dir, events):
+    """Advance a branch from its last point; points and events are extended in place."""
     ds = opts.ds
     ds_cap = 8.0 * opts.ds
     last = points[-1]
@@ -431,7 +431,7 @@ def _run_continuation(sys, opts, points, prev_dir, *, run_dir=None):
     def note(msg):
         if opts.verbose_flag:
             print(f"[continuation] {msg}")
-        append_log(run_dir, f"branch: {msg}")
+        events.append(msg)
 
     while len(points) < opts.max_points:
         # one rejection rule halves ds: the corrector failed, or its point is
@@ -465,6 +465,8 @@ def _run_continuation(sys, opts, points, prev_dir, *, run_dir=None):
                 points.append(bp)
                 perturbations[len(points) - 1] = eps * v
                 note(f"branch point located at lambda={lam_star:.8g}")
+                if len(points) == opts.max_points:
+                    break
             except CodimensionTwoError:
                 raise
             except ContinuationError as exc:
@@ -524,12 +526,13 @@ def _run_and_save(run_dir, sys: ContinuationSystem, opts: ContinuationOptions, p
                   prev_dir, provenance: dict, perturbations=None, branch_id=None) -> Branch:
     """Advance points along prev_dir; save the branch if save_flag and run_dir are set.
 
-    The termination reason goes into the provenance, and the perturbations
-    found are merged over the given ones.
+    The termination reason and the events, after those it holds, go into the
+    provenance, and the perturbations found are merged over the given ones.
     """
-    found, termination = _run_continuation(sys, opts, points, prev_dir, run_dir=run_dir)
-    branch = Branch(points, {**provenance, "termination": termination}, opts,
-                    {**(perturbations or {}), **found})
+    events = list(provenance.get("events", []))
+    found, termination = _run_continuation(sys, opts, points, prev_dir, events)
+    branch = Branch(points, {**provenance, "termination": termination, "events": events},
+                    opts, {**(perturbations or {}), **found})
     if opts.save_flag and run_dir is not None:
         save_branch(run_dir, branch, sys.bundle, branch_id)
     return branch
@@ -556,7 +559,6 @@ def continue_from_eig(run_dir, sys: ContinuationSystem, index: int,
     seed = _polish(sys, a * v, lam_seed, opts)
     direction = v if sys.inner(v, seed) >= 0 else -v
     t = _normalized(sys, direction, 0.0, opts.beta)
-    append_log(run_dir, f"continue_from_eig index={index} lambda_seed={lam_seed:.8g}")
     return _run_and_save(run_dir, sys, opts, [_make_point(sys, seed, lam_seed, *t)], t,
                          {"kind": "eigenfunction", "index": index, "amplitude": amplitude})
 
@@ -573,7 +575,6 @@ def continue_from_saved(run_dir, sys: ContinuationSystem, name: str,
                             math.copysign(1.0, direction), opts.beta)
     # normalized again, as continue_branch normalizes any given tangent
     t = _normalized(sys, t_u, t_lam, opts.beta)
-    append_log(run_dir, f"continue_from_saved {name}")
     return _run_and_save(run_dir, sys, opts, [_make_point(sys, psi, lam, *t)], t,
                          {"kind": "saved", "name": name})
 
@@ -604,8 +605,6 @@ def continue_from_branch_point(run_dir, sys: ContinuationSystem, branch_id: int,
     du, dlam = u1 - psi0, lam1 - lam0
     prev_dir = _normalized(sys, du, dlam, opts.beta)
     points[1].tangent_psi, points[1].tangent_lam = prev_dir
-    append_log(run_dir, f"continue_from_branch_point branch{branch_id:03d} "
-                        f"point {point_index} sign {sign:+d}")
     return _run_and_save(run_dir, sys, opts, points, prev_dir,
                          {"kind": "branch_point", "parent": branch_id,
                           "point": point_index, "sign": int(sign)})
@@ -620,7 +619,6 @@ def continue_from_end(run_dir, sys: ContinuationSystem, branch_id: int,
         raise ContinuationError("need at least two points to extend a branch")
     a, b = branch.points[-2], branch.points[-1]
     prev_dir = _normalized(sys, b.psi - a.psi, b.lam - a.lam, opts.beta)
-    append_log(run_dir, f"continue_from_end branch{branch_id:03d}")
     return _run_and_save(run_dir, sys, opts, branch.points, prev_dir,
                          {**branch.provenance, "extended": True}, branch.perturbations,
                          branch_id)

@@ -1,20 +1,21 @@
 """Continuation run directories; only this module names the files in them.
 
-    <base>/<tag>/<NNN>/  template.json (with the bundle hash), logfile.txt,
+    <base>/<tag>/<NNN>/  template.json (with the bundle hash)
       eigenfunctions/    eigenvalues.csv, eigenfunctions.npy (a row per eigenpair)
       saved/             wave_NNN_psi.npy, wave_NNN_lambda.csv
       branchNNN/         lambda, mass, energy, biftype, lambda_dot CSVs, psi.npy
                          and tangent.npy (a row per point),
                          perturbation_NNNN.npy, options.json, provenance.json
+                         (seed, termination and events)
       diagram.csv
 
 Every state is a float64 .npy, read back through _load_states; every scalar
-is a %.17g CSV.  Every reader checks the run's hash against the bundle first;
-StaleLayoutError marks another discretization or an older layout.
+is a %.17g CSV, read back through _load_scalars.  No file records the time.
+Every reader checks the run's hash against the bundle first; StaleLayoutError
+marks another discretization or an older layout.
 """
 from __future__ import annotations
 
-import datetime
 import hashlib
 import json
 import os
@@ -37,14 +38,6 @@ class StaleLayoutError(ContinuationError):
     pass
 
 
-def append_log(run_dir, message):
-    if run_dir is None:
-        return
-    stamp = datetime.datetime.now().isoformat(timespec="seconds")
-    with open(Path(run_dir) / "logfile.txt", "a") as fh:
-        fh.write(f"{stamp}  {message}\n")
-
-
 def bundle_hash(bundle: OperatorBundle) -> str:
     payload = json.dumps({
         "graph": graph_hash(bundle.graph),
@@ -55,7 +48,7 @@ def bundle_hash(bundle: OperatorBundle) -> str:
 
 
 def create_run(base, tag: str, bundle: OperatorBundle) -> Path:
-    """Create data/<tag>/<run id>/ with template.json and a fresh log."""
+    """Create data/<tag>/<run id>/ with template.json."""
     root = Path(base) / tag
     root.mkdir(parents=True, exist_ok=True)
     run_dir = root / f"{_first_free(lambda k: root / f'{k:03d}'):03d}"
@@ -68,7 +61,6 @@ def create_run(base, tag: str, bundle: OperatorBundle) -> Path:
         "hash": bundle_hash(bundle),
     }
     write_text_atomic(run_dir / "template.json", json.dumps(template, indent=1))
-    append_log(run_dir, f"created run {tag}/{run_dir.name}")
     return run_dir
 
 
@@ -99,6 +91,11 @@ def _load_states(path, shape) -> np.ndarray:
     return states
 
 
+def _load_scalars(path, kind=float) -> np.ndarray:
+    """The numbers of a one-column scalar CSV, parsed as kind (np.loadtxt is slower)."""
+    return np.array(Path(path).read_text().split(), dtype=kind)
+
+
 def eigenfunctions_saved(run_dir) -> bool:
     return (Path(run_dir) / "eigenfunctions").exists()
 
@@ -112,7 +109,6 @@ def save_eigenfunctions(run_dir, bundle: OperatorBundle, count: int):
     edir.mkdir(exist_ok=True)
     save_scalar_csv(edir / "eigenvalues.csv", np.real(lam))
     np.save(edir / "eigenfunctions.npy", np.real(vecs).T, allow_pickle=False)
-    append_log(run_dir, f"saved {count} eigenfunctions")
     return lam, vecs
 
 
@@ -120,7 +116,7 @@ def load_eigenfunction(run_dir, bundle: OperatorBundle, index: int):
     """(eigenvalue, real state) of the index-th saved eigenfunction, from 1."""
     check_run_layout(run_dir, bundle)
     edir = Path(run_dir) / "eigenfunctions"
-    lams = np.loadtxt(edir / "eigenvalues.csv", ndmin=1)
+    lams = _load_scalars(edir / "eigenvalues.csv")
     if not 1 <= index <= len(lams):
         raise ContinuationError(f"eigenfunction index {index} not saved")
     states = _load_states(edir / "eigenfunctions.npy", (len(lams), bundle.n_ext))
@@ -135,7 +131,6 @@ def save_standing_wave(run_dir, bundle: OperatorBundle, psi, lam: float) -> str:
     name = f"wave_{_first_free(lambda k: sdir / f'wave_{k:03d}_psi.npy'):03d}"
     np.save(sdir / f"{name}_psi.npy", np.real(psi).astype(float).reshape(bundle.n_ext))
     save_scalar_csv(sdir / f"{name}_lambda.csv", [lam])
-    append_log(run_dir, f"saved standing wave {name} at lambda={lam:.8g}")
     return name
 
 
@@ -144,7 +139,7 @@ def load_standing_wave(run_dir, bundle: OperatorBundle, name: str):
     check_run_layout(run_dir, bundle)
     sdir = Path(run_dir) / "saved"
     return (_load_states(sdir / f"{name}_psi.npy", (bundle.n_ext,)),
-            float(np.loadtxt(sdir / f"{name}_lambda.csv")))
+            float(_load_scalars(sdir / f"{name}_lambda.csv")[0]))
 
 
 def _branch_dir(run_dir, branch_id: int) -> Path:
@@ -181,7 +176,6 @@ def save_branch(run_dir, branch, bundle: OperatorBundle, branch_id: int | None =
     if final.exists():
         shutil.rmtree(final)
     os.replace(stage, final)
-    append_log(run_dir, f"saved branch{branch_id:03d} ({len(branch.points)} points)")
     return branch_id
 
 
@@ -195,7 +189,7 @@ def read_branch(run_dir, branch_id: int, bundle: OperatorBundle, option_names):
         raise ContinuationError(f"no branch directory {bdir}")
     if not (bdir / "psi.npy").exists() and (bdir / "psi_0001.csv").exists():
         raise StaleLayoutError(f"{bdir / 'psi_0001.csv'} has the older per-point layout")
-    columns = {attr: [kind(v) for v in np.loadtxt(bdir / f"{name}.csv", ndmin=1)]
+    columns = {attr: _load_scalars(bdir / f"{name}.csv", kind).tolist()
                for name, (attr, kind) in _BRANCH_SCALARS.items()}
     shape = (len(columns["lam"]), bundle.n_ext)
     columns.update({attr: _load_states(bdir / f"{name}.npy", shape)
@@ -223,7 +217,7 @@ def bifurcation_diagram(run_dir, axes=("lambda", "mass")) -> dict[int, np.ndarra
     for ax in axes:
         if ax not in DIAGRAM_AXES:
             raise ContinuationError(f"unknown axis {ax!r}; pick from {DIAGRAM_AXES}")
-    return {bid: np.column_stack([np.loadtxt(_branch_dir(run_dir, bid) / f"{ax}.csv", ndmin=1)
+    return {bid: np.column_stack([_load_scalars(_branch_dir(run_dir, bid) / f"{ax}.csv")
                                   for ax in axes])
             for bid in list_branches(run_dir)}
 

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from graphpde import discretize, from_template
 from graphpde.discretize import load_state_csv
 from graphpde.cli import graph_from_config, main
 from graphpde.continuation import save_standing_wave
-from graphpde.expressions import ConfigError, compile_expression
+from graphpde.expressions import ConfigError, compile_edge_expressions, compile_expression
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -77,6 +78,18 @@ def test_expression_whitelist():
 def test_expression_terms_refuse_the_keys_of_other_functions(term):
     with pytest.raises(ConfigError, match="unknown keys"):
         compile_expression(term)
+
+
+@pytest.mark.parametrize("exprs, message", [
+    ([[{"fn": "sin"}, "cos"]], "expression term must be a dict with an 'fn' key: 'cos'"),
+    ([{"fn": "kink", "c": 1.0}], "kink speed must satisfy |c| < 1"),
+    ([{"fn": "kink_velocity", "c": -1.5}], "kink speed must satisfy |c| < 1"),
+    ([1.0, 2.0], "expected a list of 1 per-edge expressions"),
+], ids=["term-not-a-dict", "kink-c-1", "kink_velocity-c-1.5", "two-for-one-edge"])
+def test_malformed_edge_expressions_are_configuration_errors(exprs, message):
+    with pytest.raises(ConfigError) as err:
+        compile_edge_expressions(exprs, 1)
+    assert message in str(err.value)
 
 
 def test_expression_terms_match_their_closed_forms():
@@ -230,7 +243,7 @@ def test_cli_evolve_every_scheme(tmp_path, scheme):
                 1.0,
                 {"fn": "cos"},
             ],
-            "initial_velocity": [0.0, 0.0, 0.0],
+            **({"initial_velocity": [0.0, 0.0, 0.0]} if scheme == "leapfrog" else {}),
         },
     })
     out = tmp_path / scheme
@@ -304,7 +317,9 @@ def test_cli_continue_dumbbell(tmp_path):
     run = out / "dumbbell" / "001"
     lam = np.loadtxt(run / "branch001" / "lambda.csv")
     assert len(lam) <= 12
-    assert (run / "logfile.txt").exists()
+    events = json.loads((run / "branch001" / "provenance.json").read_text())["events"]
+    assert events[-1].startswith(f"finished with {len(lam)} points")
+    assert not (run / "logfile.txt").exists()
     assert (run / "diagram.csv").exists()
 
 
@@ -360,6 +375,28 @@ def test_cli_continue_determinism(tmp_path):
         b1 = (out1 / "dumbbell" / "001" / "branch001" / name).read_bytes()
         b2 = (out2 / "dumbbell" / "001" / "branch001" / name).read_bytes()
         assert b1 == b2, name
+
+
+def test_cli_continue_runs_in_two_directories_give_identical_trees(tmp_path, monkeypatch):
+    options = {"ds": 0.05, "verbose_flag": False}
+    steps = [({"from": "eig", "index": 1, "n_eigenfunctions": 2}, 5),
+             ({"from": "end", "branch": 1, "run_dir": "data/dumbbell/001"}, 9)]
+    trees = []
+    for work in (tmp_path / "first", tmp_path / "second"):
+        if trees:  # a clock reading in any file would differ between the trees
+            time.sleep(1.0 - time.time() % 1.0)
+        work.mkdir()
+        monkeypatch.chdir(work)
+        for k, (table, max_points) in enumerate(steps):
+            cfg = write_config(tmp_path, {"template": "dumbbell", "continue": {
+                **table, "options": {**options, "max_points": max_points}}}, f"step{k}.json")
+            assert main(["continue", "--config", cfg, "--out", "data"]) == 0
+        trees.append({str(f.relative_to(work)): f.read_bytes()
+                      for f in sorted(work.rglob("*")) if f.is_file()})
+    assert "data/dumbbell/001/branch001/psi.npy" in trees[0]
+    assert sorted(trees[0]) == sorted(trees[1])
+    for name, content in trees[0].items():
+        assert content == trees[1][name], name
 
 
 def test_cli_continue_refuses_an_unknown_axis_before_any_output(tmp_path, capsys):
@@ -466,6 +503,11 @@ _QUIET = {"max_points": 4, "verbose_flag": False}
     ("continue", {"continue": {"options": {**_QUIET, "verbose_flag": "no"}}},
      "config.continue.options: 'verbose_flag' must be bool"),
     ("eigs", {"shift": "0.5"}, "config: 'shift' must be float"),
+    ("evolve", {"evolution": [1.0]}, "config.evolution must be a table, got [1.0]"),
+    ("continue", {"continue": "eig"}, "config.continue must be a table, got 'eig'"),
+    ("evolve", {"evolution": {"scheme": "crank_nicolson"}},
+     "config.evolution: 'initial' edge expressions are required"),
+    ("continue", {}, "config needs a 'continue' table"),
 ])
 def test_cli_refuses_an_unknown_or_ill_typed_key_before_writing_anything(
         tmp_path, capsys, command, cfg, message):
@@ -475,6 +517,15 @@ def test_cli_refuses_an_unknown_or_ill_typed_key_before_writing_anything(
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_cli_refuses_a_config_that_is_not_json_before_writing_anything(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"template": "dumbbell", "m": 3')
+    out = tmp_path / "data"
+    assert main(["eigs", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config file is not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_template_commands(capsys):
@@ -524,8 +575,13 @@ def test_cli_continue_refuses_a_branch_point_sign_other_than_one_before_any_outp
     assert sorted(p.name for p in run.glob("branch*")) == ["branch001"]
 
 
-@pytest.mark.parametrize("bad", [{"tau": -0.1}, {"t_final": 0}, {"n_skip": 0}, {"mu": [1.0]}],
-                         ids=["tau", "t_final", "n_skip", "mu"])
+@pytest.mark.parametrize("bad", [
+    {"tau": -0.1}, {"t_final": 0}, {"n_skip": 0}, {"mu": [1.0]},
+    {"nonlinearity": "nls_cubic"},
+    {"mu": 0.5, "scheme": "leapfrog", "initial_velocity": [0.0, 0.0, 0.0]},
+    {"initial_velocity": [0.0, 0.0, 0.0], "scheme": "imex_euler"},
+], ids=["tau", "t_final", "n_skip", "mu", "crank_nicolson-nls_cubic", "leapfrog-mu",
+        "imex_euler-initial_velocity"])
 def test_cli_evolve_refuses_bad_run_values_as_configuration_errors(tmp_path, capsys, bad):
     cfg = write_config(tmp_path, {
         "template": "dumbbell",

@@ -201,8 +201,7 @@ def test_dumbbell_constant_branch_and_pitchfork():
 def test_run_persistence_round_trip(tmp_path):
     b, sys_ = dumbbell_setup()
     run = cont.create_run(tmp_path, "dumbbell", b)
-    assert (run / "template.json").exists()
-    assert (run / "logfile.txt").exists()
+    assert [f.name for f in run.iterdir()] == ["template.json"]
     cont.save_eigenfunctions(run, b, 3)
 
     opts = quiet_opts(ds=0.05, max_points=8)
@@ -220,6 +219,8 @@ def test_run_persistence_round_trip(tmp_path):
         assert loaded.perturbations[idx].dtype == np.float64
         assert np.array_equal(loaded.perturbations[idx], pert)
     assert loaded.provenance["kind"] == "eigenfunction"
+    assert loaded.provenance["events"] == branch.provenance["events"]
+    assert loaded.provenance["events"][-1] == "finished with 8 points (max_points)"
     assert loaded.options.ds == opts.ds
 
 
@@ -337,8 +338,68 @@ def test_full_dumbbell_workflow(tmp_path):
         recomputed = sys_.energy(p.psi, p.lam)
         assert abs(diagram_e[1][k_pt, 1] - recomputed) < 1e-12 * max(1.0, abs(recomputed))
 
-    log = (run / "logfile.txt").read_text()
-    assert "branch point located" in log
+    events = cont.load_branch(run, bid, b).provenance["events"]
+    assert any(e.startswith("branch point located") for e in events)
+
+
+def test_branch_events_name_each_located_branch_point(tmp_path):
+    b, sys_ = dumbbell_setup()
+    run = cont.create_run(tmp_path, "dumbbell", b)
+    cont.save_eigenfunctions(run, b, 2)
+    branch = cont.continue_from_eig(run, sys_, 1, 1e-2, quiet_opts(ds=0.05, save_flag=True))
+    events = json.loads((run / "branch001" / "provenance.json").read_text())["events"]
+    located = [f"branch point located at lambda={p.lam:.8g}"
+               for p in branch.points if p.bif_type == 1]
+    assert len(located) >= 2
+    assert [e for e in events if e.startswith("branch point")] == located
+    termination = branch.provenance["termination"]
+    assert events[-1] == f"finished with {len(branch.points)} points ({termination})"
+
+
+def test_an_extension_appends_its_events_after_the_stored_ones(tmp_path):
+    b, sys_ = dumbbell_setup()
+    run = cont.create_run(tmp_path, "dumbbell", b)
+    cont.save_eigenfunctions(run, b, 2)
+    first = cont.continue_from_eig(run, sys_, 1, 1e-2,
+                                   quiet_opts(ds=0.05, max_points=4, save_flag=True))
+    cont.continue_from_end(run, sys_, 1, quiet_opts(ds=0.05, max_points=9, save_flag=True))
+    events = cont.load_branch(run, 1, b).provenance["events"]
+    assert first.provenance["events"] == ["finished with 4 points (max_points)"]
+    assert events[0] == first.provenance["events"][0]
+    assert events[1].startswith("branch point located")
+    assert events[2:] == ["finished with 9 points (max_points)"]
+
+
+def test_a_branch_not_saved_leaves_the_run_directory_as_it_was(tmp_path):
+    b, sys_ = dumbbell_setup()
+    run = cont.create_run(tmp_path, "dumbbell", b)
+    cont.save_eigenfunctions(run, b, 2)
+    cont.continue_from_eig(run, sys_, 1, 1e-2, quiet_opts(ds=0.05, max_points=8, save_flag=True))
+
+    def tree():
+        return {f: f.read_bytes() for f in sorted(run.rglob("*")) if f.is_file()}
+
+    before = tree()
+    branch = cont.continue_from_eig(run, sys_, 1, 1e-2, quiet_opts(ds=0.05, max_points=8))
+    assert len(branch.points) == 8 and tree() == before
+
+
+def test_a_failed_localization_is_an_event_and_the_branch_is_saved(tmp_path, monkeypatch):
+    b, sys_ = dumbbell_setup()
+    run = cont.create_run(tmp_path, "dumbbell", b)
+    cont.save_eigenfunctions(run, b, 2)
+
+    def failing(*args):
+        raise ContinuationError("no sign change")
+
+    monkeypatch.setattr(cont, "locate_branch_point", failing)
+    branch = cont.continue_from_eig(run, sys_, 1, 1e-2,
+                                    quiet_opts(ds=0.05, max_points=8, save_flag=True))
+    saved = cont.load_branch(run, 1, b)
+    assert saved.provenance["events"] == ["bifurcation localization failed: no sign change",
+                                          "finished with 8 points (max_points)"]
+    assert len(saved.points) == 8 and not saved.perturbations
+    assert np.array_equal(saved.lambdas, branch.lambdas) and 1 not in saved.bif_types
 
 
 def test_continue_from_end_needs_two_points(tmp_path):
@@ -382,8 +443,8 @@ def test_continue_from_end_appends(tmp_path):
     assert len(reloaded.points) == 9
 
 
-# the last step of the +1 leg crosses a branch point, which adds a point
-@pytest.mark.parametrize("direction, count", [(-1.0, 6), (1.0, 7)])
+# the last step of the +1 leg crosses a branch point, and the leg ends at it
+@pytest.mark.parametrize("direction, count", [(-1.0, 6), (1.0, 6)])
 def test_continue_from_saved(tmp_path, direction, count):
     b, sys_ = dumbbell_setup()
     run = cont.create_run(tmp_path, "dumbbell", b)
@@ -393,6 +454,7 @@ def test_continue_from_saved(tmp_path, direction, count):
     opts = quiet_opts(ds=0.05, max_points=6, save_flag=True)
     branch = cont.continue_from_saved(run, sys_, name, opts, direction=direction)
     assert len(branch.points) == count
+    assert branch.provenance["termination"] == ("max_points" if direction > 0 else "n_thresh")
     # moved in the requested direction
     assert (branch.points[1].lam - lam0) * direction > 0
     dev = max(np.max(np.abs(p.psi - math.sqrt(-p.lam / 2))) for p in branch.points)

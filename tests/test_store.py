@@ -134,3 +134,30 @@ def test_a_wave_of_another_length_is_refused_when_saved(tmp_path):
             store.save_standing_wave(run, b, psi, -0.5)
     assert sorted(f.name for f in (run / "saved").iterdir()) == [f"{name}_lambda.csv",
                                                                   f"{name}_psi.npy"]
+
+
+def test_scalar_files_parse_bit_for_bit_as_loadtxt_reads_them(tmp_path):
+    b = discretize(from_template("dumbbell"), "uniform")
+    sys_ = cont.nls_system(nls_problem(b), make_context(b))
+    run = store.create_run(tmp_path, "dumbbell", b)
+    store.save_eigenfunctions(run, b, 2)
+    cont.continue_from_eig(run, sys_, 1, 1e-2, cont.ContinuationOptions(
+        ds=0.05, max_points=8, verbose_flag=False))
+    column = run / "branch001" / "lambda.csv"
+    bits = np.random.default_rng(7).integers(0, 2**63, 4000).view(np.float64)
+    save_scalar_csv(tmp_path / "doubles.csv", [-0.0, 5e-324, *bits[np.isfinite(bits)]])
+    for path in (column, tmp_path / "doubles.csv"):
+        parsed = store._load_scalars(path)
+        assert parsed.dtype == np.float64
+        assert parsed.tobytes() == np.loadtxt(path, ndmin=1).tobytes(), path
+    biftype = store._load_scalars(run / "branch001" / "biftype.csv", int)
+    assert biftype.tolist() == np.loadtxt(run / "branch001" / "biftype.csv").tolist()
+
+
+def test_store_readers_refuse_an_index_or_axis_that_was_not_saved(tmp_path):
+    b, run, _ = _seed_run(tmp_path)  # three eigenfunctions
+    for index in (0, 4):
+        with pytest.raises(store.ContinuationError, match=f"eigenfunction index {index} not"):
+            store.load_eigenfunction(run, b, index)
+    with pytest.raises(store.ContinuationError, match="unknown axis 'mas'"):
+        store.bifurcation_diagram(run, ("lambda", "mas"))
