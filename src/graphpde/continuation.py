@@ -9,7 +9,11 @@ predictor and a Newton corrector on the bordered system
 where <.,.> is the problem's inner product and (t_u, t_lambda) the current
 unit tangent in the beta-metric.  Each Newton iterate factors the bordered
 matrix once; the corrector steps with that factorization and returns it at
-convergence, so its determinant costs no extra LU.  One rule rejects a
+convergence, so its determinant costs no extra LU.  A system's bordered
+matrices share one pattern as long as J's does: the first is factored with
+COLAMD, and every later one is gathered straight into that factorization's
+column order and factored without reordering (see linalg), which gives
+bitwise the same LU.  One rule rejects a
 step: when the corrector fails, the step has zero length, or the turn
 angle exceeds maxTheta, the step length halves, and the branch ends once
 it falls below min_norm_delta.  The step length grows by 1.3x (capped at
@@ -21,7 +25,9 @@ localized in pseudo-arclength by a safeguarded secant on the signed
 determinant (see locate_branch_point); folds flip the sign of
 d(lambda)/ds without a bordered sign change and are tagged at the nearer
 point.  Simultaneous events resolve as branch points.  Switching onto the
-crossing branch uses only the stored branch point from its directory.
+crossing branch uses only the stored branch point from its directory.  A
+branch records the problem's sigma, and extending it or switching off it
+with a system of another sigma is refused.
 
 Seeds (continue_branch, continue_from_eig, continue_from_saved) are
 polished at their fixed lambda by stationary.newton, the loop behind
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -146,6 +152,8 @@ class ContinuationSystem:
     energy: Callable = lambda u, lam: 0.0
     bundle: OperatorBundle | None = None
     problem: NLSProblem | None = None
+    # where _bordered_factor puts each entry, kept from the first bordered LU
+    _bordered_layout: _BorderedLayout | None = field(default=None, init=False, repr=False)
 
     def inner(self, u, v) -> float:
         return float(np.dot(u, v) if self.weights is None else self.weights @ (u * v))
@@ -208,10 +216,52 @@ def _bordered_matrix(J, col, row, corner):
     return sp.csc_matrix((data, indices, indptr), shape=(n + 1, n + 1))
 
 
+class _BorderedLayout(NamedTuple):
+    """Where a bordered matrix's entries go, for one pattern of J.
+
+    Entry k of the bordered CSC, in the column order of the first
+    factorization, is values[gather[k]] with values = [J.data, row, col,
+    corner].
+    """
+
+    j_indptr: np.ndarray
+    j_indices: np.ndarray
+    gather: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    order: linalg.ColumnOrder
+
+
+def _bordered_layout(J, order):
+    """The layout of J's bordered matrices, from _bordered_matrix on entry numbers."""
+    n, nnz = J.shape[0], J.nnz
+    numbered = _bordered_matrix(sp.csc_matrix((np.arange(nnz), J.indices, J.indptr), J.shape),
+                                np.arange(nnz + n, nnz + 2 * n), np.arange(nnz, nnz + n),
+                                nnz + 2 * n)[:, order.perm]
+    return _BorderedLayout(J.indptr.copy(), J.indices.copy(), numbered.data, numbered.indptr,
+                           numbered.indices, order)
+
+
 def _bordered_factor(sys, u, lam, t_u, t_lam, beta):
+    """LU of the bordered matrix; every one after the first reuses its column order.
+
+    The layout is rebuilt by a fresh (COLAMD) factorization whenever J's
+    pattern is not the one it was made for.
+    """
+    J = sys.jacobian(u, lam)
+    J = J.tocsc() if sp.issparse(J) else sp.csc_matrix(J)
     row = t_u if sys.weights is None else sys.weights * t_u
-    M = _bordered_matrix(sys.jacobian(u, lam), sys.dlam(u, lam), row, beta * t_lam)
-    return linalg.factorize(M)
+    col, corner = sys.dlam(u, lam), beta * t_lam
+    lay = sys._bordered_layout
+    if (lay is None or not np.array_equal(J.indptr, lay.j_indptr)
+            or not np.array_equal(J.indices, lay.j_indices)):
+        fact = linalg.factorize(_bordered_matrix(J, col, row, corner))
+        sys._bordered_layout = _bordered_layout(J, fact.column_order)
+        return fact
+    values = np.concatenate([J.data, row, col, [corner]])
+    n = J.shape[0] + 1
+    return linalg.Factorization(
+        sp.csc_matrix((values[lay.gather], lay.indices, lay.indptr), shape=(n, n)), lay.order)
 
 
 def corrector(sys: ContinuationSystem, opts: ContinuationOptions,
@@ -526,9 +576,12 @@ def _run_and_save(run_dir, sys: ContinuationSystem, opts: ContinuationOptions, p
                   prev_dir, provenance: dict, perturbations=None, branch_id=None) -> Branch:
     """Advance points along prev_dir; save the branch if save_flag and run_dir are set.
 
-    The termination reason and the events, after those it holds, go into the
-    provenance, and the perturbations found are merged over the given ones.
+    The problem's sigma (when the system has a problem), the termination
+    reason and the events, after those it holds, go into the provenance, and
+    the perturbations found are merged over the given ones.
     """
+    if sys.problem is not None:
+        provenance = {**provenance, "sigma": float(sys.problem.sigma)}
     events = list(provenance.get("events", []))
     found, termination = _run_continuation(sys, opts, points, prev_dir, events)
     branch = Branch(points, {**provenance, "termination": termination, "events": events},
@@ -536,6 +589,15 @@ def _run_and_save(run_dir, sys: ContinuationSystem, opts: ContinuationOptions, p
     if opts.save_flag and run_dir is not None:
         save_branch(run_dir, branch, sys.bundle, branch_id)
     return branch
+
+
+def _check_sigma(sys: ContinuationSystem, provenance: dict, branch_id: int) -> None:
+    """Refuse to go on from a branch traced for another sigma; a branch that
+    records none, or a system without a problem, passes."""
+    stored = provenance.get("sigma")
+    if stored is not None and sys.problem is not None and stored != sys.problem.sigma:
+        raise ContinuationError(f"branch {branch_id} was traced with sigma = {stored}, "
+                                f"not with this system's sigma = {sys.problem.sigma}")
 
 
 def continue_from_eig(run_dir, sys: ContinuationSystem, index: int,
@@ -585,14 +647,15 @@ def continue_from_branch_point(run_dir, sys: ContinuationSystem, branch_id: int,
     """Switch onto the branch crossing at a stored branch point.
 
     Uses only that point's lambda, state and perturbation from the parent
-    branch, as store.read_branch gives them.  sign (1 or -1, ValueError
-    otherwise) chooses the leg.
+    branch, as store.read_branch gives them, and refuses a parent traced for
+    another sigma.  sign (1 or -1, ValueError otherwise) chooses the leg.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be 1 or -1, got {sign}")
     opts = opts or ContinuationOptions()
-    stored, perturbations, _, _ = read_branch(run_dir, branch_id, sys.bundle,
-                                              [f.name for f in fields(ContinuationOptions)])
+    stored, perturbations, _, provenance = read_branch(
+        run_dir, branch_id, sys.bundle, [f.name for f in fields(ContinuationOptions)])
+    _check_sigma(sys, provenance, branch_id)
     if point_index not in perturbations:
         raise ContinuationError(
             f"branch {branch_id} has no stored perturbation at point {point_index}")
@@ -612,9 +675,11 @@ def continue_from_branch_point(run_dir, sys: ContinuationSystem, branch_id: int,
 
 def continue_from_end(run_dir, sys: ContinuationSystem, branch_id: int,
                       opts: ContinuationOptions | None = None) -> Branch:
-    """Extend a stored branch beyond its last point (re-saved in place)."""
+    """Extend a stored branch beyond its last point (re-saved in place); a branch
+    traced for another sigma is refused."""
     opts = opts or ContinuationOptions()
     branch = load_branch(run_dir, branch_id, sys.bundle)
+    _check_sigma(sys, branch.provenance, branch_id)
     if len(branch.points) < 2:
         raise ContinuationError("need at least two points to extend a branch")
     a, b = branch.points[-2], branch.points[-1]

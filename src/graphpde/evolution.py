@@ -167,8 +167,10 @@ def _imex_rk(problem: EvolutionProblem, u, a_im, a_ex):
     interp_zero (u + tau sum_j a_ex[i, j] f(U_j)) + tau mu sum_{j<i}
     a_im[i, j] lap_zero U_j, whose last 2|E| rows are vc_rows U_i = 0 for
     every tau and mu; gamma is the common diagonal a_im[i, i].  f = None
-    counts as f = 0.  lap_zero U_j and f(U_j) are formed only for the levels
-    whose tableau column feeds a later level.
+    counts as f = 0.  A level without explicit terms (Crank-Nicolson's) applies
+    interp_zero + tau mu a_im[i, 0] lap_zero to u as one matrix.  lap_zero U_j
+    and f(U_j) are formed only for the levels whose tableau column feeds a
+    later level.
     """
     b = problem.bundle
     tau, mu, f = problem.tau, problem.mu, problem.f
@@ -179,6 +181,12 @@ def _imex_rk(problem: EvolutionProblem, u, a_im, a_ex):
     # (level j, coefficient) terms of level i, strictly below the diagonal
     ex = [[(j, tau * a_ex[i, j]) for j in range(i) if a_ex[i, j]] for i in levels]
     im = [[(j, tau * mu * a_im[i, j]) for j in range(i) if a_im[i, j]] for i in levels]
+    # a level-0 implicit term folded into interp_zero, for the levels whose
+    # interp_zero acts on u alone (with explicit terms it acts on u + tau sum f)
+    start = {}
+    for i in levels:
+        if i and not ex[i] and im[i] and im[i][0][0] == 0:
+            start[i] = b.interp_zero + im[i].pop(0)[1] * b.lap_zero
     need_f = {j for terms in ex for j, _ in terms}
     need_lap = {j for terms in im for j, _ in terms}
     out = _Sampler(problem, u)
@@ -187,8 +195,11 @@ def _imex_rk(problem: EvolutionProblem, u, a_im, a_ex):
         stage, fs, laps = u, {}, {}
         for i in levels:
             if i:
-                x = u + sum(c * fs[j] for j, c in ex[i]) if ex[i] else u
-                rhs = b.interp_zero @ x
+                if i in start:
+                    rhs = start[i] @ u
+                else:
+                    x = u + sum(c * fs[j] for j, c in ex[i]) if ex[i] else u
+                    rhs = b.interp_zero @ x
                 for j, c in im[i]:
                     rhs = rhs + c * laps[j]
                 stage = fact.solve(rhs)

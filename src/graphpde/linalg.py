@@ -6,10 +6,26 @@ the determinant read from the sparse LU factors: its sign (permutation
 parities times diagonal signs) and the log of its magnitude (the sum of
 log |U_ii|).  The continuation code monitors the sign for bifurcations and
 localizes branch points on the signed determinant.
+
+SuperLU orders the columns by COLAMD, postordered by the elimination tree,
+and ``column_order`` exposes that order.  ``Factorization(B, order)``
+factors a matrix A of the same pattern given as B = A[:, order.perm], with
+SuperLU told to keep the natural order, so no ordering is computed.  The
+elimination tree, the supernodes and the pivot search then repeat those of
+the COLAMD run, and solves, U's diagonal and the row order come out bitwise
+the same.  The one freedom is SuperLU's preference for the diagonal entry
+on an exact tie of pivot magnitudes, as the diagonal moves with the
+columns; tests/test_linalg.py checks the bitwise equality on the
+continuation's bordered matrices and on random patterns.  ``solve``
+scatters the result back to A's columns and ``det_sign`` multiplies by the
+order's parity, computed once with the order.  The continuation code
+factors every bordered matrix of a system after the first in the first
+one's order.
 """
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -45,18 +61,28 @@ def permutation_parity(perm) -> int:
     return -1 if (n - cycles) % 2 else 1
 
 
+class ColumnOrder(NamedTuple):
+    """A column order: column j of the ordered matrix is column perm[j] of A."""
+
+    perm: np.ndarray
+    parity: int
+
+
 class Factorization:
     """Sparse LU factorization (SuperLU); shareable, reusable solves.
 
     The determinant sign, its log magnitude and the pivot ratio are read
     from U's diagonal on first use only, so plain solves never pay for
-    extracting U.
+    extracting U.  With an order, A holds the columns of the matrix to
+    factor in that order (see the module docstring); solve and the
+    determinant still refer to the matrix in its own column order.
     """
 
-    def __init__(self, A):
+    def __init__(self, A, order: ColumnOrder | None = None):
         if A.shape[0] != A.shape[1]:
             raise ValueError("factorize needs a square matrix")
         self.n = A.shape[0]
+        self._order = order
         # tocsc() returns a CSC input itself, as rewrapping it costs as much
         # as the empty-line test below; duplicates are summed as splu sums them
         A = A.tocsc() if sp.issparse(A) else sp.csc_matrix(A)
@@ -70,10 +96,13 @@ class Factorization:
         for axis, filled in (("row", np.bincount(A.indices[live], minlength=self.n)),
                              ("column", columns & (A.indptr[1:] > A.indptr[:-1]))):
             if not filled.all():
-                raise SingularMatrixError(f"{axis} {np.argmin(filled)} of the matrix is empty")
+                k = np.argmin(filled)
+                if axis == "column" and order is not None:
+                    k = order.perm[k]
+                raise SingularMatrixError(f"{axis} {k} of the matrix is empty")
         try:
             # SuperLU reports an exactly zero pivot as a RuntimeError
-            self._lu = spla.splu(A)
+            self._lu = spla.splu(A) if order is None else spla.splu(A, permc_spec="NATURAL")
         except RuntimeError as exc:
             raise SingularMatrixError(str(exc)) from exc
         self._complex = np.iscomplexobj(A.data)
@@ -93,6 +122,8 @@ class Factorization:
         """Sign of the determinant: +-1, or a unit complex number."""
         # P_r A P_c = L U; the sign of a composition is the product of signs
         parity = permutation_parity(self._lu.perm_r[self._lu.perm_c])
+        if self._order is not None:
+            parity *= self._order.parity
         diag = self._diag
         if self._complex:
             return complex(np.prod(np.sign(diag / np.abs(diag)))) * parity
@@ -103,11 +134,25 @@ class Factorization:
         """log |det A|: L has a unit diagonal and permutations keep |det|."""
         return float(np.sum(np.log(np.abs(self._diag))))
 
+    @cached_property
+    def column_order(self) -> ColumnOrder:
+        """The order SuperLU took the columns in, for factoring the same pattern again."""
+        perm = np.argsort(self._lu.perm_c)
+        if self._order is not None:
+            perm = self._order.perm[perm]
+        return ColumnOrder(perm, permutation_parity(perm))
+
     def solve(self, b):
         b = np.asarray(b)
         if np.iscomplexobj(b) and not self._complex:
-            return self._lu.solve(b.real) + 1j * self._lu.solve(b.imag)
-        return self._lu.solve(b)
+            x = self._lu.solve(b.real) + 1j * self._lu.solve(b.imag)
+        else:
+            x = self._lu.solve(b)
+        if self._order is None:
+            return x
+        out = np.empty_like(x)
+        out[self._order.perm] = x
+        return out
 
 
 def factorize(A) -> Factorization:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import graphpde.continuation as cont
 from graphpde import (apply_function_to_edges, discretize, from_template, make_context,
@@ -629,3 +630,103 @@ def test_branch_switch_error_contract(tmp_path):
         with pytest.raises(ContinuationError) as err:
             cont.continue_from_branch_point(run, sys_, 1, idx, +1, opts)
         assert str(err.value) == f"branch 1 has no stored perturbation at point {idx}"
+
+
+def test_an_extension_for_another_sigma_is_refused(tmp_path):
+    b, sys_ = dumbbell_setup()
+    run = cont.create_run(tmp_path, "dumbbell", b)
+    cont.save_eigenfunctions(run, b, 2)
+    opts = quiet_opts(ds=0.05, max_points=5, save_flag=True)
+    cont.continue_from_eig(run, sys_, 1, 1e-2, opts)
+    provenance = json.loads((run / "branch001" / "provenance.json").read_text())
+    assert provenance["sigma"] == 1.0
+    lambdas = (run / "branch001" / "lambda.csv").read_bytes()
+    sigma2 = nls_system(nls_problem(b, 2.0), make_context(b))
+    more = quiet_opts(ds=0.05, max_points=9, save_flag=True)
+    with pytest.raises(ContinuationError, match=r"sigma = 1\.0.*sigma = 2\.0"):
+        cont.continue_from_end(run, sigma2, 1, more)
+    with pytest.raises(ContinuationError, match=r"sigma = 1\.0.*sigma = 2\.0"):
+        cont.continue_from_branch_point(run, sigma2, 1, 0, 1, more)
+    assert (run / "branch001" / "lambda.csv").read_bytes() == lambdas
+    assert cont.list_branches(run) == [1]
+    # a branch saved before sigma was recorded is still extended
+    del provenance["sigma"]
+    (run / "branch001" / "provenance.json").write_text(json.dumps(provenance))
+    assert len(cont.continue_from_end(run, sys_, 1, more).points) == 9
+
+
+def _branch_with_colamd_every_time(system, monkeypatch):
+    """The branch as every bordered matrix factored afresh in its own COLAMD order gives it."""
+    def fresh(sys, u, lam, t_u, t_lam, beta):
+        row = t_u if sys.weights is None else sys.weights * t_u
+        return cont.linalg.factorize(cont._bordered_matrix(
+            sys.jacobian(u, lam), sys.dlam(u, lam), row, beta * t_lam))
+
+    with monkeypatch.context() as m:
+        m.setattr(cont, "_bordered_factor", fresh)
+        return _pitchfork_chain_branch(system)
+
+
+def _pitchfork_chain_branch(system):
+    opts = quiet_opts(ds=0.05, max_points=40, beta=1.0, lambda_thresh=2.0)
+    return continue_branch(system, np.zeros(3), -0.5, np.zeros(3), 1.0, opts)
+
+
+def pitchfork_chain(pattern_changes):
+    """lam u - u^3 coupled along a chain of three; past lam = 0 the Jacobian
+    also stores a zero at (0, 2), so its pattern changes mid-branch."""
+    A = np.array([[-0.2, 0.1, 0.0], [0.1, -0.3, 0.1], [0.0, 0.1, -0.4]])
+
+    def jacobian(u, lam):
+        J = sp.coo_matrix(A + np.diag(lam - 3.0 * u**2))
+        if pattern_changes and lam > 0.0:
+            J = sp.coo_matrix((np.append(J.data, 0.0), (np.append(J.row, 0), np.append(J.col, 2))),
+                              shape=J.shape)
+        return J.tocsc()
+
+    return cont.ContinuationSystem(residual=lambda u, lam: A @ u + lam * u - u**3,
+                                   jacobian=jacobian, dlam=lambda u, lam: u)
+
+
+@pytest.mark.parametrize("pattern_changes", [False, True])
+def test_reused_column_order_gives_the_same_branch(monkeypatch, pattern_changes):
+    reference = _branch_with_colamd_every_time(pitchfork_chain(pattern_changes), monkeypatch)
+    orderings = []
+    splu = cont.linalg.spla.splu
+
+    def counted(A, permc_spec="COLAMD", **kw):
+        orderings.append(permc_spec)
+        return splu(A, permc_spec=permc_spec, **kw)
+
+    monkeypatch.setattr(cont.linalg.spla, "splu", counted)
+    branch = _pitchfork_chain_branch(pitchfork_chain(pattern_changes))
+    assert len(branch.points) == len(reference.points) > 10
+    assert np.array_equal(branch.bif_types, reference.bif_types)
+    for p, q in zip(branch.points, reference.points):
+        assert p.lam == q.lam and np.array_equal(p.psi, q.psi)
+        assert np.array_equal(p.tangent_psi, q.tangent_psi)
+    # besides the null vectors' LUs, one COLAMD ordering per switch of the
+    # Jacobian's pattern (localization crosses lam = 0 back and forth)
+    colamd = orderings.count("COLAMD") - len(branch.perturbations)
+    assert colamd > 1 if pattern_changes else colamd == 1
+    assert orderings.count("NATURAL") > 20
+
+
+def test_a_dumbbell_branch_orders_its_bordered_columns_once(tmp_path, monkeypatch):
+    b, sys_ = dumbbell_setup()
+    run = cont.create_run(tmp_path, "dumbbell", b)
+    cont.save_eigenfunctions(run, b, 2)
+    orders = []
+    real = cont.linalg.Factorization.__init__
+
+    def init(self, A, order=None):
+        orders.append(order)
+        real(self, A, order)
+
+    monkeypatch.setattr(cont.linalg.Factorization, "__init__", init)
+    branch = cont.continue_from_eig(run, sys_, 1, 1e-2, quiet_opts(ds=0.05, max_points=12))
+    bordered = [o for o in orders if o is not None]
+    n_null = len(branch.perturbations)
+    assert len(orders) - len(bordered) == 1 + n_null  # the first bordered LU, the null vectors
+    assert len(bordered) > 30
+    assert all(o is bordered[0] for o in bordered)

@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from graphpde import build_graph, discretize, DIRICHLET, from_template
-from graphpde.linalg import (EigenSolverError, SingularMatrixError,
-                             det_sign, factorize, generalized_eigs,
+from graphpde.linalg import (ColumnOrder, EigenSolverError, Factorization,
+                             SingularMatrixError, det_sign, factorize, generalized_eigs,
                              permutation_parity, solve)
 
 
@@ -224,3 +224,120 @@ def test_eigenvalues_sorted_by_magnitude():
     lam, _ = generalized_eigs(b.lap_vc, b.interp_zero, 5)
     mags = np.abs(lam)
     assert np.all(np.diff(mags) >= -1e-12)
+
+
+# --- the reordered path: a matrix factored in a column order found earlier ---
+
+def factorize_reordered(A, perm=None):
+    """A factored with its columns taken in a given order: a random one by
+    default, which exercises the scatter and the parity harder than COLAMD's."""
+    A = sp.csc_matrix(A)
+    if perm is None:
+        perm = np.random.default_rng(A.shape[0]).permutation(A.shape[0])
+    order = ColumnOrder(perm, permutation_parity(perm))
+    return Factorization(A[:, perm], order)
+
+
+def test_reordered_det_sign_against_cofactor_oracle():
+    rng = np.random.default_rng(42)
+    checked = 0
+    while checked < 60:
+        A = rng.integers(-4, 5, size=(4, 4)).astype(float)
+        d = cofactor_det(A)
+        if d == 0:
+            continue
+        fact = factorize_reordered(A, rng.permutation(4))
+        assert fact.det_sign == int(np.sign(d))
+        assert fact.log_abs_det == pytest.approx(math.log(abs(d)), abs=1e-12)
+        checked += 1
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_reordered_log_abs_det_matches_slogdet_under_pivoting(dtype):
+    rng = np.random.default_rng(3)
+    for n in (5, 12, 40, 90):
+        M = np.zeros((n, n), dtype=dtype)
+        for part in ((1.0,) if dtype is float else (1.0, 1j)):
+            M += part * rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
+        np.fill_diagonal(M, 0.0)
+        M[np.arange(n), rng.permutation(n)] = 10.0 + rng.random(n)
+        fact = factorize_reordered(M)
+        assert np.any(fact._lu.perm_r != np.arange(n))
+        sign, logdet = np.linalg.slogdet(M)
+        assert fact.log_abs_det == pytest.approx(logdet, rel=1e-12, abs=1e-10)
+        assert fact.det_sign == pytest.approx(sign, abs=1e-10)
+
+
+def test_reordered_solve_residual_and_complex_rhs():
+    rng = np.random.default_rng(1)
+    for n in (5, 20):
+        A = rng.standard_normal((n, n)) + n * np.eye(n)
+        fact = factorize_reordered(A)
+        for b in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                  rng.standard_normal((n, 3))):
+            x = fact.solve(b)
+            bound = 1e-10 * (np.linalg.norm(A) * np.linalg.norm(x) + np.linalg.norm(b))
+            assert np.linalg.norm(A @ x - b) <= bound
+
+
+def test_reordered_empty_row_or_column_and_non_finite_entries():
+    b = discretize(from_template("dumbbell"), "uniform")
+    with pytest.raises(SingularMatrixError, match=r"row \d+ of the matrix is empty"):
+        factorize_reordered(b.interp_vc - b.lap_vc)
+    # the message names the column of the matrix, not its place in the order
+    zero_column = sp.csr_matrix(([1.0, 0.0, 1.0, 1.0, 1.0], [0, 1, 2, 0, 2], [0, 3, 4, 5]),
+                                shape=(3, 3))
+    with pytest.raises(SingularMatrixError, match="column 1 of the matrix is empty"):
+        factorize_reordered(zero_column, np.array([1, 2, 0]))
+    A = np.eye(3)
+    A[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        factorize_reordered(A)
+
+
+def _bordered_dumbbell_matrices(scheme):
+    import graphpde.continuation as cont
+    from graphpde import make_context, nls_problem
+
+    bundle = discretize(from_template("dumbbell"), scheme)
+    system = cont.nls_system(nls_problem(bundle), make_context(bundle))
+    rng = np.random.default_rng(5)
+    # on the constant branch psi^2 = -lambda/2, across its first pitchfork
+    for lam in (-0.02, -0.0335, -0.05, -0.3):
+        u = np.sqrt(-lam / 2) + 1e-3 * rng.standard_normal(bundle.n_ext)
+        t = rng.standard_normal(bundle.n_ext)
+        yield cont._bordered_matrix(system.jacobian(u, lam), system.dlam(u, lam),
+                                    system.weights * t, 0.1 * rng.standard_normal())
+
+
+def _random_patterns():
+    rng = np.random.default_rng(11)
+    for k in range(40):
+        n = int(rng.integers(5, 80))
+        M = sp.random(n, n, density=0.1, random_state=rng, format="csc")
+        if k % 2:
+            M = M + 1j * sp.random(n, n, density=0.1, random_state=rng, format="csc")
+        # a scrambled heavy entry per column keeps every row and column filled
+        yield sp.csc_matrix(M + sp.csc_matrix((1.0 + rng.random(n),
+                                               (rng.permutation(n), np.arange(n))), (n, n)))
+
+
+@pytest.mark.parametrize("source", ["uniform", "chebyshev", "random"])
+def test_reordered_factorization_is_bitwise_the_colamd_one(source):
+    # the continuation code relies on this: SuperLU with the natural order on
+    # the reordered columns pivots and rounds exactly as the COLAMD run did.
+    # A SciPy whose SuperLU breaks it fails here, not as a moved branch.
+    matrices = (_random_patterns() if source == "random"
+                else _bordered_dumbbell_matrices(source))
+    rng = np.random.default_rng(0)
+    for M in matrices:
+        colamd = factorize(M)
+        order = colamd.column_order
+        reordered = Factorization(M[:, order.perm], order)
+        b = rng.standard_normal(M.shape[0])
+        assert np.array_equal(reordered.solve(b), colamd.solve(b))
+        assert reordered.det_sign == colamd.det_sign
+        assert reordered.log_abs_det == colamd.log_abs_det
+        assert reordered.diag_ratio == colamd.diag_ratio
+        # its own order is the one it was given
+        assert np.array_equal(reordered.column_order.perm, order.perm)
