@@ -7,9 +7,9 @@
     qg continue --config cfg.json --out data/
     qg template list | show TAG
 
-A command reads only the keys of its table in _SCHEMAS, and an unknown or
-ill-typed key exits with code 2 before anything is written.  A config names
-a template or lists edges, never both.
+A command reads only its keys in _COMMANDS, by expressions.read_table, and
+compiles its edge expressions before any output: an unknown or ill-typed value
+exits with code 2.  A config names a template or lists edges, never both.
 
 Exit codes: 0 success, 1 solver failure, 2 configuration error.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -29,19 +30,11 @@ from . import evolution as evo
 from . import stationary, store
 from .discretize import (apply_function_to_edges, discretize, save_scalar_csv,
                          save_state_csv)
-from .expressions import ConfigError, compile_edge_expressions
+from .expressions import INTEGERS, MU, NUMBER_LIST, NUMBERS, ROBIN, ConfigError, \
+    compile_edge_expressions, read_table
 from .functionals import make_context
-from .graphs import DIRICHLET, GraphError, MetricGraph, TEMPLATES, build_graph, \
-    from_template, graph_config, graph_hash
-
-
-def _robin(value):
-    """A config's robin, a number or a list, with each "dirichlet" read as DIRICHLET."""
-    if isinstance(value, list):
-        return [_robin(v) for v in value]
-    if isinstance(value, str):
-        return DIRICHLET if value.lower() == "dirichlet" else float(value)
-    return value
+from .graphs import GraphError, MetricGraph, TEMPLATES, build_graph, from_template, \
+    graph_config, graph_hash
 
 
 def graph_from_config(cfg: dict) -> MetricGraph:
@@ -49,17 +42,18 @@ def graph_from_config(cfg: dict) -> MetricGraph:
     named, listed = cfg.keys() & {"template", "overrides"}, cfg.keys() & _EDGE_KEYS
     if named and listed:
         raise ConfigError(f"config: {min(named)!r} excludes the edge keys {sorted(listed)}")
+    g = read_table({key: cfg[key] for key in cfg.keys() & _GRAPH.keys()}, _GRAPH, "config")
     if "template" in cfg:
-        overrides = {key: _robin(v) if key == "robin" else v
-                     for key, v in cfg.get("overrides", {}).items()}
-        return from_template(cfg["template"], **overrides)
+        overrides = {key: v for key, v in g["overrides"].items() if v is not None}
+        return from_template(g["template"], **overrides)
     for key in ("source", "target", "length"):
         if key not in cfg:
             raise ConfigError(f"graph config is missing the {key!r} key")
-    potentials = compile_edge_expressions(cfg.get("potential"), len(cfg["source"]))
-    return build_graph(cfg["source"], cfg["target"], cfg["length"],
-                       weights=cfg.get("weight"), robin_coeffs=_robin(cfg.get("robin")),
-                       nx=cfg.get("nx"), potentials=potentials)
+    potentials = compile_edge_expressions(g["potential"], len(g["source"]), "config.potential")
+    if potentials is not None:  # build_graph reads a numeric 0 as no potential
+        potentials = [p if p == 0 else f for p, f in zip(g["potential"], potentials)]
+    return build_graph(g["source"], g["target"], g["length"], weights=g["weight"],
+                       robin_coeffs=g["robin"], nx=g["nx"], potentials=potentials)
 
 
 def _load_config(path) -> dict:
@@ -90,49 +84,12 @@ def _write_run_json(out: Path, args, cfg: dict, graph: MetricGraph, extra=None):
     (out / "run.json").write_text(json.dumps(payload, indent=1, sort_keys=True))
 
 
-def _typed(value, kind, key: str, where: str):
-    """value as kind; an int key takes an integral float, and no number key a bool."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind is float and number or kind is int and number and value % 1 == 0:
-        return kind(value)
-    if kind not in (int, float) and isinstance(value, kind):
-        return value
-    what = {list: "a list", dict: "a table"}.get(kind, kind.__name__)
-    raise ConfigError(f"{where}: {key!r} must be {what}, got {value!r}")
-
-
-def _read(table, schema: dict, where: str) -> dict:
-    """table checked against schema (see _SCHEMAS), with every absent key at its default."""
-    if not isinstance(table, dict):
-        raise ConfigError(f"{where} must be a table, got {table!r}")
-    unknown = sorted(table.keys() - schema.keys())
-    if unknown:
-        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
-    cfg = {}
-    for key, default in schema.items():
-        if isinstance(default, dict):
-            cfg[key] = _read(table.get(key, {}), default, f"{where}.{key}")
-        elif isinstance(default, tuple):
-            default, choices = default
-            cfg[key] = table.get(key, default)
-            many = isinstance(default, list)
-            for entry in _typed(cfg[key], list, key, where) if many else [cfg[key]]:
-                if entry not in choices:
-                    raise ConfigError(f"{where}: {key!r} takes one of {choices}, got {entry!r}")
-        elif key not in table:
-            cfg[key] = None if isinstance(default, type) else default
-        else:
-            kind = default if isinstance(default, type) else type(default)
-            cfg[key] = _typed(table[key], kind, key, where)
-    return cfg
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 def _cmd_poisson(args, raw, cfg, graph) -> int:
     bundle = discretize(graph, args.scheme)
-    edge_data, exact = (compile_edge_expressions(cfg[key], graph.num_edges)
+    edge_data, exact = (compile_edge_expressions(cfg[key], graph.num_edges, f"config.{key}")
                         for key in ("edge_data", "exact"))
     f = None if edge_data is None else apply_function_to_edges(bundle, edge_data)
     psi = stationary.solve_poisson(bundle, f, cfg["node_data"])
@@ -217,24 +174,19 @@ def _cmd_evolve(args, raw, cfg, graph) -> int:
         raise ConfigError(f"config.evolution: 'nonlinearity' of {scheme} takes one of "
                           f"{tuple(nonlinearities)}, got {name!r}")
     f, leapfrog = nonlinearities[name], scheme == "leapfrog"
-    mu = 1.0 if ev["mu"] is None else ev["mu"]
-    parts = mu if isinstance(mu, list) and len(mu) == 2 else [mu]
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
-        raise ConfigError("config.evolution: 'mu' must be a number or a list of two numbers, "
-                          f"got {mu!r}")
-    mu = complex(*parts) if isinstance(mu, list) else mu
-    init = compile_edge_expressions(ev["initial"], graph.num_edges)
+    init = compile_edge_expressions(ev["initial"], graph.num_edges, "config.evolution.initial")
     if init is None:
         raise ConfigError("config.evolution: 'initial' edge expressions are required")
     try:
         problem = evo.EvolutionProblem(
-            bundle, mu=mu, f=None if leapfrog else f,
+            bundle, mu=1.0 if ev["mu"] is None else ev["mu"], f=None if leapfrog else f,
             tau=ev["tau"], t_final=ev["t_final"], n_skip=ev["n_skip"])
     except evo.EvolutionError as exc:
         raise ConfigError(f"config.evolution: {exc}") from exc
     u0 = apply_function_to_edges(bundle, init)
     if leapfrog:
-        vel = compile_edge_expressions(ev["initial_velocity"], graph.num_edges)
+        vel = compile_edge_expressions(ev["initial_velocity"], graph.num_edges,
+                                       "config.evolution.initial_velocity")
         if vel is None:
             raise ConfigError("config.evolution: leapfrog needs 'initial_velocity' "
                               "edge expressions")
@@ -284,10 +236,11 @@ def _cmd_continue(args, raw, cfg, graph) -> int:
     if count > bundle.n_int:  # the pencil's finite eigenvalues, one per interior point
         raise ConfigError("config.continue: 'n_eigenfunctions' (default max(6, index + 2)) "
                           f"must be at most {bundle.n_int} on this grid, got {count}")
-    if cc["run_dir"] is not None:
-        run_dir = Path(cc["run_dir"])
-    else:
+    run_dir = cc["run_dir"]
+    if run_dir is None:
         run_dir = store.create_run(_out_dir(args), cfg["template"] or "graph", bundle)
+    elif not store.is_run(run_dir):
+        raise ConfigError(f"config.continue: 'run_dir' must be a run directory, got {run_dir!r}")
     if start == "eig":
         if not store.eigenfunctions_saved(run_dir):
             store.save_eigenfunctions(run_dir, bundle, count)
@@ -333,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default="qg_out", help="output directory")
         sp.add_argument("--seed", type=int, default=0)
 
-    for name in ("poisson", "eigs", "secdet", "evolve", "continue"):
+    for name in _COMMANDS:
         common(sub.add_parser(name))
     tp = sub.add_parser("template")
     tp.add_argument("action", choices=["list", "show"])
@@ -342,38 +295,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# the keys of an explicit graph; a template's own are "template" and "overrides"
-_EDGE_KEYS = {"source": list, "target": list, "length": object, "weight": object,
-              "robin": object, "nx": object, "potential": list}
-_GRAPH = {"template": str, "overrides": dict, **_EDGE_KEYS}
+# the keys of an explicit graph; a template's own are "template" and "overrides",
+# whose keys are the parameters of the templates
+_EDGE_KEYS = {"source": INTEGERS, "target": INTEGERS, "length": NUMBERS, "weight": NUMBERS,
+              "robin": ROBIN, "nx": NUMBERS, "potential": list}
+_OVERRIDES = {key: ROBIN if key == "robin" else NUMBERS
+              for build in TEMPLATES.values() for key in inspect.signature(build).parameters}
+_GRAPH = {"template": str, "overrides": _OVERRIDES, **_EDGE_KEYS}
 
-# Each command's keys and their defaults.  The default gives the kind: a number,
-# bool, string or list takes only that type, and an int no fractional number.
-# A type means that type, None when absent; a dict is a nested table; a pair
-# (default, choices) takes one of choices, or a list of them if default is one.
-_SCHEMAS = {
-    "poisson": {**_GRAPH, "edge_data": list, "node_data": object, "exact": list},
-    "eigs": {**_GRAPH, "m": 4, "shift": 1e-2},
-    "secdet": {**_GRAPH, "k_max": 2.0 * math.pi, "samples": 800},
-    "evolve": {**_GRAPH, "evolution": {
+# each command, and its keys and defaults for read_table (a list holds per-edge expressions)
+_COMMANDS = {
+    "poisson": (_cmd_poisson, {**_GRAPH, "edge_data": list, "node_data": NUMBERS, "exact": list}),
+    "eigs": (_cmd_eigs, {**_GRAPH, "m": 4, "shift": 1e-2}),
+    "secdet": (_cmd_secdet, {**_GRAPH, "k_max": 2.0 * math.pi, "samples": 800}),
+    "evolve": (_cmd_evolve, {**_GRAPH, "evolution": {
         "scheme": (None, tuple(_EVOLUTION)), "initial": list,
-        "initial_velocity": list, "mu": object, "nonlinearity": str, "tau": 1e-2,
+        "initial_velocity": list, "mu": MU, "nonlinearity": str, "tau": 1e-2,
         "t_final": 1.0, "n_skip": 1, "conserve": (["mass"], evo.QUANTITIES), "sigma": 1.0,
-        "momentum_orientation": list}},
-    "continue": {**_GRAPH, "continue": {
+        "momentum_orientation": NUMBER_LIST}}),
+    "continue": (_cmd_continue, {**_GRAPH, "continue": {
         "from": ("eig", ("eig", "branch_point", "saved", "end")), "run_dir": str,
         "options": {f.name: f.default for f in dataclasses.fields(cont.ContinuationOptions)},
         "sigma": 1.0, "axes": (["lambda", "mass"], store.DIAGRAM_AXES), "index": 1,
         "n_eigenfunctions": int, "amplitude": 1e-2, "branch": int, "point": int, "sign": 1,
-        "name": str, "direction": -1.0}},
-}
-
-_COMMANDS = {
-    "poisson": _cmd_poisson,
-    "eigs": _cmd_eigs,
-    "secdet": _cmd_secdet,
-    "evolve": _cmd_evolve,
-    "continue": _cmd_continue,
+        "name": str, "direction": -1.0}}),
 }
 
 
@@ -387,8 +332,8 @@ def main(argv=None) -> int:
         if args.command == "template":
             return _cmd_template(args)
         raw = _load_config(args.config)
-        cfg = _read(raw, _SCHEMAS[args.command], "config")
-        return _COMMANDS[args.command](args, raw, cfg, graph_from_config(raw))
+        command, schema = _COMMANDS[args.command]
+        return command(args, raw, read_table(raw, schema, "config"), graph_from_config(raw))
     except np.linalg.LinAlgError as exc:  # a ValueError, so caught before the next clause
         print(f"qg {args.command}: {exc}", file=sys.stderr)
         return 1

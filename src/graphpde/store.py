@@ -96,6 +96,10 @@ def _load_scalars(path, kind=float) -> np.ndarray:
     return np.array(Path(path).read_text().split(), dtype=kind)
 
 
+def is_run(run_dir) -> bool:
+    return (Path(run_dir) / "template.json").is_file()
+
+
 def eigenfunctions_saved(run_dir) -> bool:
     return (Path(run_dir) / "eigenfunctions").exists()
 

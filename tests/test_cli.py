@@ -76,7 +76,7 @@ def test_expression_whitelist():
                                   {"fn": "kink", "rate": 1.0},
                                   {"fn": "kink_velocity", "power": 2.0}])
 def test_expression_terms_refuse_the_keys_of_other_functions(term):
-    with pytest.raises(ConfigError, match="unknown keys"):
+    with pytest.raises(ConfigError, match=r"^expression: unknown key '\w+'$"):
         compile_expression(term)
 
 
@@ -484,6 +484,12 @@ def test_cli_refuses_a_fractional_integer_before_writing_anything(
 
 
 _QUIET = {"max_points": 4, "verbose_flag": False}
+_EDGE = {"template": None, "source": [1], "target": [2], "length": [1.0]}  # None: no key
+
+
+def _initial(expression):
+    """An evolution table whose second edge starts at expression."""
+    return {"evolution": {"scheme": "crank_nicolson", "initial": [1.0, expression, 1.0]}}
 
 
 @pytest.mark.parametrize("command, cfg, message", [
@@ -508,10 +514,33 @@ _QUIET = {"max_points": 4, "verbose_flag": False}
     ("evolve", {"evolution": {"scheme": "crank_nicolson"}},
      "config.evolution: 'initial' edge expressions are required"),
     ("continue", {}, "config needs a 'continue' table"),
+    ("eigs", {**_EDGE, "length": ["2"]},
+     "config: 'length' must be a number or a list of numbers, got ['2']"),
+    ("eigs", {**_EDGE, "robin": ["1.5", 0]},
+     """config: 'robin' must be a number or "dirichlet", or a list of these, got ['1.5', 0]"""),
+    ("eigs", {**_EDGE, "robin": [True, 0]},
+     """config: 'robin' must be a number or "dirichlet", or a list of these, got [True, 0]"""),
+    ("eigs", {"overrides": {"nx": True}},
+     "config.overrides: 'nx' must be a number or a list of numbers, got True"),
+    ("eigs", {"template": "interval", "overrides": {"length": "3"}},
+     "config.overrides: 'length' must be a number or a list of numbers, got '3'"),
+    ("evolve", _initial({"fn": "poly", "coeffs": "12"}),
+     "config.evolution.initial[1]: 'coeffs' must be a nonempty list of numbers, got '12'"),
+    ("evolve", _initial({"fn": "sin", "scale": "2"}),
+     "config.evolution.initial[1]: 'scale' must be float, got '2'"),
+    ("evolve", _initial({"fn": "sin", "a": True}),
+     "config.evolution.initial[1]: 'a' must be float, got True"),
+    ("evolve", _initial(True), "config.evolution.initial[1] must be an expression"),
+    ("evolve", _initial({"fn": "poly"}),
+     "config.evolution.initial[1]: 'poly' needs the 'coeffs' key"),
+    ("evolve", _initial([]), "config.evolution.initial[1] must be an expression"),
+    ("evolve", {"evolution": {"scheme": "crank_nicolson", "initial": [1.0, 1.0, 1.0], "mu": "1"}},
+     "config.evolution: 'mu' must be a number or a list of two numbers, got '1'"),
 ])
 def test_cli_refuses_an_unknown_or_ill_typed_key_before_writing_anything(
         tmp_path, capsys, command, cfg, message):
-    cfg = write_config(tmp_path, {"template": "dumbbell", **cfg})
+    cfg = {"template": "dumbbell", **cfg}
+    cfg = write_config(tmp_path, {key: v for key, v in cfg.items() if v is not None})
     out = tmp_path / "data"
     out.mkdir()
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
@@ -624,3 +653,35 @@ def test_cli_continue_refuses_more_eigenfunctions_than_the_pencil_has_before_any
     err = capsys.readouterr().err
     assert "config.continue: 'n_eigenfunctions'" in err and err.rstrip().endswith(f"got {count}")
     assert not out.exists()
+
+
+def test_cli_secdet_reads_a_numeric_zero_potential_as_no_potential(tmp_path):
+    star = {"source": [1, 1, 1], "target": [2, 3, 4], "length": [1, 1, 1], "k_max": 3.0,
+            "samples": 10}
+    outputs = []
+    for k, graph in enumerate([star, {**star, "potential": [0, 0.0, 0]}]):
+        out = tmp_path / f"sd{k}"
+        assert main(["secdet", "--config", write_config(tmp_path, graph, f"star{k}.json"),
+                     "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("zeros.json", "sigma.csv")])
+        outputs[-1].append(json.loads((out / "run.json").read_text())["graph_hash"])
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_continue_refuses_a_run_dir_that_is_not_a_run_directory_before_any_solve(
+        tmp_path, capsys, monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("continued a branch")
+
+    monkeypatch.setattr("graphpde.continuation.continue_from_end", solve)
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    for run_dir in (tmp_path / "nowhere", empty):
+        cfg = write_config(tmp_path, {"template": "dumbbell", "continue": {
+            "from": "end", "branch": 1, "run_dir": str(run_dir), "options": _QUIET}})
+        out = tmp_path / "data"
+        assert main(["continue", "--config", cfg, "--out", str(out)]) == 2
+        assert (f"config.continue: 'run_dir' must be a run directory, got '{run_dir}'"
+                in capsys.readouterr().err)
+        assert not out.exists() and not (tmp_path / "nowhere").exists()
+    assert list(empty.iterdir()) == []
