@@ -11,6 +11,10 @@ A command reads only its keys in _COMMANDS, by expressions.read_table, and
 compiles its edge expressions before any output: an unknown or ill-typed value
 exits with code 2.  A config names a template or lists edges, never both.
 
+Every output file is written by graphpde.store, atomically, and the first one
+creates --out.  A command returns the directory of its run record and the
+entries it adds to it; main writes that run.json.
+
 Exit codes: 0 success, 1 solver failure, 2 configuration error.
 """
 from __future__ import annotations
@@ -28,8 +32,7 @@ import numpy as np
 from . import continuation as cont
 from . import evolution as evo
 from . import stationary, store
-from .discretize import (apply_function_to_edges, discretize, save_scalar_csv,
-                         save_state_csv)
+from .discretize import apply_function_to_edges, discretize
 from .expressions import INTEGERS, MU, NUMBER_LIST, NUMBERS, ROBIN, ConfigError, \
     compile_edge_expressions, read_table
 from .functionals import make_context
@@ -44,11 +47,13 @@ def graph_from_config(cfg: dict) -> MetricGraph:
         raise ConfigError(f"config: {min(named)!r} excludes the edge keys {sorted(listed)}")
     g = read_table({key: cfg[key] for key in cfg.keys() & _GRAPH.keys()}, _GRAPH, "config")
     if "template" in cfg:
-        overrides = {key: v for key, v in g["overrides"].items() if v is not None}
-        return from_template(g["template"], **overrides)
+        # the template's own keys; from_template names an unknown template
+        keys = _OVERRIDES.get(g["template"], _GRAPH["overrides"])
+        overrides = read_table(cfg.get("overrides", {}), keys, "config.overrides")
+        return from_template(g["template"], **{k: v for k, v in overrides.items() if v is not None})
     for key in ("source", "target", "length"):
         if key not in cfg:
-            raise ConfigError(f"graph config is missing the {key!r} key")
+            raise ConfigError(f"config: an edge-list graph needs the {key!r} key")
     potentials = compile_edge_expressions(g["potential"], len(g["source"]), "config.potential")
     if potentials is not None:  # build_graph reads a numeric 0 as no potential
         potentials = [p if p == 0 else f for p, f in zip(g["potential"], potentials)]
@@ -66,85 +71,61 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_run_json(out: Path, args, cfg: dict, graph: MetricGraph, extra=None):
-    payload = {
-        "command": args.command,
-        "scheme": args.scheme,
-        "seed": args.seed,
-        "graph_hash": graph_hash(graph),
-        "config": cfg,
-    }
-    payload.update(extra or {})
-    (out / "run.json").write_text(json.dumps(payload, indent=1, sort_keys=True))
-
-
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_poisson(args, raw, cfg, graph) -> int:
+def _cmd_poisson(args, raw, cfg, graph) -> tuple[Path, dict]:
     bundle = discretize(graph, args.scheme)
     edge_data, exact = (compile_edge_expressions(cfg[key], graph.num_edges, f"config.{key}")
                         for key in ("edge_data", "exact"))
     f = None if edge_data is None else apply_function_to_edges(bundle, edge_data)
     psi = stationary.solve_poisson(bundle, f, cfg["node_data"])
-    out = _out_dir(args)
-    save_state_csv(bundle, psi, out / "solution.csv")
+    store.save_state_csv(bundle, psi, args.out / "solution.csv")
     extra = {}
     if exact is not None:
         err = np.abs(psi - apply_function_to_edges(bundle, exact))
         per_edge = {str(m): float(np.max(err[bundle.edge_slice(m)]))
                     for m in range(1, graph.num_edges + 1)}
         report = {"max_error": float(np.max(err)), "per_edge": per_edge}
-        (out / "error_report.json").write_text(json.dumps(report, indent=1))
+        store.write_json(args.out / "error_report.json", report)
         extra["max_error"] = report["max_error"]
-    _write_run_json(out, args, raw, graph, extra)
-    return 0
+    return args.out, extra
 
 
-def _cmd_eigs(args, raw, cfg, graph) -> int:
+def _cmd_eigs(args, raw, cfg, graph) -> tuple[Path, dict]:
     bundle = discretize(graph, args.scheme)
     lam, vecs = stationary.eigs(bundle, cfg["m"], sigma=cfg["shift"])
-    out = _out_dir(args)
-    residuals = []
-    for j in range(cfg["m"]):
-        r = bundle.lap_vc @ vecs[:, j] - lam[j] * (bundle.interp_zero @ vecs[:, j])
-        residuals.append(float(np.linalg.norm(r)))
-        save_state_csv(bundle, vecs[:, j], out / f"eigenvector_{j + 1:03d}.csv")
+    residuals = [float(np.linalg.norm(bundle.lap_vc @ v - lam_j * (bundle.interp_zero @ v)))
+                 for lam_j, v in zip(lam, vecs.T)]
+    store.save_state_csv(bundle, vecs, [args.out / f"eigenvector_{j:03d}.csv"
+                                        for j in range(1, cfg["m"] + 1)])
     spectrum = {
         "scheme": args.scheme,
         "eigenvalues": [float(np.real(v)) for v in lam],
         "k": [float(math.sqrt(max(-np.real(v), 0.0))) for v in lam],
         "residuals": residuals,
     }
-    (out / "spectrum.json").write_text(json.dumps(spectrum, indent=1))
-    _write_run_json(out, args, raw, graph)
-    return 0
+    store.write_json(args.out / "spectrum.json", spectrum)
+    return args.out, {}
 
 
-def _cmd_secdet(args, raw, cfg, graph) -> int:
+def _cmd_secdet(args, raw, cfg, graph) -> tuple[Path, dict]:
     k_max, samples = cfg["k_max"], cfg["samples"]
     if samples < 1:
-        raise ConfigError(f"samples must be at least 1, got {samples}")
+        raise ConfigError(f"config.samples must be at least 1, got {samples}")
     sigma = stationary.secular_function(graph)
     zeros = stationary.find_spectrum_secular(graph, k_max)  # refuses a bad k_max before any output
-    out = _out_dir(args)
     ks = np.linspace(k_max / samples, k_max, samples)
-    save_scalar_csv(out / "sigma.csv", np.column_stack([ks, sigma(ks)]), header="k,sigma")
+    store.save_scalar_csv(args.out / "sigma.csv", np.column_stack([ks, sigma(ks)]),
+                          header="k,sigma")
     # scale-free: |Sigma| grows like e^{|E|}, sigma_min / sigma_max does not
     sv = stationary.secular_singular_values(graph, [k for k, _ in zeros])
     residuals = sv[:, -1] / sv[:, 0]
     payload = [{"k": k, "lambda": -k * k, "multiplicity": mult,
                 "scheme": "secular", "residual": float(res)}
                for (k, mult), res in zip(zeros, residuals)]
-    (out / "zeros.json").write_text(json.dumps(payload, indent=1))
-    _write_run_json(out, args, raw, graph)
-    return 0
+    store.write_json(args.out / "zeros.json", payload)
+    return args.out, {}
 
 
 _NLS_NONLINEARITIES = {"none": None, "nls_cubic": lambda z: -2j * np.abs(z) ** 2 * z}
@@ -162,7 +143,7 @@ _EVOLUTION = {
 }
 
 
-def _cmd_evolve(args, raw, cfg, graph) -> int:
+def _cmd_evolve(args, raw, cfg, graph) -> tuple[Path, dict]:
     bundle = discretize(graph, args.scheme)
     ev = cfg["evolution"]
     scheme = ev["scheme"]
@@ -198,17 +179,15 @@ def _cmd_evolve(args, raw, cfg, graph) -> int:
         momentum_orientations=ev["momentum_orientation"])
     names = ["times"] + [n for q in ev["conserve"] for n in (q, q + "_drift")]
 
-    out = _out_dir(args)
-    save_scalar_csv(out / "times.csv", times)
-    for j in range(states.shape[1]):
-        save_state_csv(bundle, states[:, j], out / f"state_{j:04d}.csv")
-    save_scalar_csv(out / "conservation.csv", np.column_stack([table[n] for n in names]),
-                    header=",".join(names))
-    _write_run_json(out, args, raw, graph, {"evolution_scheme": scheme})
-    return 0
+    store.save_scalar_csv(args.out / "times.csv", times)
+    store.save_state_csv(bundle, states, [args.out / f"state_{j:04d}.csv"
+                                          for j in range(states.shape[1])])
+    store.save_scalar_csv(args.out / "conservation.csv",
+                          np.column_stack([table[n] for n in names]), header=",".join(names))
+    return args.out, {"evolution_scheme": scheme}
 
 
-def _cmd_continue(args, raw, cfg, graph) -> int:
+def _cmd_continue(args, raw, cfg, graph) -> tuple[Path, dict]:
     if "continue" not in raw:
         raise ConfigError("config needs a 'continue' table")
     bundle = discretize(graph, args.scheme)
@@ -222,10 +201,10 @@ def _cmd_continue(args, raw, cfg, graph) -> int:
     needs = {"branch_point": ("branch", "point"), "saved": ("name",), "end": ("branch",)}
     missing = [key for key in needs.get(start, ()) if cc[key] is None]
     if missing:
-        raise ConfigError(f"continuation from {start!r} needs the {missing[0]!r} key")
+        raise ConfigError(f"config.continue: from {start!r} needs the {missing[0]!r} key")
     amplitude = cc["amplitude"]
     if amplitude == 0.0 or not math.isfinite(amplitude):
-        raise ConfigError(f"amplitude must be finite and nonzero, got {amplitude}")
+        raise ConfigError(f"config.continue.amplitude must be finite and nonzero, got {amplitude}")
     index, count = cc["index"], cc["n_eigenfunctions"]
     if index < 1 or count is not None and index > count:
         raise ConfigError("config.continue: 'index' must be at least 1 and at most "
@@ -238,7 +217,7 @@ def _cmd_continue(args, raw, cfg, graph) -> int:
                           f"must be at most {bundle.n_int} on this grid, got {count}")
     run_dir = cc["run_dir"]
     if run_dir is None:
-        run_dir = store.create_run(_out_dir(args), cfg["template"] or "graph", bundle)
+        run_dir = store.create_run(args.out, cfg["template"] or "graph", bundle)
     elif not store.is_run(run_dir):
         raise ConfigError(f"config.continue: 'run_dir' must be a run directory, got {run_dir!r}")
     if start == "eig":
@@ -255,8 +234,7 @@ def _cmd_continue(args, raw, cfg, graph) -> int:
         branch = cont.continue_from_end(run_dir, sys_, cc["branch"], opts)
 
     store.save_diagram(run_dir, axes)
-    _write_run_json(Path(run_dir), args, raw, graph, {"points": len(branch.points)})
-    return 0
+    return Path(run_dir), {"points": len(branch.points)}
 
 
 def _cmd_template(args) -> int:
@@ -283,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="JSON configuration file")
         sp.add_argument("--scheme", choices=["uniform", "chebyshev"],
                         default="uniform")
-        sp.add_argument("--out", default="qg_out", help="output directory")
+        sp.add_argument("--out", type=Path, default=Path("qg_out"), help="output directory")
         sp.add_argument("--seed", type=int, default=0)
 
     for name in _COMMANDS:
@@ -296,12 +274,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # the keys of an explicit graph; a template's own are "template" and "overrides",
-# whose keys are the parameters of the templates
+# whose keys are the parameters of the templates (an int default takes an int)
 _EDGE_KEYS = {"source": INTEGERS, "target": INTEGERS, "length": NUMBERS, "weight": NUMBERS,
               "robin": ROBIN, "nx": NUMBERS, "potential": list}
-_OVERRIDES = {key: ROBIN if key == "robin" else NUMBERS
-              for build in TEMPLATES.values() for key in inspect.signature(build).parameters}
-_GRAPH = {"template": str, "overrides": _OVERRIDES, **_EDGE_KEYS}
+_OVERRIDES = {tag: {key: ROBIN if key == "robin" else int if type(p.default) is int else NUMBERS
+                    for key, p in inspect.signature(build).parameters.items()}
+              for tag, build in TEMPLATES.items()}
+_GRAPH = {"template": str, "overrides": {key: kind for keys in _OVERRIDES.values()
+                                         for key, kind in keys.items()}, **_EDGE_KEYS}
 
 # each command, and its keys and defaults for read_table (a list holds per-edge expressions)
 _COMMANDS = {
@@ -333,7 +313,13 @@ def main(argv=None) -> int:
             return _cmd_template(args)
         raw = _load_config(args.config)
         command, schema = _COMMANDS[args.command]
-        return command(args, raw, read_table(raw, schema, "config"), graph_from_config(raw))
+        cfg = read_table(raw, schema, "config")
+        graph = graph_from_config(raw)
+        out, extra = command(args, raw, cfg, graph)
+        run = {"command": args.command, "scheme": args.scheme, "seed": args.seed,
+               "graph_hash": graph_hash(graph), "config": raw, **extra}
+        store.write_json(out / "run.json", run, sort_keys=True)
+        return 0
     except np.linalg.LinAlgError as exc:  # a ValueError, so caught before the next clause
         print(f"qg {args.command}: {exc}", file=sys.stderr)
         return 1

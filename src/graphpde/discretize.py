@@ -30,15 +30,14 @@ offsets, so the family is block-diagonal plus 2|E| sparse constraint rows
 for either scheme.  discretize makes one pass over the edges: each edge
 gets its grid, its potential values and its blocks, and edges of one kind
 (point count, length and potential values) share their blocks, built once
-per call and added with each edge's columns shifted by its offset.
+per call and added with each edge's columns shifted by its offset.  The
+module is purely numerical: graphpde.store reads and writes the state CSVs.
 """
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -204,14 +203,6 @@ class OperatorBundle:
     def interp_zero(self):
         """[interp_int; 0]: interp_int over 2|E| empty rows."""
         return _stack_rows(self.interp_int, sp.csr_matrix(self.vc_rows.shape))
-
-    @cached_property
-    def state_csv_format(self) -> str:
-        """Body format of a state CSV: each row's "edge,x," prefix filled in."""
-        edge = np.repeat(np.arange(1, self.graph.num_edges + 1), self.grid.n + 2)
-        x = np.concatenate(self.grid.x_ext)
-        return "".join("%d,%.17g,%%.17g,%%.17g\n" % row
-                       for row in zip(edge.tolist(), x.tolist()))
 
     def edge_slice(self, m: int) -> slice:
         o = self.offsets[m - 1]
@@ -428,76 +419,3 @@ def apply_graphical_function(bundle: OperatorBundle, f) -> np.ndarray:
         return np.full(bundle.n_ext, f)
     return np.concatenate([np.asarray(f(*edge_coordinates(bundle.graph, m, x).T))
                            for m, x in enumerate(bundle.grid.x_ext, start=1)])
-
-
-# ---------------------------------------------------------------------------
-# persistence helpers
-
-def bundle_structure(bundle: OperatorBundle) -> dict:
-    """Shapes and nonzero counts, for regression dumps."""
-    def describe(mat):
-        return {"shape": list(mat.shape), "nnz": int(mat.nnz)}
-
-    return {
-        "scheme": bundle.scheme,
-        "n_int": bundle.n_int,
-        "n_ext": bundle.n_ext,
-        "edges": int(bundle.graph.num_edges),
-        "vertices": int(bundle.graph.num_vertices),
-        "n_per_edge": [int(v) for v in bundle.grid.n],
-        "lap_int": describe(bundle.lap_int),
-        "interp_int": describe(bundle.interp_int),
-        "vc_rows": describe(bundle.vc_rows),
-        "nh_map": describe(bundle.nh_map),
-        "deriv": describe(bundle.deriv),
-    }
-
-
-def save_state_csv(bundle: OperatorBundle, u: np.ndarray, path) -> None:
-    """Write a state vector as CSV rows (edge id, x, value_real, value_imag)."""
-    # one formatting call over Python floats; the values and their signed
-    # zeros are those complex(v) gives per entry (+0.0 imaginary if real)
-    z = np.asarray(u).astype(complex)
-    values = np.column_stack((z.real, z.imag)).ravel().tolist()
-    with open(path, "w") as fh:
-        fh.write("edge,x,re,im\n")
-        fh.write(bundle.state_csv_format % tuple(values))
-
-
-def scalar_csv_text(rows, header=None) -> str:
-    """Numbers, or rows of numbers, one line each as %.17g.
-
-    A header line, when given, comes first.
-    """
-    lines = [header] if header else []
-    for row in rows:
-        values = [row] if np.ndim(row) == 0 else row
-        lines.append(",".join("%.17g" % v for v in values))
-    return "".join(line + "\n" for line in lines)
-
-
-def save_scalar_csv(path, rows, header=None) -> None:
-    """Write scalar_csv_text(rows, header) to path atomically."""
-    write_text_atomic(path, scalar_csv_text(rows, header))
-
-
-def write_text_atomic(path, text: str) -> None:
-    """Write text to a temporary file beside path, then rename it over path."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def load_state_csv(bundle: OperatorBundle, path) -> np.ndarray:
-    """Read a state vector written by save_state_csv; validates the layout."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[0] != bundle.n_ext or data.shape[1] != 4:
-        raise DiscretizationError(
-            f"state file {path} does not match layout (n_ext={bundle.n_ext})")
-    if np.all(data[:, 3] == 0.0):
-        return data[:, 2]
-    # assigned, not summed: re + 1j*im turns a real part of -0.0 into +0.0
-    values = data[:, 2].astype(complex)
-    values.imag = data[:, 3]
-    return values

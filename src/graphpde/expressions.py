@@ -40,24 +40,31 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _finite(value) -> bool:
+    """A JSON number: NaN and Infinity, which Python's JSON reader takes, are not."""
+    return _number(value) and (isinstance(value, int) or math.isfinite(value))
+
+
 def _numbers(value) -> bool:
-    return isinstance(value, (list, tuple)) and all(map(_number, value))
+    return isinstance(value, (list, tuple)) and all(map(_finite, value))
 
 
 def _robin(value):
-    entries = [DIRICHLET if str(v).lower() == "dirichlet" else v
-               for v in (value if isinstance(value, list) else [value])]
-    return NUMBERS.read(entries if isinstance(value, list) else entries[0])
+    entries = value if isinstance(value, list) else [value]
+    if not all(_finite(v) or isinstance(v, str) and v.lower() == "dirichlet" for v in entries):
+        return None
+    read = [DIRICHLET if isinstance(v, str) else v for v in entries]
+    return read if isinstance(value, list) else read[0]
 
 
-NUMBERS = Kind("a number or a list of numbers", lambda v: v if _number(v) or _numbers(v) else None)
+NUMBERS = Kind("a number or a list of numbers", lambda v: v if _finite(v) or _numbers(v) else None)
 NUMBER_LIST = Kind("a nonempty list of numbers",
                    lambda v: [float(n) for n in v] if v and _numbers(v) else None)
 INTEGERS = Kind("a list of integers",
                 lambda v: v if _numbers(v) and all(n % 1 == 0 for n in v) else None)
 ROBIN = Kind('a number or "dirichlet", or a list of these', _robin)
 MU = Kind("a number or a list of two numbers",
-          lambda v: v if _number(v) else complex(*v) if _numbers(v) and len(v) == 2 else None)
+          lambda v: v if _finite(v) else complex(*v) if _numbers(v) and len(v) == 2 else None)
 
 
 def _typed(value, kind, key: str, where: str):

@@ -490,9 +490,10 @@ def _template_dumbbell(loop_length=2.0 * math.pi, handle_length=4.0,
 def _template_necklace(n_pairs=54, string_length=1.0, pearl_length=math.pi / 2.0,
                        robin=None, nx=None, weight=None):
     """Closed chain of n_pairs strings, each followed by a two-edge pearl."""
+    if n_pairs < 1 or n_pairs != int(n_pairs):
+        raise GraphError(f"necklace needs a whole number of string/pearl pairs, at least one; "
+                         f"got {n_pairs}")
     n_pairs = int(n_pairs)
-    if n_pairs < 1:
-        raise GraphError("necklace needs at least one string/pearl pair")
     source, target, lengths, angles = [], [], [], []
     nv = 2 * n_pairs
     # vertices around a circle; strings straight, pearl halves bulge out and in

@@ -1,4 +1,5 @@
-"""Continuation run directories; only this module names the files in them.
+"""The one module that writes files: the `qg` outputs and the continuation
+run directories, whose files only this module names.
 
     <base>/<tag>/<NNN>/  template.json (with the bundle hash)
       eigenfunctions/    eigenvalues.csv, eigenfunctions.npy (a row per eigenpair)
@@ -9,10 +10,12 @@
                          (seed, termination and events)
       diagram.csv
 
-Every state is a float64 .npy, read back through _load_states; every scalar
-is a %.17g CSV, read back through _load_scalars.  No file records the time.
-Every reader checks the run's hash against the bundle first; StaleLayoutError
-marks another discretization or an older layout.
+In a run directory every state is a float64 .npy, read back through
+_load_states, and every scalar a %.17g CSV, read back through _load_scalars.
+No file records the time.  Every reader checks the run's hash against the
+bundle first; StaleLayoutError marks another discretization or an older
+layout.  Every text file is written through write_text_atomic, except in a
+branch directory, which is staged whole.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discretize import OperatorBundle, save_scalar_csv, scalar_csv_text, write_text_atomic
+from .discretize import DiscretizationError, OperatorBundle
 from .graphs import graph_config, graph_hash
 from .stationary import eigs
 
@@ -36,6 +39,68 @@ class ContinuationError(RuntimeError):
 
 class StaleLayoutError(ContinuationError):
     pass
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it over path."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
+def write_json(path, obj, sort_keys: bool = False) -> None:
+    """Write obj as JSON with one-space indents, atomically."""
+    write_text_atomic(path, json.dumps(obj, indent=1, sort_keys=sort_keys))
+
+
+def scalar_csv_text(rows, header=None) -> str:
+    """Numbers, or rows of numbers, one line each as %.17g.
+
+    A header line, when given, comes first.
+    """
+    lines = [header] if header else []
+    for row in rows:
+        values = [row] if np.ndim(row) == 0 else row
+        lines.append(",".join("%.17g" % v for v in values))
+    return "".join(line + "\n" for line in lines)
+
+
+def save_scalar_csv(path, rows, header=None) -> None:
+    """Write scalar_csv_text(rows, header) to path atomically."""
+    write_text_atomic(path, scalar_csv_text(rows, header))
+
+
+def save_state_csv(bundle: OperatorBundle, states, paths) -> None:
+    """Write a state vector to a path, or each column of an array of states to
+    its own path, as CSV rows (edge id, x, value_real, value_imag), atomically."""
+    # one formatting call per state over Python floats; the values and their
+    # signed zeros are those complex(v) gives per entry (+0.0 imaginary if real)
+    z = np.asarray(states).astype(complex)
+    if z.ndim == 1:
+        z, paths = z[:, None], [paths]
+    edge = np.repeat(np.arange(1, bundle.graph.num_edges + 1), bundle.grid.n + 2)
+    body = "edge,x,re,im\n" + "".join(
+        "%d,%.17g,%%.17g,%%.17g\n" % row
+        for row in zip(edge.tolist(), np.concatenate(bundle.grid.x_ext).tolist()))
+    for column, path in list(zip(z.T, paths, strict=True)):  # the count checked first
+        values = np.column_stack((column.real, column.imag)).ravel().tolist()
+        write_text_atomic(path, body % tuple(values))
+
+
+def load_state_csv(bundle: OperatorBundle, path) -> np.ndarray:
+    """Read a state vector written by save_state_csv; validates the layout."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] != bundle.n_ext or data.shape[1] != 4:
+        raise DiscretizationError(
+            f"state file {path} does not match layout (n_ext={bundle.n_ext})")
+    if np.all(data[:, 3] == 0.0):
+        return data[:, 2]
+    # assigned, not summed: re + 1j*im turns a real part of -0.0 into +0.0
+    values = data[:, 2].astype(complex)
+    values.imag = data[:, 3]
+    return values
 
 
 def bundle_hash(bundle: OperatorBundle) -> str:
@@ -50,9 +115,8 @@ def bundle_hash(bundle: OperatorBundle) -> str:
 def create_run(base, tag: str, bundle: OperatorBundle) -> Path:
     """Create data/<tag>/<run id>/ with template.json."""
     root = Path(base) / tag
-    root.mkdir(parents=True, exist_ok=True)
     run_dir = root / f"{_first_free(lambda k: root / f'{k:03d}'):03d}"
-    run_dir.mkdir()
+    run_dir.mkdir(parents=True)
     template = {
         "tag": tag,
         "scheme": bundle.scheme,
@@ -60,7 +124,7 @@ def create_run(base, tag: str, bundle: OperatorBundle) -> Path:
         "n_per_edge": [int(v) for v in bundle.grid.n],
         "hash": bundle_hash(bundle),
     }
-    write_text_atomic(run_dir / "template.json", json.dumps(template, indent=1))
+    write_json(run_dir / "template.json", template)
     return run_dir
 
 
@@ -110,8 +174,7 @@ def save_eigenfunctions(run_dir, bundle: OperatorBundle, count: int):
     check_run_layout(run_dir, bundle)
     lam, vecs = eigs(bundle, count)
     edir = Path(run_dir) / "eigenfunctions"
-    edir.mkdir(exist_ok=True)
-    save_scalar_csv(edir / "eigenvalues.csv", np.real(lam))
+    save_scalar_csv(edir / "eigenvalues.csv", np.real(lam))  # creates edir
     np.save(edir / "eigenfunctions.npy", np.real(vecs).T, allow_pickle=False)
     return lam, vecs
 

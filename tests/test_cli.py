@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from graphpde import discretize, from_template
-from graphpde.discretize import load_state_csv
+from graphpde.store import load_state_csv
 from graphpde.cli import graph_from_config, main
 from graphpde.continuation import save_standing_wave
 from graphpde.expressions import ConfigError, compile_edge_expressions, compile_expression
@@ -119,6 +119,8 @@ def test_graph_from_config_template_and_explicit():
     assert g3.vertices[2].is_dirichlet
     with pytest.raises(ConfigError, match="length"):
         graph_from_config({"source": [1], "target": [2]})
+    g4 = graph_from_config({"source": [1], "target": [2], "length": [1.0], "robin": "dirichlet"})
+    assert all(v.is_dirichlet for v in g4.vertices)
 
 
 def test_cli_poisson_error_report(tmp_path):
@@ -132,6 +134,7 @@ def test_cli_poisson_error_report(tmp_path):
     assert (out / "solution.csv").exists()
     run = json.loads((out / "run.json").read_text())
     assert run["command"] == "poisson" and "graph_hash" in run
+    assert not list(out.rglob("*.tmp"))
 
 
 def test_cli_exit_codes(tmp_path):
@@ -166,6 +169,7 @@ def test_cli_eigs_y_graph(tmp_path):
     want = [-0.5691, -3.2456, -9.8696, -9.8696]
     assert np.allclose(spectrum["eigenvalues"], want, atol=6e-3)
     assert (out / "eigenvector_001.csv").exists()
+    assert not list(out.rglob("*.tmp"))
 
 
 def test_cli_secdet_interval(tmp_path):
@@ -183,6 +187,7 @@ def test_cli_secdet_interval(tmp_path):
     assert all(0.0 <= z["residual"] <= 1e-8 for z in zeros)
     sig = np.genfromtxt(out / "sigma.csv", delimiter=",", skip_header=1)
     assert sig.shape[1] == 2
+    assert not list(out.rglob("*.tmp"))
 
 
 def test_cli_secdet_necklace_residuals_are_scale_free(tmp_path):
@@ -228,6 +233,7 @@ def test_cli_evolve_heat(tmp_path):
     cons = np.genfromtxt(out / "conservation.csv", delimiter=",", skip_header=1)
     assert cons[:, 2].max() <= 1e-10  # total_heat drift column
     assert (out / "state_0000.csv").exists() and (out / "times.csv").exists()
+    assert not list(out.rglob("*.tmp"))
 
 
 @pytest.mark.parametrize("scheme", ["crank_nicolson", "imex_euler", "sdirk443",
@@ -321,6 +327,7 @@ def test_cli_continue_dumbbell(tmp_path):
     assert events[-1].startswith(f"finished with {len(lam)} points")
     assert not (run / "logfile.txt").exists()
     assert (run / "diagram.csv").exists()
+    assert not list(out.rglob("*.tmp"))
 
 
 def test_cli_continue_from_branch_point_end_and_saved_in_one_run(tmp_path):
@@ -536,6 +543,39 @@ def _initial(expression):
     ("evolve", _initial([]), "config.evolution.initial[1] must be an expression"),
     ("evolve", {"evolution": {"scheme": "crank_nicolson", "initial": [1.0, 1.0, 1.0], "mu": "1"}},
      "config.evolution: 'mu' must be a number or a list of two numbers, got '1'"),
+    ("eigs", {"template": "necklace", "overrides": {"n_pairs": 2.5}},
+     "config.overrides: 'n_pairs' must be int, got 2.5"),
+    ("eigs", {**_EDGE, "length": [math.nan]},
+     "config: 'length' must be a number or a list of numbers, got [nan]"),
+    ("eigs", {**_EDGE, "length": math.inf},
+     "config: 'length' must be a number or a list of numbers, got inf"),
+    ("eigs", {**_EDGE, "weight": [-math.inf]},
+     "config: 'weight' must be a number or a list of numbers, got [-inf]"),
+    ("eigs", {**_EDGE, "nx": math.nan},
+     "config: 'nx' must be a number or a list of numbers, got nan"),
+    ("poisson", {**_EDGE, "node_data": [0.0, math.inf]},
+     "config: 'node_data' must be a number or a list of numbers, got [0.0, inf]"),
+    ("eigs", {"overrides": {"handle_length": math.inf}},
+     "config.overrides: 'handle_length' must be a number or a list of numbers, got inf"),
+    ("eigs", {"overrides": {"robin": [0, math.nan]}},
+     """config.overrides: 'robin' must be a number or "dirichlet", or a list of these, """
+     "got [0, nan]"),
+    ("eigs", {**_EDGE, "source": None}, "config: an edge-list graph needs the 'source' key"),
+    ("eigs", {**_EDGE, "target": None}, "config: an edge-list graph needs the 'target' key"),
+    ("eigs", {**_EDGE, "length": None}, "config: an edge-list graph needs the 'length' key"),
+    ("continue", {"continue": {"from": "branch_point", "branch": 1, "options": _QUIET}},
+     "config.continue: from 'branch_point' needs the 'point' key"),
+    ("continue", {"continue": {"from": "saved", "options": _QUIET}},
+     "config.continue: from 'saved' needs the 'name' key"),
+    ("continue", {"continue": {"from": "end", "options": _QUIET}},
+     "config.continue: from 'end' needs the 'branch' key"),
+    ("continue", {"continue": {"amplitude": 0, "options": _QUIET}},
+     "config.continue.amplitude must be finite and nonzero, got 0"),
+    ("continue", {"continue": {"amplitude": -math.inf, "options": _QUIET}},
+     "config.continue.amplitude must be finite and nonzero, got -inf"),
+    ("secdet", {"samples": 0}, "config.samples must be at least 1, got 0"),
+    ("eigs", {"overrides": {"lengths": [1.0, 2.0, 3.0]}},
+     "config.overrides: unknown key 'lengths'"),
 ])
 def test_cli_refuses_an_unknown_or_ill_typed_key_before_writing_anything(
         tmp_path, capsys, command, cfg, message):

@@ -11,8 +11,8 @@ from graphpde import (apply_function_to_edges, discretize, from_template, make_c
 from graphpde.continuation import (ContinuationError, ContinuationOptions,
                                    beta_metric, continue_branch, corrector,
                                    nls_system)
-from graphpde.discretize import save_state_csv
 from graphpde.stationary import NewtonError
+from graphpde.store import save_state_csv
 
 
 def circle_system():

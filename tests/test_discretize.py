@@ -9,11 +9,8 @@ from graphpde import (DIRICHLET, apply_function_to_edges, apply_graphical_functi
                       build_graph, column_to_graph, discretize, from_template,
                       graph_to_column)
 from graphpde.graphs import TEMPLATES
-from graphpde.discretize import (DiscretizationError, bundle_structure,
-                                 chebyshev_first_kind, chebyshev_second_kind,
-                                 clenshaw_curtis_weights,
-                                 load_state_csv, save_scalar_csv, save_state_csv,
-                                 vertex_value)
+from graphpde.discretize import (DiscretizationError, chebyshev_first_kind,
+                                 chebyshev_second_kind, clenshaw_curtis_weights)
 
 
 def test_lasso_shapes_and_nh_positions():
@@ -266,10 +263,9 @@ def test_near_symmetry_after_ghost_elimination():
 def test_bundle_structure_dump():
     g = from_template("lasso", nx=[4, 8])
     b = discretize(g, "uniform")
-    d = bundle_structure(b)
-    assert d["n_ext"] == 16 and d["n_int"] == 12
-    assert d["lap_int"]["shape"] == [12, 16]
-    assert d["nh_map"]["nnz"] == 2
+    assert b.n_ext == 16 and b.n_int == 12
+    assert b.lap_int.shape == (12, 16)
+    assert b.nh_map.nnz == 2
 
 
 def test_chebyshev_necklace_is_block_sparse_csr():
@@ -281,10 +277,9 @@ def test_chebyshev_necklace_is_block_sparse_csr():
                  "lap_zero", "interp_vc", "interp_zero", "deriv"):
         assert getattr(b, name).format == "csr", name
     n = b.grid.n
-    d = bundle_structure(b)
-    assert d["edges"] == 162
-    assert d["lap_int"]["nnz"] == int(np.sum(n * (n + 2)))
-    assert d["deriv"]["nnz"] == int(np.sum((n + 2) ** 2))
+    assert b.graph.num_edges == 162
+    assert b.lap_int.nnz == int(np.sum(n * (n + 2)))
+    assert b.deriv.nnz == int(np.sum((n + 2) ** 2))
     # constants lie in the kernel of every interior Laplacian row
     assert np.max(np.abs(b.lap_int @ np.ones(b.n_ext))) < 1e-8
 
@@ -304,107 +299,6 @@ def test_lap_ext_lifts_lap_int(template):
     assert c.lap_ext.format == "csr" and c.lap_ext.shape == (c.n_ext, c.n_ext)
     diff = abs(c.interp_int @ c.lap_ext - c.lap_int).max()
     assert diff <= 1e-13 * abs(c.lap_int).max()
-
-
-def _state_csv_per_value(bundle, u):
-    """The reference formatting: one complex() conversion per value."""
-    lines = ["edge,x,re,im\n"]
-    for m in range(1, bundle.graph.num_edges + 1):
-        for x, v in zip(bundle.grid.x_ext[m - 1], np.asarray(u)[bundle.edge_slice(m)]):
-            z = complex(v)
-            lines.append(f"{m},{x:.17g},{z.real:.17g},{z.imag:.17g}\n")
-    return "".join(lines).encode()
-
-
-@pytest.mark.parametrize("scheme", ["uniform", "chebyshev"])
-def test_state_csv_bytes_match_per_value_formatting(tmp_path, scheme):
-    b = discretize(from_template("lasso", nx=[4, 5]), scheme)
-    rng = np.random.default_rng(5)
-    real = rng.standard_normal(b.n_ext)
-    real[:6] = [-0.0, 0.0, 1e300, -2.5e-310, 1.0 / 3.0, 7.0]
-    cplx = real + 1j * rng.standard_normal(b.n_ext) * 1e-200
-    cplx[:3] = [complex(1.0, -0.0), complex(-0.0, 1e308), complex(-0.0, -0.0)]
-    single = rng.standard_normal(b.n_ext).astype(np.float32)
-    states = [real, cplx, single, np.arange(b.n_ext), -real + 0j]
-    for u in states:
-        path = tmp_path / "state.csv"
-        save_state_csv(b, u, path)
-        assert path.read_bytes() == _state_csv_per_value(b, u), u.dtype
-
-
-def test_state_csv_round_trip(tmp_path):
-    g = from_template("lasso", nx=[4, 5])
-    b = discretize(g, "uniform")
-    rng = np.random.default_rng(11)
-    u = rng.standard_normal(b.n_ext) + 1j * rng.standard_normal(b.n_ext)
-    path = tmp_path / "state.csv"
-    save_state_csv(b, u, path)
-    back = load_state_csv(b, path)
-    assert np.array_equal(back, u)
-    save_state_csv(b, u.real, path)
-    back = load_state_csv(b, path)
-    assert back.dtype.kind == "f" and np.array_equal(back, u.real)
-
-
-def _state_csv_one_call(bundle, u):
-    """save_state_csv's formatting before the row prefixes were cached."""
-    z = np.asarray(u).astype(complex)
-    edge = np.repeat(np.arange(1, bundle.graph.num_edges + 1), bundle.grid.n + 2).tolist()
-    x = np.concatenate(bundle.grid.x_ext).tolist()
-    rows = list(zip(edge, x, z.real.tolist(), z.imag.tolist()))
-    body = ("%d,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(v for r in rows for v in r)
-    return ("edge,x,re,im\n" + body).encode()
-
-
-@pytest.mark.parametrize("scheme", ["uniform", "chebyshev"])
-def test_state_csv_bytes_match_one_call_formatting(tmp_path, scheme):
-    b = discretize(from_template("dumbbell"), scheme)
-    rng = np.random.default_rng(8)
-    real = rng.standard_normal(b.n_ext)
-    real[:4] = [-0.0, 5e-324, -1e300, 1e-300]
-    cplx = real + 1j * rng.standard_normal(b.n_ext)
-    path = tmp_path / "state.csv"
-    for u in (real, cplx, real + 0j):
-        save_state_csv(b, u, path)   # the second save reads the cached prefixes
-        save_state_csv(b, u, path)
-        assert path.read_bytes() == _state_csv_one_call(b, u)
-
-
-def test_state_csv_round_trip_is_bitwise(tmp_path):
-    b = discretize(from_template("lasso", nx=[4, 5]), "chebyshev")
-    rng = np.random.default_rng(12)
-    special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300, -1e-300,
-               np.nextafter(1.0, 2.0), 1.0 / 3.0]
-    re = rng.standard_normal(b.n_ext) * 10.0 ** rng.integers(-300, 300, b.n_ext)
-    im = rng.standard_normal(b.n_ext)
-    re[:len(special)] = special
-    im[-len(special):] = special
-    cplx = re.astype(complex)   # re + 1j * im would turn the real -0.0 into +0.0
-    cplx.imag = im
-    path = tmp_path / "state.csv"
-    for u in (re, cplx):
-        save_state_csv(b, u, path)
-        back = load_state_csv(b, path)
-        assert back.dtype == u.dtype
-        assert np.array_equal(back.real.view(np.uint64), u.real.view(np.uint64))
-        assert np.array_equal(np.imag(back).view(np.uint64), np.imag(u).view(np.uint64))
-
-
-def test_scalar_csv_bytes_match_the_per_value_formats(tmp_path):
-    # the formats the CLI outputs and the branch directories were written with:
-    # f"{v:.17g}" per number or per row entry, and "%d" for bifurcation types
-    path = tmp_path / "values.csv"
-    values = [0.1, -0.0, 5e-324, -2.5e300, math.inf, math.pi, 3, np.float64(2) / 3,
-              np.int64(-1)]
-    save_scalar_csv(path, values)
-    assert path.read_text() == "".join(f"{v:.17g}\n" for v in values)
-    save_scalar_csv(path, np.array([-1, 0, 1]))
-    assert path.read_text() == "-1\n0\n1\n"
-    rows = [[1, 0.25, -0.0], np.array([1e-17, 7.0, -math.e])]
-    save_scalar_csv(path, rows, header="branch,lambda,mass")
-    assert path.read_text() == "branch,lambda,mass\n" + "".join(
-        ",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
-    assert [f.name for f in tmp_path.iterdir()] == ["values.csv"]
 
 
 def _edge_rows(mat, rows, offset):

@@ -112,6 +112,10 @@ def test_template_necklace_counts():
     assert g.num_edges == 162
     lengths = {round(e.length, 12) for e in g.edges}
     assert lengths == {1.0, round(math.pi / 2, 12)}
+    assert from_template("necklace", n_pairs=2.0).num_edges == 6
+    for n_pairs in (2.5, 0):  # 2.5 built the 2-pair necklace
+        with pytest.raises(GraphError, match=f"whole number .* got {n_pairs}"):
+            from_template("necklace", n_pairs=n_pairs)
 
 
 def test_template_bubble_tower_layout():
