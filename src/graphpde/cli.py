@@ -33,7 +33,7 @@ from . import continuation as cont
 from . import evolution as evo
 from . import stationary, store
 from .discretize import apply_function_to_edges, discretize
-from .expressions import INTEGERS, MU, NUMBER_LIST, NUMBERS, ROBIN, ConfigError, \
+from .expressions import INTEGERS, MU, NUMBER_LIST, NUMBERS, ROBIN, UNBOUNDED, ConfigError, \
     compile_edge_expressions, read_table
 from .functionals import make_context
 from .graphs import GraphError, MetricGraph, TEMPLATES, build_graph, from_template, \
@@ -111,10 +111,12 @@ def _cmd_eigs(args, raw, cfg, graph) -> tuple[Path, dict]:
 
 def _cmd_secdet(args, raw, cfg, graph) -> tuple[Path, dict]:
     k_max, samples = cfg["k_max"], cfg["samples"]
+    if k_max <= 0:
+        raise ConfigError(f"config.k_max must be positive, got {k_max}")
     if samples < 1:
         raise ConfigError(f"config.samples must be at least 1, got {samples}")
     sigma = stationary.secular_function(graph)
-    zeros = stationary.find_spectrum_secular(graph, k_max)  # refuses a bad k_max before any output
+    zeros = stationary.find_spectrum_secular(graph, k_max)
     ks = np.linspace(k_max / samples, k_max, samples)
     store.save_scalar_csv(args.out / "sigma.csv", np.column_stack([ks, sigma(ks)]),
                           header="k,sigma")
@@ -192,7 +194,7 @@ def _cmd_continue(args, raw, cfg, graph) -> tuple[Path, dict]:
         raise ConfigError("config needs a 'continue' table")
     bundle = discretize(graph, args.scheme)
     cc = cfg["continue"]
-    opts = cont.ContinuationOptions(**cc["options"])
+    opts = cont.ContinuationOptions(**{k: v for k, v in cc["options"].items() if v is not None})
     problem = stationary.nls_problem(bundle, sigma=cc["sigma"])
     sys_ = cont.nls_system(problem, make_context(bundle))
     start, axes = cc["from"], tuple(cc["axes"])
@@ -202,7 +204,7 @@ def _cmd_continue(args, raw, cfg, graph) -> tuple[Path, dict]:
     missing = [key for key in needs.get(start, ()) if cc[key] is None]
     if missing:
         raise ConfigError(f"config.continue: from {start!r} needs the {missing[0]!r} key")
-    amplitude = cc["amplitude"]
+    amplitude = 1e-2 if cc["amplitude"] is None else cc["amplitude"]
     if amplitude == 0.0 or not math.isfinite(amplitude):
         raise ConfigError(f"config.continue.amplitude must be finite and nonzero, got {amplitude}")
     index, count = cc["index"], cc["n_eigenfunctions"]
@@ -295,9 +297,11 @@ _COMMANDS = {
         "momentum_orientation": NUMBER_LIST}}),
     "continue": (_cmd_continue, {**_GRAPH, "continue": {
         "from": ("eig", ("eig", "branch_point", "saved", "end")), "run_dir": str,
-        "options": {f.name: f.default for f in dataclasses.fields(cont.ContinuationOptions)},
+        # +-Infinity turns a threshold off; an infinite amplitude gets its own refusal
+        "options": {f.name: UNBOUNDED if f.name.endswith("_thresh") else f.default
+                    for f in dataclasses.fields(cont.ContinuationOptions)},
         "sigma": 1.0, "axes": (["lambda", "mass"], store.DIAGRAM_AXES), "index": 1,
-        "n_eigenfunctions": int, "amplitude": 1e-2, "branch": int, "point": int, "sign": 1,
+        "n_eigenfunctions": int, "amplitude": UNBOUNDED, "branch": int, "point": int, "sign": 1,
         "name": str, "direction": -1.0}}),
 }
 

@@ -87,7 +87,9 @@ class ContinuationOptions:
 
     def __post_init__(self):
         # written as "not inside" so that NaN fails too; n_thresh and
-        # lambda_thresh stay unchecked, since +-inf turns a threshold off
+        # lambda_thresh may be +-inf, which turns a threshold off
+        if math.isnan(self.n_thresh) or math.isnan(self.lambda_thresh):
+            raise ValueError("n_thresh and lambda_thresh must not be NaN")
         if not 0.0 < self.max_theta < 90.0:
             raise ValueError("max_theta must lie in (0, 90) degrees")
         for name in ("min_norm_delta", "beta", "ds", "newton_tol"):
@@ -300,14 +302,11 @@ def _polish(sys: ContinuationSystem, u, lam, opts: ContinuationOptions):
 
 
 def tangent_at(sys: ContinuationSystem, u, lam, guess_u, guess_lam, beta):
-    """Branch tangent from the bordered solve, oriented along the guess."""
+    """Unit branch tangent along the guess: the guess borders the solve, so <t, guess>_beta = 1."""
     rhs = np.zeros(np.size(u) + 1)
     rhs[-1] = 1.0
     t = _bordered_factor(sys, u, lam, guess_u, guess_lam, beta).solve(rhs)
-    t_u, t_lam = _normalized(sys, t[:-1], t[-1], beta)
-    if beta_metric(sys, t_u, t_lam, guess_u, guess_lam, beta) < 0:
-        t_u, t_lam = -t_u, -t_lam
-    return t_u, t_lam
+    return _normalized(sys, t[:-1], t[-1], beta)
 
 
 def _make_point(sys, u, lam, t_u, t_lam, bif_type=0):
@@ -316,7 +315,8 @@ def _make_point(sys, u, lam, t_u, t_lam, bif_type=0):
 
 
 def null_vector(sys: ContinuationSystem, u, lam):
-    """Unit null vector of the (unbordered) Jacobian by inverse iteration."""
+    """Unit null vector of the (unbordered) Jacobian by inverse iteration, its largest
+    entry positive; an exactly singular Jacobian is factored at lambda + 1e-10 (1 + |lambda|)."""
     J = sys.jacobian(u, lam)
     try:
         fact = linalg.factorize(J)
@@ -328,9 +328,7 @@ def null_vector(sys: ContinuationSystem, u, lam):
     for _ in range(5):
         v = fact.solve(v)
         v = v / math.sqrt(max(sys.inner(v, v), 1e-300))
-    k = int(np.argmax(np.abs(v)))
-    if v[k] < 0:
-        v = -v
+    v = linalg.fix_phase(v)
     if n > 1:
         # deflated inverse iteration: a second near-null direction means the
         # bifurcation has codimension two or higher
@@ -381,11 +379,12 @@ def locate_branch_point(sys: ContinuationSystem, opts: ContinuationOptions,
     the offset is only 0.001 of the width.  A bisection step follows
     whenever two secant steps have not halved the bracket, which keeps the
     iteration off a double crossing (two eigenvalues at once, no sign
-    change) inside the bracket.
+    change) inside the bracket, and after a corrector failure.
 
     Returns (u*, lambda*, null vector) at the interpolated zero of the
     last bracket, once its beta-width is at most 1e-7; no corrector runs
-    at that point.
+    at that point.  A corrector failure at a bisection step, or a bracket
+    still wider after 60 steps, raises ContinuationError.
     """
     t_u, t_lam = direction
     fa = _bordered_factor(sys, a.psi, a.lam, t_u, t_lam, opts.beta)

@@ -41,12 +41,12 @@ class EvolutionProblem:
     n_skip: int = 1
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise EvolutionError("tau must be positive")
+        if not 0 < self.tau < np.inf:
+            raise EvolutionError("tau must be positive and finite")
         if self.n_skip < 1:
             raise EvolutionError("n_skip must be >= 1")
-        if self.t_final <= 0:
-            raise EvolutionError("t_final must be positive")
+        if not 0 < self.t_final < np.inf:
+            raise EvolutionError("t_final must be positive and finite")
 
     @property
     def n_steps(self) -> int:
@@ -228,20 +228,12 @@ def conservation_trace(ctx: FunctionalContext, times, states,
     for q in quantities:
         if q not in QUANTITIES:
             raise EvolutionError(f"unknown quantity {q!r}; pick from {QUANTITIES}")
-    states = np.asarray(states)
+    value = {"mass": lambda u: mass(ctx, u), "energy": lambda u: energy_nls(ctx, u, sigma),
+             "momentum": lambda u: momentum(ctx, u, momentum_orientations),
+             "total_heat": lambda u: np.real(integral(ctx, u))}
     table: dict[str, np.ndarray] = {"times": np.asarray(times, dtype=float)}
     for name in quantities:
-        vals = np.empty(states.shape[1])
-        for j in range(states.shape[1]):
-            u = states[:, j]
-            if name == "mass":
-                vals[j] = mass(ctx, u)
-            elif name == "energy":
-                vals[j] = energy_nls(ctx, u, sigma)
-            elif name == "momentum":
-                vals[j] = momentum(ctx, u, momentum_orientations)
-            else:
-                vals[j] = np.real(integral(ctx, u))
+        vals = np.array([value[name](u) for u in np.asarray(states).T], dtype=float)
         scale = abs(vals[0]) if abs(vals[0]) > 0 else 1.0
         table[name] = vals
         table[name + "_drift"] = np.abs(vals - vals[0]) / scale

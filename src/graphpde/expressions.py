@@ -65,14 +65,15 @@ INTEGERS = Kind("a list of integers",
 ROBIN = Kind('a number or "dirichlet", or a list of these', _robin)
 MU = Kind("a number or a list of two numbers",
           lambda v: v if _finite(v) else complex(*v) if _numbers(v) and len(v) == 2 else None)
+UNBOUNDED = Kind("a number, Infinity or -Infinity", lambda v: v if _number(v) and v == v else None)
 
 
 def _typed(value, kind, key: str, where: str):
-    """value read as kind, a type or a Kind; an int takes an integral float, no number a bool."""
+    """value read as kind, a type or a Kind; int and float take finite non-bool numbers."""
     if isinstance(kind, Kind):
         read, what = kind.read(value), kind.what
     elif kind in (int, float):
-        number = _number(value) and (kind is float or value % 1 == 0)
+        number = _finite(value) and (kind is float or value % 1 == 0)
         read, what = kind(value) if number else None, kind.__name__
     else:
         read = value if isinstance(value, kind) else None
@@ -85,8 +86,8 @@ def _typed(value, kind, key: str, where: str):
 def read_table(table, schema: dict, where: str) -> dict:
     """table checked against schema, every absent key at its default; where is its path.
 
-    An unknown key is refused.  The default gives the kind: a number (JSON, never
-    a string or a bool), bool, string or list takes only that type, an int no
+    An unknown key is refused.  The default gives the kind: a number (finite JSON,
+    never a string or a bool), bool, string or list takes only that type, an int no
     fraction; a type or a Kind that kind, None when absent; a dict is a nested
     table; a pair (default, choices) one of choices (a list if default is one).
     """

@@ -5,7 +5,8 @@ are accepted and converted.  Factorizations expose a ``solve`` method and
 the determinant read from the sparse LU factors: its sign (permutation
 parities times diagonal signs) and the log of its magnitude (the sum of
 log |U_ii|).  The continuation code monitors the sign for bifurcations and
-localizes branch points on the signed determinant.
+localizes branch points on the signed determinant.  ``generalized_eigs``
+refuses a shift by the eigenvalues it computes, never by U's pivots.
 
 SuperLU orders the columns by COLAMD, postordered by the elimination tree,
 and ``column_order`` exposes that order.  ``Factorization(B, order)``
@@ -71,11 +72,11 @@ class ColumnOrder(NamedTuple):
 class Factorization:
     """Sparse LU factorization (SuperLU); shareable, reusable solves.
 
-    The determinant sign, its log magnitude and the pivot ratio are read
-    from U's diagonal on first use only, so plain solves never pay for
-    extracting U.  With an order, A holds the columns of the matrix to
-    factor in that order (see the module docstring); solve and the
-    determinant still refer to the matrix in its own column order.
+    The determinant sign and its log magnitude are read from U's diagonal
+    on first use only, so plain solves never pay for extracting U.  With an
+    order, A holds the columns of the matrix to factor in that order (see
+    the module docstring); solve and the determinant still refer to the
+    matrix in its own column order.
     """
 
     def __init__(self, A, order: ColumnOrder | None = None):
@@ -110,12 +111,6 @@ class Factorization:
     @cached_property
     def _diag(self):
         return self._lu.U.diagonal()
-
-    @property
-    def diag_ratio(self) -> float:
-        """Smallest over largest pivot magnitude."""
-        absdiag = np.abs(self._diag)
-        return float(absdiag.min() / absdiag.max())
 
     @cached_property
     def det_sign(self):
@@ -174,6 +169,12 @@ def det_sign(A):
 _EIG_RESIDUAL_TOL = 1e-8  # relative residual bound on a returned eigenpair
 
 
+def fix_phase(v):
+    """v divided by the phase of its largest-magnitude entry, making that entry positive."""
+    k = int(np.argmax(np.abs(v)))
+    return v / (v[k] / abs(v[k]))
+
+
 def generalized_eigs(A, B, m: int, sigma: float = 1e-2):
     """The m finite eigenpairs of A v = lambda B v nearest the shift sigma.
 
@@ -181,7 +182,10 @@ def generalized_eigs(A, B, m: int, sigma: float = 1e-2):
     the pencil are excluded structurally by iterating on (A - sigma B)^-1 B,
     whose null directions they occupy.  Eigenvalues are sorted by ascending
     magnitude (ties by value); imaginary parts below 1e-8 (1 + |lambda|)
-    are truncated to zero.
+    are truncated to zero.  Each vector has unit 2-norm and its largest
+    entry real and positive.  SingularMatrixError means sigma lies on the
+    spectrum: A - sigma B has a zero pivot, or the nearest eigenvalue is
+    within 1e-9 max(1, |sigma|) of sigma.
     """
     n = A.shape[0]
     if m < 1 or m >= n:
@@ -189,9 +193,6 @@ def generalized_eigs(A, B, m: int, sigma: float = 1e-2):
     A = sp.csr_matrix(A)
     B = sp.csr_matrix(B)
     fact = factorize(A - sigma * B)
-    if fact.diag_ratio < 1e-13:
-        raise SingularMatrixError(
-            f"shift {sigma} lies on (or numerically on) the pencil spectrum")
 
     if m > n - 3:
         # ARPACK needs k < n - 1; near that limit take every eigenvalue
@@ -208,6 +209,10 @@ def generalized_eigs(A, B, m: int, sigma: float = 1e-2):
     order = np.argsort(-np.abs(nu))[:m]
     nu = nu[order]
     V = V[:, order]
+    # sigma + 1/nu[0] is the computed eigenvalue nearest sigma
+    if abs(nu[0]) * 1e-9 * max(1.0, abs(sigma)) >= 1.0:
+        raise SingularMatrixError(
+            f"shift {sigma} lies on (or numerically on) the pencil spectrum")
     if np.any(np.abs(nu) < 1e3 * np.finfo(float).eps):
         raise EigenSolverError("requested more finite eigenvalues than the pencil has")
     lam = sigma + 1.0 / nu
@@ -217,12 +222,8 @@ def generalized_eigs(A, B, m: int, sigma: float = 1e-2):
 
     vecs = np.empty((n, m), dtype=complex)
     for j in range(m):
-        v = V[:, j]
-        # rotate the dominant component onto the real axis, then drop a
-        # negligible imaginary part
-        k = int(np.argmax(np.abs(v)))
-        phase = v[k] / abs(v[k])
-        v = v / phase
+        # once the dominant entry is real, a negligible imaginary part goes
+        v = fix_phase(V[:, j])
         if small[j] and np.max(np.abs(v.imag)) <= 1e-8 * np.max(np.abs(v.real)):
             v = v.real + 0.0j
         vecs[:, j] = v / np.linalg.norm(v)
@@ -233,25 +234,20 @@ def generalized_eigs(A, B, m: int, sigma: float = 1e-2):
 
     amax = float(np.max(np.abs(A.data), initial=0.0))
 
-    def residual_and_scale(v, lam_j):
-        Av = A @ v
-        # matrix-scale floor keeps the relative contract meaningful for the
-        # zero eigenvalue, where ||A v|| itself is pure roundoff
-        return np.linalg.norm(Av - lam_j * (B @ v)), max(np.linalg.norm(Av), amax)
+    def residual(j):
+        # relative to ||A v||, floored at the matrix scale: at the zero
+        # eigenvalue ||A v|| itself is pure roundoff
+        Av = A @ vecs[:, j]
+        return np.linalg.norm(Av - lam[j] * (B @ vecs[:, j])) / max(np.linalg.norm(Av), amax)
 
     for j in range(m):
-        res, scale = residual_and_scale(vecs[:, j], lam[j])
-        if res > _EIG_RESIDUAL_TOL * scale:
+        if residual(j) > _EIG_RESIDUAL_TOL:
             # one inverse-iteration polish before giving up
             v = fact.solve(B @ vecs[:, j])
-            v = v / np.linalg.norm(v)
-            k = int(np.argmax(np.abs(v)))
-            v = v / (v[k] / abs(v[k]))
-            vecs[:, j] = v
-            res, scale = residual_and_scale(v, lam[j])
-            if res > _EIG_RESIDUAL_TOL * scale:
+            vecs[:, j] = fix_phase(v / np.linalg.norm(v))
+            if residual(j) > _EIG_RESIDUAL_TOL:
                 raise EigenSolverError(
-                    f"eigenpair {j} residual {res:.2e} exceeds tolerance")
+                    f"eigenpair {j} relative residual {residual(j):.2e} exceeds tolerance")
 
     if np.all(lam.imag == 0.0):
         lam = lam.real

@@ -74,21 +74,14 @@ def solve_poisson(bundle: OperatorBundle, f=None, node_data=None) -> np.ndarray:
 def eigs(bundle: OperatorBundle, m: int, sigma: float = 1e-2):
     """m eigenpairs of the graph Laplacian nearest zero (via the shift sigma).
 
-    Eigenvectors are normalized to unit mass under the graph quadrature and
-    returned as extended-grid columns satisfying the constraint rows.
+    Eigenvectors have unit mass under the graph quadrature, their largest
+    entry positive, and are extended-grid columns satisfying the constraint
+    rows.  A shift on the spectrum raises linalg.SingularMatrixError.
     """
     lam, vecs = linalg.generalized_eigs(bundle.lap_vc, bundle.interp_zero,
                                         m, sigma=sigma)
     ctx = make_context(bundle)
-    out = np.empty_like(vecs)
-    for j in range(vecs.shape[1]):
-        v = vecs[:, j]
-        v = v / math.sqrt(mass(ctx, v))
-        k = int(np.argmax(np.abs(v)))
-        if np.real(v[k]) < 0:
-            v = -v
-        out[:, j] = v
-    return lam, out
+    return lam, vecs / np.sqrt([mass(ctx, v) for v in vecs.T])
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +298,8 @@ class NLSProblem:
     def __post_init__(self):
         if (self.f is None) != (self.fprime is None):
             raise ValueError("provide both f and fprime, or neither")
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
         if self.f is None:
             s = self.sigma
             f, fprime = ((_default_f, _default_fprime) if s == 1.0 else

@@ -725,3 +725,66 @@ def test_cli_continue_refuses_a_run_dir_that_is_not_a_run_directory_before_any_s
                 in capsys.readouterr().err)
         assert not out.exists() and not (tmp_path / "nowhere").exists()
     assert list(empty.iterdir()) == []
+
+
+_CONTINUE = {"template": "dumbbell", "continue": {"n_eigenfunctions": 2, "options": _QUIET}}
+
+
+def _with(cfg, path, value):
+    """A copy of the config cfg with the key path (a tuple of keys) set to value."""
+    cfg = json.loads(json.dumps(cfg))
+    table = cfg
+    for key in path[:-1]:
+        table = table.setdefault(key, {})
+    table[path[-1]] = value
+    return cfg
+
+
+_EVOLVE = {"template": "dumbbell", "evolution": {"scheme": "crank_nicolson", "tau": 0.1,
+                                                 "t_final": 0.2, "initial": [1.0, 1.0, 1.0]}}
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("eigs", {"template": "Y", "shift": math.nan}, "config: 'shift' must be float, got nan"),
+    ("eigs", {"template": "Y", "shift": math.inf}, "config: 'shift' must be float, got inf"),
+    ("secdet", {"template": "Y", "k_max": math.nan}, "config: 'k_max' must be float, got nan"),
+    ("secdet", {"template": "Y", "k_max": -3}, "config.k_max must be positive, got -3.0"),
+    ("evolve", _with(_EVOLVE, ("evolution", "tau"), math.nan),
+     "config.evolution: 'tau' must be float, got nan"),
+    ("evolve", _with(_EVOLVE, ("evolution", "t_final"), math.inf),
+     "config.evolution: 't_final' must be float, got inf"),
+    ("evolve", _with(_EVOLVE, ("evolution", "sigma"), -math.inf),
+     "config.evolution: 'sigma' must be float, got -inf"),
+    ("evolve", _with(_EVOLVE, ("evolution", "initial"), [1.0, {"fn": "sin", "a": math.nan}, 1.0]),
+     "config.evolution.initial[1]: 'a' must be float, got nan"),
+    ("continue", _with(_CONTINUE, ("continue", "sigma"), math.nan),
+     "config.continue: 'sigma' must be float, got nan"),
+    ("continue", _with(_CONTINUE, ("continue", "sigma"), math.inf),
+     "config.continue: 'sigma' must be float, got inf"),
+    ("continue", _with(_CONTINUE, ("continue", "direction"), math.nan),
+     "config.continue: 'direction' must be float, got nan"),
+    ("continue", _with(_CONTINUE, ("continue", "amplitude"), math.nan),
+     "config.continue: 'amplitude' must be a number, Infinity or -Infinity, got nan"),
+    ("continue", _with(_CONTINUE, ("continue", "options", "ds"), math.inf),
+     "config.continue.options: 'ds' must be float, got inf"),
+    ("continue", _with(_CONTINUE, ("continue", "options", "n_thresh"), math.nan),
+     "config.continue.options: 'n_thresh' must be a number, Infinity or -Infinity, got nan"),
+    ("continue", _with(_CONTINUE, ("continue", "options", "lambda_thresh"), math.nan),
+     "config.continue.options: 'lambda_thresh' must be a number, Infinity or -Infinity, "
+     "got nan"),
+])
+def test_cli_refuses_a_non_finite_float_before_writing_anything(
+        tmp_path, capsys, command, cfg, message):
+    out = tmp_path / "data"
+    out.mkdir()
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_cli_infinite_thresholds_turn_the_thresholds_off(tmp_path):
+    options = {**_QUIET, "n_thresh": math.inf, "lambda_thresh": -math.inf}
+    cfg = write_config(tmp_path, _with(_CONTINUE, ("continue", "options"), options))
+    assert main(["continue", "--config", cfg, "--out", str(tmp_path / "data")]) == 0
+    provenance = tmp_path / "data" / "dumbbell" / "001" / "branch001" / "provenance.json"
+    assert json.loads(provenance.read_text())["termination"] == "max_points"

@@ -730,3 +730,103 @@ def test_a_dumbbell_branch_orders_its_bordered_columns_once(tmp_path, monkeypatc
     assert len(orders) - len(bordered) == 1 + n_null  # the first bordered LU, the null vectors
     assert len(bordered) > 30
     assert all(o is bordered[0] for o in bordered)
+
+
+# --- the localization paths a shipped branch does not take ---
+
+def _locate_setup(sys_, lam_a, lam_b):
+    """Detection bracket on the trivial branch u = 0, from lam_a to lam_b."""
+    opts = quiet_opts(beta=1.0)
+    a = cont.BranchPoint(np.array([0.0]), lam_a, 0.0, 0.0)
+    b = cont.BranchPoint(np.array([0.0]), lam_b, 0.0, 0.0)
+    direction = (np.array([0.0]), 1.0)
+    fact_b = cont._bordered_factor(sys_, b.psi, b.lam, *direction, opts.beta)
+    return sys_, opts, a, b, direction, fact_b
+
+
+def _recording_corrector(monkeypatch, fail=lambda call: False):
+    """cont.corrector wrapped: records each predicted lambda and raises
+    CorrectorError on the calls (counted from 1) that fail selects."""
+    calls, real = [], cont.corrector
+
+    def corrector(sys_, opts, u_pred, lam_pred, t_u, t_lam):
+        calls.append(lam_pred)
+        if fail(len(calls)):
+            raise cont.CorrectorError("forced failure")
+        return real(sys_, opts, u_pred, lam_pred, t_u, t_lam)
+
+    monkeypatch.setattr(cont, "corrector", corrector)
+    return calls
+
+
+def test_localization_bisects_a_flat_crossing(monkeypatch):
+    # F = (lambda - c)^3 u: on u = 0 the bordered determinant is (lambda - c)^3,
+    # whose flat zero keeps the Illinois secant from halving the bracket
+    c = 0.3
+    sys_ = cont.ContinuationSystem(residual=lambda u, lam: (lam - c) ** 3 * u,
+                                   jacobian=lambda u, lam: np.array([[(lam - c) ** 3]]),
+                                   dlam=lambda u, lam: 3 * (lam - c) ** 2 * u)
+    calls = _recording_corrector(monkeypatch)
+    u, lam, v = cont.locate_branch_point(*_locate_setup(sys_, 0.0, 1.0))
+    assert abs(lam - c) <= 1e-7 and u[0] == 0.0 and v[0] == 1.0
+    # replay the bracket: lambda is the arclength fraction s on this branch
+    lo, hi, midpoints = 0.0, 1.0, 0
+    for x in calls:
+        midpoints += abs(x - 0.5 * (lo + hi)) <= 1e-9 * (hi - lo)
+        lo, hi = (x, hi) if x < c else (lo, x)
+    assert midpoints >= 1
+
+
+def test_localization_bisects_after_a_corrector_failure(monkeypatch):
+    calls = _recording_corrector(monkeypatch, fail=lambda call: call == 1)
+    u, lam, v = cont.locate_branch_point(*_locate_setup(pitchfork_system(), -0.3, 0.1))
+    # the first (secant) evaluation failed; the second sits at the bracket's middle
+    assert calls[0] != -0.1 and calls[1] == pytest.approx(-0.1, abs=1e-15)
+    assert abs(lam) <= 1e-15 and abs(v[0]) == 1.0
+
+
+def test_localization_ends_when_a_bisection_fails(monkeypatch):
+    calls = _recording_corrector(monkeypatch, fail=lambda call: True)
+    with pytest.raises(ContinuationError, match="corrector failed during branch-point"):
+        cont.locate_branch_point(*_locate_setup(pitchfork_system(), -0.3, 0.1))
+    assert len(calls) == 2 and calls[1] == pytest.approx(-0.1, abs=1e-15)
+
+
+def test_localization_ends_after_its_budget(monkeypatch):
+    # every evaluation takes the sign found at b, so the bracket shrinks toward
+    # a, and lies 1 off its predicted state, so the two ends never come within
+    # 1e-7 of each other
+    setup = _locate_setup(pitchfork_system(), -0.3, 0.1)
+    calls = []
+
+    def corrector(sys_, opts, u_pred, lam_pred, t_u, t_lam):
+        calls.append(lam_pred)
+        return u_pred + 1.0, lam_pred, setup[-1]
+
+    monkeypatch.setattr(cont, "corrector", corrector)
+    with pytest.raises(ContinuationError, match="exceeded its budget"):
+        cont.locate_branch_point(*setup)
+    assert len(calls) == 60
+
+
+def test_null_vector_factors_a_singular_jacobian_at_a_shifted_lambda():
+    calls = []
+
+    def jacobian(u, lam):
+        calls.append(lam)
+        return np.diag([lam - 1.0, 5.0])
+
+    sys_ = cont.ContinuationSystem(residual=None, jacobian=jacobian, dlam=None)
+    v = cont.null_vector(sys_, np.zeros(2), 1.0)
+    # J(1) has an empty first column, so J(1 + 2e-10) is factored instead
+    assert calls == [1.0, 1.0 + 2e-10]
+    assert sys_.inner(v, v) == pytest.approx(1.0) and v[0] > 0
+    assert np.linalg.norm(jacobian(None, 1.0) @ v) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["n_thresh", "lambda_thresh"])
+def test_options_refuse_a_nan_threshold_and_take_an_infinite_one(name):
+    with pytest.raises(ValueError, match="must not be NaN"):
+        ContinuationOptions(**{name: math.nan})
+    for off in (math.inf, -math.inf):
+        assert getattr(ContinuationOptions(**{name: off}), name) == off

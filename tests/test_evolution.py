@@ -480,3 +480,11 @@ def test_initial_constraint_warning_points_at_the_caller(run):
     with pytest.warns(UserWarning, match="vertex conditions") as record:
         run(p, np.ones(b.n_ext))
     assert record[0].filename == __file__
+
+
+@pytest.mark.parametrize("key", ["tau", "t_final"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_problem_refuses_a_non_finite_step_or_end_time(key, value):
+    b = discretize(from_template("ring"), "uniform")
+    with pytest.raises(EvolutionError, match=f"{key} must be positive and finite"):
+        EvolutionProblem(b, **{key: value})

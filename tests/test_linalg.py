@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from graphpde import build_graph, discretize, DIRICHLET, from_template
 from graphpde.linalg import (ColumnOrder, EigenSolverError, Factorization,
@@ -338,6 +339,63 @@ def test_reordered_factorization_is_bitwise_the_colamd_one(source):
         assert np.array_equal(reordered.solve(b), colamd.solve(b))
         assert reordered.det_sign == colamd.det_sign
         assert reordered.log_abs_det == colamd.log_abs_det
-        assert reordered.diag_ratio == colamd.diag_ratio
+        assert np.array_equal(reordered._diag, colamd._diag)
         # its own order is the one it was given
         assert np.array_equal(reordered.column_order.perm, order.perm)
+
+
+# --- the shift test and the eigenpair polish ---
+
+def _count_solves(monkeypatch):
+    """Counters of Factorization.solve calls and of the matvecs ARPACK asks for."""
+    counts = {"solve": 0, "matvec": 0}
+    real_solve, real_eigs = Factorization.solve, spla.eigs
+
+    def solve(self, b):
+        counts["solve"] += 1
+        return real_solve(self, b)
+
+    def eigs(op, **kw):
+        def matvec(v):
+            counts["matvec"] += 1
+            return op.matvec(v)
+        return real_eigs(spla.LinearOperator(op.shape, matvec=matvec, dtype=op.dtype), **kw)
+
+    monkeypatch.setattr(Factorization, "solve", solve)
+    monkeypatch.setattr(spla, "eigs", eigs)
+    return counts
+
+
+def test_the_polish_rescues_a_shift_close_to_an_eigenvalue(monkeypatch):
+    # 1e-8 above the second eigenvalue of the uniform Y graph (3.1e-9 times
+    # |sigma| from the spectrum, above the 1e-9 refusal), one of ARPACK's
+    # vectors misses the residual bound and one inverse-iteration step mends it
+    b = discretize(from_template("Y"), "uniform")
+    counts = _count_solves(monkeypatch)
+    lam, _ = generalized_eigs(b.lap_vc, b.interp_zero, 5)
+    # the one solve outside ARPACK infers the operator's dtype
+    assert counts["solve"] == counts["matvec"] + 1
+    counts.update(solve=0, matvec=0)
+    near, vecs = generalized_eigs(b.lap_vc, b.interp_zero, 5, sigma=lam[1] + 1e-8)
+    assert counts["solve"] == counts["matvec"] + 2  # and the polish
+    np.testing.assert_allclose(near, lam, rtol=1e-6)
+    amax = np.max(np.abs(b.lap_vc.data))
+    for mu, v in zip(near, vecs.T):
+        assert np.linalg.norm(v) == pytest.approx(1.0)
+        assert v[np.argmax(np.abs(v))] > 0
+        Av = b.lap_vc @ v
+        res = np.linalg.norm(Av - mu * (b.interp_zero @ v))
+        assert res <= 1e-8 * max(np.linalg.norm(Av), amax)
+
+
+def test_a_shift_is_refused_by_its_distance_to_the_computed_spectrum():
+    b = discretize(from_template("Y"), "uniform")
+    lam, _ = generalized_eigs(b.lap_vc, b.interp_zero, 4)
+    for off, refused in ((1e-10, True), (1e-8, False)):
+        sigma = lam[1] + off
+        if refused:
+            with pytest.raises(SingularMatrixError, match="lies on"):
+                generalized_eigs(b.lap_vc, b.interp_zero, 4, sigma=sigma)
+        else:
+            near, _ = generalized_eigs(b.lap_vc, b.interp_zero, 4, sigma=sigma)
+            np.testing.assert_allclose(near, lam, rtol=1e-6)

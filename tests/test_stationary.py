@@ -8,6 +8,7 @@ from graphpde import (DIRICHLET, NLSProblem, apply_function_to_edges, build_grap
                       mass, nls_jacobian, nls_problem, nls_residual, secular_det,
                       secular_matrix, solve_newton, solve_poisson)
 from graphpde.graphs import TEMPLATES
+from graphpde.linalg import SingularMatrixError
 from graphpde.stationary import (NewtonError, NullspaceError, SecularError,
                                  _eigenvalue_counts, secular_function,
                                  secular_singular_values)
@@ -459,3 +460,51 @@ def test_general_sigma_nonlinearity(make):
     assert np.allclose(p.fprime(z), 15.0 * np.abs(z) ** 4)
     with pytest.raises(ValueError, match="f.0. = 0"):
         nls_problem(b, f=lambda z: z + 1.0, fprime=lambda z: 1.0)
+
+
+# --- the eigen-shift is refused by the computed spectrum, not by U's pivots ---
+
+def _multiscale_star():
+    """A Kirchhoff star whose edges span four decades: the short edge's
+    Chebyshev blocks are scaled by (2/l)^2 = 4e8."""
+    return build_graph([1, 1, 1], [2, 3, 4], [1e-4, 1.0, 3.0], nx=[25, 27, 29])
+
+
+@pytest.mark.parametrize("sigma", [0.01, -0.3])
+def test_multiscale_star_chebyshev_spectrum_matches_the_counting_scan(sigma):
+    g = _multiscale_star()
+    lam, vecs = eigs(discretize(g, "chebyshev"), 5, sigma=sigma)
+    nonzero = np.sort(lam[np.abs(lam) > 1e-6])
+    ks = [k for k, mult in find_spectrum_secular(g, 3.2) for _ in range(mult)]
+    assert len(nonzero) == len(ks) == 4
+    np.testing.assert_allclose(nonzero, np.sort(-np.array(ks) ** 2), rtol=1e-7)
+
+
+@pytest.mark.parametrize("sigma", [0.01, -0.3])
+def test_multiscale_star_uniform_solves(sigma):
+    lam, _ = eigs(discretize(_multiscale_star(), "uniform"), 5, sigma=sigma)
+    assert lam.shape == (5,) and abs(lam[0]) < 1e-6
+
+
+_SMALL_GALLERY = [("interval", {}), ("Y", {}), ("star", {}), ("dumbbell", {}), ("lasso", {}),
+                  ("ring", {}), ("tetrahedron", {}), ("bubbleTower", {}),
+                  ("necklace", {"n_pairs": 5})]
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "chebyshev"])
+@pytest.mark.parametrize("tag, overrides", _SMALL_GALLERY)
+def test_a_shift_on_a_computed_eigenvalue_is_refused(tag, overrides, scheme):
+    b = discretize(from_template(tag, **overrides), scheme)
+    lam, vecs = eigs(b, 4)
+    for j, sigma in enumerate(lam):
+        with pytest.raises(SingularMatrixError, match="lies on"):
+            eigs(b, 4, sigma=float(sigma))
+        # the returned sign: the largest entry of each eigenvector is positive
+        assert vecs[np.argmax(np.abs(vecs[:, j])), j] > 0
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_nls_problem_refuses_a_non_finite_sigma(sigma):
+    b = discretize(from_template("Y"), "uniform")
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        NLSProblem(b, sigma=sigma)
