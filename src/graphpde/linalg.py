@@ -6,7 +6,8 @@ the determinant read from the sparse LU factors: its sign (permutation
 parities times diagonal signs) and the log of its magnitude (the sum of
 log |U_ii|).  The continuation code monitors the sign for bifurcations and
 localizes branch points on the signed determinant.  ``generalized_eigs``
-refuses a shift by the eigenvalues it computes, never by U's pivots.
+runs ARPACK with scipy's default basis of about 2m vectors, and refuses a
+shift by the eigenvalues it computes, never by U's pivots.
 
 SuperLU orders the columns by COLAMD, postordered by the elimination tree,
 and ``column_order`` exposes that order.  ``Factorization(B, order)``
@@ -170,9 +171,9 @@ _EIG_RESIDUAL_TOL = 1e-8  # relative residual bound on a returned eigenpair
 
 
 def fix_phase(v):
-    """v divided by the phase of its largest-magnitude entry, making that entry positive."""
-    k = int(np.argmax(np.abs(v)))
-    return v / (v[k] / abs(v[k]))
+    """v, or each column of v, over the phase of its largest entry, which turns positive."""
+    top = np.take_along_axis(v, np.argmax(np.abs(v), axis=0)[None], axis=0)
+    return v / (top / np.abs(top))
 
 
 def generalized_eigs(A, B, m: int, sigma: float = 1e-2):
@@ -180,35 +181,38 @@ def generalized_eigs(A, B, m: int, sigma: float = 1e-2):
 
     B may be singular (zero constraint rows); the infinite eigenvalues of
     the pencil are excluded structurally by iterating on (A - sigma B)^-1 B,
-    whose null directions they occupy.  Eigenvalues are sorted by ascending
-    magnitude (ties by value); imaginary parts below 1e-8 (1 + |lambda|)
-    are truncated to zero.  Each vector has unit 2-norm and its largest
-    entry real and positive.  SingularMatrixError means sigma lies on the
-    spectrum: A - sigma B has a zero pivot, or the nearest eigenvalue is
-    within 1e-9 max(1, |sigma|) of sigma.
+    whose null directions they occupy.  ARPACK takes scipy's default basis
+    of min(n, max(2m + 1, 20)) vectors, one solve per Arnoldi step.
+    Eigenvalues are sorted by ascending magnitude (ties by value); imaginary
+    parts below 1e-8 (1 + |lambda|) are truncated to zero.  Each vector has
+    unit 2-norm and its largest entry real and positive.  The residuals are
+    tested on the whole block (one product by A, one by B); the pairs above
+    the bound get one inverse-iteration step, all in one solve.
+    SingularMatrixError means sigma lies on the spectrum: A - sigma B has a
+    zero pivot, or the nearest eigenvalue is within 1e-9 max(1, |sigma|).
     """
     n = A.shape[0]
     if m < 1 or m >= n:
         raise ValueError(f"need 1 <= m < {n}, got {m}")
-    A = sp.csr_matrix(A)
-    B = sp.csr_matrix(B)
+    A, B = sp.csr_matrix(A), sp.csr_matrix(B)
+    amax = float(np.max(np.abs(A.data), initial=0.0))
     fact = factorize(A - sigma * B)
 
     if m > n - 3:
         # ARPACK needs k < n - 1; near that limit take every eigenvalue
         nu, V = sla.eig(fact.solve(B.toarray()))
     else:
-        op = spla.LinearOperator((n, n), matvec=lambda v: fact.solve(B @ v))
+        # with its dtype given, scipy spends no solve probing the operator
+        op = spla.LinearOperator((n, n), matvec=lambda v: fact.solve(B @ v),
+                                 dtype=complex if fact._complex else float)
         v0 = np.random.default_rng(1729).standard_normal(n)
-        ncv = min(n, max(4 * m + 10, 40))
         try:
-            nu, V = spla.eigs(op, k=m, which="LM", v0=v0, ncv=ncv)
+            nu, V = spla.eigs(op, k=m, which="LM", v0=v0)
         except spla.ArpackNoConvergence as exc:
             raise EigenSolverError(f"eigensolver did not converge: {exc}") from exc
 
     order = np.argsort(-np.abs(nu))[:m]
-    nu = nu[order]
-    V = V[:, order]
+    nu, V = nu[order], V[:, order]
     # sigma + 1/nu[0] is the computed eigenvalue nearest sigma
     if abs(nu[0]) * 1e-9 * max(1.0, abs(sigma)) >= 1.0:
         raise SingularMatrixError(
@@ -219,35 +223,30 @@ def generalized_eigs(A, B, m: int, sigma: float = 1e-2):
 
     small = np.abs(lam.imag) <= 1e-8 * (1.0 + np.abs(lam))
     lam = np.where(small, lam.real + 0.0j, lam)
-
-    vecs = np.empty((n, m), dtype=complex)
-    for j in range(m):
-        # once the dominant entry is real, a negligible imaginary part goes
-        v = fix_phase(V[:, j])
-        if small[j] and np.max(np.abs(v.imag)) <= 1e-8 * np.max(np.abs(v.real)):
-            v = v.real + 0.0j
-        vecs[:, j] = v / np.linalg.norm(v)
-
     order = np.lexsort((lam.real, np.abs(lam)))
-    lam = lam[order]
-    vecs = vecs[:, order]
+    lam, small, vecs = lam[order], small[order], fix_phase(V[:, order])
+    # once the dominant entry is real, a negligible imaginary part goes
+    real = small & (np.max(np.abs(vecs.imag), axis=0) <= 1e-8 * np.max(np.abs(vecs.real), axis=0))
+    vecs[:, real] = vecs[:, real].real
+    vecs /= np.linalg.norm(vecs, axis=0)
 
-    amax = float(np.max(np.abs(A.data), initial=0.0))
-
-    def residual(j):
+    def residuals(V, lam):
         # relative to ||A v||, floored at the matrix scale: at the zero
         # eigenvalue ||A v|| itself is pure roundoff
-        Av = A @ vecs[:, j]
-        return np.linalg.norm(Av - lam[j] * (B @ vecs[:, j])) / max(np.linalg.norm(Av), amax)
+        AV = A @ V
+        return (np.linalg.norm(AV - lam * (B @ V), axis=0)
+                / np.maximum(np.linalg.norm(AV, axis=0), amax))
 
-    for j in range(m):
-        if residual(j) > _EIG_RESIDUAL_TOL:
-            # one inverse-iteration polish before giving up
-            v = fact.solve(B @ vecs[:, j])
-            vecs[:, j] = fix_phase(v / np.linalg.norm(v))
-            if residual(j) > _EIG_RESIDUAL_TOL:
-                raise EigenSolverError(
-                    f"eigenpair {j} relative residual {residual(j):.2e} exceeds tolerance")
+    res = residuals(vecs, lam)
+    bad = res > _EIG_RESIDUAL_TOL
+    if bad.any():
+        # one inverse-iteration polish before giving up
+        W = fact.solve(B @ vecs[:, bad])
+        vecs[:, bad] = fix_phase(W / np.linalg.norm(W, axis=0))
+        res[bad] = residuals(vecs[:, bad], lam[bad])
+    if np.any(res > _EIG_RESIDUAL_TOL):
+        j = int(np.argmax(res > _EIG_RESIDUAL_TOL))
+        raise EigenSolverError(f"eigenpair {j} relative residual {res[j]:.2e} exceeds tolerance")
 
     if np.all(lam.imag == 0.0):
         lam = lam.real

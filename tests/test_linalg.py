@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -9,6 +10,7 @@ from graphpde import build_graph, discretize, DIRICHLET, from_template
 from graphpde.linalg import (ColumnOrder, EigenSolverError, Factorization,
                              SingularMatrixError, det_sign, factorize, generalized_eigs,
                              permutation_parity, solve)
+from tests_support import eigs_pencils
 
 
 def cofactor_det(A):
@@ -373,11 +375,11 @@ def test_the_polish_rescues_a_shift_close_to_an_eigenvalue(monkeypatch):
     b = discretize(from_template("Y"), "uniform")
     counts = _count_solves(monkeypatch)
     lam, _ = generalized_eigs(b.lap_vc, b.interp_zero, 5)
-    # the one solve outside ARPACK infers the operator's dtype
-    assert counts["solve"] == counts["matvec"] + 1
+    # the operator carries its dtype: every solve is one of ARPACK's matvecs
+    assert counts["solve"] == counts["matvec"]
     counts.update(solve=0, matvec=0)
     near, vecs = generalized_eigs(b.lap_vc, b.interp_zero, 5, sigma=lam[1] + 1e-8)
-    assert counts["solve"] == counts["matvec"] + 2  # and the polish
+    assert counts["solve"] == counts["matvec"] + 1  # and the polish
     np.testing.assert_allclose(near, lam, rtol=1e-6)
     amax = np.max(np.abs(b.lap_vc.data))
     for mu, v in zip(near, vecs.T):
@@ -399,3 +401,46 @@ def test_a_shift_is_refused_by_its_distance_to_the_computed_spectrum():
         else:
             near, _ = generalized_eigs(b.lap_vc, b.interp_zero, 4, sigma=sigma)
             np.testing.assert_allclose(near, lam, rtol=1e-6)
+
+
+# --- ARPACK's basis: scipy's default, min(n, max(2m + 1, 20)) vectors ---
+
+def test_the_default_basis_takes_fewer_solves_on_the_y_graph(monkeypatch):
+    # the basis of max(4m + 10, 40) vectors took 42 solves here (41 matvecs
+    # and the dtype probe); a regrowing basis shows up as this count
+    b = discretize(from_template("Y", nx=40), "uniform")
+    counts = _count_solves(monkeypatch)
+    generalized_eigs(b.lap_vc, b.interp_zero, 7)
+    assert counts["solve"] == counts["matvec"] < 42
+
+
+def test_generalized_eigs_matches_a_dense_eig_of_the_shifted_operator():
+    # the m eigenvalues nearest the shift of (A - sigma B)^-1 B, from a dense eig
+    sigma = 1e-2
+    for name, b, m in eigs_pencils():
+        n = b.lap_vc.shape[0]
+        if n > 300:
+            continue
+        lam, _ = generalized_eigs(b.lap_vc, b.interp_zero, m, sigma=sigma)
+        op = np.linalg.solve((b.lap_vc - sigma * b.interp_zero).toarray(), b.interp_zero.toarray())
+        nu = sla.eig(op, right=False)
+        ref = sigma + 1.0 / nu[np.argsort(-np.abs(nu))[:m]]
+        assert np.max(np.abs(ref.imag) / np.maximum(1.0, np.abs(ref))) <= 1e-9, name
+        ref = np.sort(ref.real)
+        err = np.abs(np.sort(np.real(lam)) - ref)
+        assert np.max(err / np.maximum(1.0, np.abs(ref))) <= 1e-9, name
+        if name.startswith("Y uniform"):
+            # the double eigenvalue -pi^2 of the Y graph comes back as a pair
+            pair = lam[np.abs(lam + math.pi**2) < 0.1]
+            assert pair.size == 2 and abs(pair[0] - pair[1]) <= 1e-9 * math.pi**2, name
+
+
+def test_arpack_no_convergence_is_an_eigen_solver_error(monkeypatch):
+    def eigs(op, k, **kw):
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence",
+                                       np.zeros(0), np.zeros((op.shape[0], 0)))
+
+    monkeypatch.setattr(spla, "eigs", eigs)
+    b = discretize(from_template("Y"), "uniform")
+    with pytest.raises(EigenSolverError, match="did not converge"):
+        generalized_eigs(b.lap_vc, b.interp_zero, 4)

@@ -12,6 +12,7 @@ from graphpde.linalg import SingularMatrixError
 from graphpde.stationary import (NewtonError, NullspaceError, SecularError,
                                  _eigenvalue_counts, secular_function,
                                  secular_singular_values)
+from tests_support import SECULAR_GALLERY
 
 
 def five_edge_poisson(nx, scheme):
@@ -156,13 +157,6 @@ def test_secular_det_scalar_api():
     g = build_graph([1], [2], math.pi, robin_coeffs=[DIRICHLET, DIRICHLET])
     assert abs(secular_det(g, 1.0)) < 1e-12
     assert abs(secular_det(g, 0.5)) > 1e-3
-
-
-# unit-weight, potential-free gallery with k_max inside a spectral gap
-SECULAR_GALLERY = (("interval", {}, 7.0), ("star", {}, 5.5), ("Y", {}, 2 * math.pi + 0.1),
-                   ("dumbbell", {}, 2.6), ("lasso", {}, 2.9), ("ring", {}, 2.5),
-                   ("tetrahedron", {}, 5.0), ("bubbleTower", {}, 1.16),
-                   ("necklace", {"n_pairs": 3}, 2.45), ("necklace", {"n_pairs": 5}, 2.8))
 
 
 def test_secular_matrix_array_k_matches_scalar_calls():

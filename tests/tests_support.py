@@ -1,5 +1,13 @@
 """Shared brute-force oracles for the test suite."""
+import math
+
 import numpy as np
+
+# unit-weight, potential-free gallery with k_max inside a spectral gap
+SECULAR_GALLERY = (("interval", {}, 7.0), ("star", {}, 5.5), ("Y", {}, 2 * math.pi + 0.1),
+                   ("dumbbell", {}, 2.6), ("lasso", {}, 2.9), ("ring", {}, 2.5),
+                   ("tetrahedron", {}, 5.0), ("bubbleTower", {}, 1.16),
+                   ("necklace", {"n_pairs": 3}, 2.45), ("necklace", {"n_pairs": 5}, 2.8))
 
 
 def cofactor_det(A):
@@ -67,4 +75,43 @@ def localization_report():
         lines.append(f"{scheme} dumbbell (ds=0.05): {sum(calls)} localization corrector "
                      f"calls for {len(calls)} branch points "
                      f"({sum(calls) / max(len(calls), 1):.1f} per branch point; {calls})")
+    return "\n".join(lines)
+
+
+def eigs_pencils():
+    """(name, bundle, m) of the uniform Y graph (nx=40, m = 7) and of the Chebyshev
+    secular gallery, at the grids and m of its cross-validation against the scan."""
+    from graphpde import discretize, from_template
+
+    yield "Y uniform nx=40", discretize(from_template("Y", nx=40), "uniform"), 7
+    for tag, kw, k_max in SECULAR_GALLERY:
+        g0 = from_template(tag, **kw)
+        g = from_template(tag, nx=[24 + math.ceil(1.5 * k_max * e.length) for e in g0.edges], **kw)
+        m = math.ceil(sum(e.length for e in g.edges) * k_max / math.pi) + g.num_edges + 4
+        name = tag + "".join(f" {k}={v}" for k, v in kw.items())
+        yield f"{name} chebyshev", discretize(g, "chebyshev"), m
+
+
+def arpack_report():
+    """One line per eigs call on eigs_pencils: n, m and the Factorization.solve calls made."""
+    from graphpde import eigs, linalg
+
+    real_solve = linalg.Factorization.solve
+    count = [0]
+
+    def counting_solve(self, b):
+        count[0] += 1
+        return real_solve(self, b)
+
+    lines, total = [], 0
+    linalg.Factorization.solve = counting_solve
+    try:
+        for name, bundle, m in eigs_pencils():
+            count[0] = 0
+            eigs(bundle, m)
+            total += count[0]
+            lines.append(f"{name}: n {bundle.lap_vc.shape[0]}, m {m}, {count[0]} solves")
+    finally:
+        linalg.Factorization.solve = real_solve
+    lines.append(f"total: {total} solves in {len(lines)} eigs calls")
     return "\n".join(lines)
