@@ -195,7 +195,10 @@ def _cmd_continue(args, raw, cfg, graph) -> tuple[Path, dict]:
     bundle = discretize(graph, args.scheme)
     cc = cfg["continue"]
     opts = cont.ContinuationOptions(**{k: v for k, v in cc["options"].items() if v is not None})
-    problem = stationary.nls_problem(bundle, sigma=cc["sigma"])
+    try:
+        problem = stationary.nls_problem(bundle, sigma=cc["sigma"])
+    except ValueError as exc:  # a negative sigma, refused before any output
+        raise ConfigError(f"config.continue: 'sigma': {exc}") from exc
     sys_ = cont.nls_system(problem, make_context(bundle))
     start, axes = cc["from"], tuple(cc["axes"])
     # checked before any output: the start's keys, the amplitude, the index, the

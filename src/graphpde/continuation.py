@@ -632,10 +632,7 @@ def continue_from_saved(run_dir, sys: ContinuationSystem, name: str,
     opts = opts or ContinuationOptions()
     psi, lam = load_standing_wave(run_dir, sys.bundle, name)
     psi = _polish(sys, psi, lam, opts)
-    t_u, t_lam = tangent_at(sys, psi, lam, np.zeros_like(psi),
-                            math.copysign(1.0, direction), opts.beta)
-    # normalized again, as continue_branch normalizes any given tangent
-    t = _normalized(sys, t_u, t_lam, opts.beta)
+    t = tangent_at(sys, psi, lam, np.zeros_like(psi), math.copysign(1.0, direction), opts.beta)
     return _run_and_save(run_dir, sys, opts, [_make_point(sys, psi, lam, *t)], t,
                          {"kind": "saved", "name": name})
 

@@ -272,22 +272,14 @@ def find_spectrum_secular(graph: MetricGraph, k_max: float):
 # ---------------------------------------------------------------------------
 # stationary NLS
 
-def _default_f(z):
-    return 2.0 * z**3
-
-
-def _default_fprime(z):
-    return 6.0 * z**2
-
-
 @dataclass(frozen=True, eq=False)
 class NLSProblem:
     """Stationary NLS data: bundle, nonlinearity power, f and f'.
 
     Give both f and fprime or neither; left out, they are the power law
-    (sigma + 1) |z|^(2 sigma) z and its derivative, the cubic 2 z^3, 6 z^2
-    at sigma = 1.  f(0) = 0 is required so that linear eigenfunctions
-    continue from the zero solution.
+    (sigma + 1) |z|^(2 sigma) z and its derivative, for any finite sigma >= 0
+    (ValueError otherwise).  f(0) = 0 is required, and NaN fails it, so that
+    linear eigenfunctions continue from the zero solution.
     """
 
     bundle: OperatorBundle
@@ -298,16 +290,14 @@ class NLSProblem:
     def __post_init__(self):
         if (self.f is None) != (self.fprime is None):
             raise ValueError("provide both f and fprime, or neither")
-        if not math.isfinite(self.sigma):
-            raise ValueError(f"sigma must be finite, got {self.sigma}")
+        s = self.sigma
+        if not (math.isfinite(s) and s >= 0.0):
+            raise ValueError(f"sigma must be finite and at least 0, got {s}")
         if self.f is None:
-            s = self.sigma
-            f, fprime = ((_default_f, _default_fprime) if s == 1.0 else
-                         (lambda z: (s + 1.0) * np.abs(z) ** (2.0 * s) * z,
-                          lambda z: (s + 1.0) * (2.0 * s + 1.0) * np.abs(z) ** (2.0 * s)))
-            object.__setattr__(self, "f", f)
-            object.__setattr__(self, "fprime", fprime)
-        if abs(float(self.f(0.0))) > 0.0:
+            object.__setattr__(self, "f", lambda z: (s + 1.0) * np.abs(z) ** (2.0 * s) * z)
+            object.__setattr__(self, "fprime",
+                               lambda z: (s + 1.0) * (2.0 * s + 1.0) * np.abs(z) ** (2.0 * s))
+        if float(self.f(0.0)) != 0.0:
             raise ValueError("nonlinearity must satisfy f(0) = 0")
 
     @cached_property

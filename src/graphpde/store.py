@@ -14,8 +14,8 @@ In a run directory every state is a float64 .npy, read back through
 _load_states, and every scalar a %.17g CSV, read back through _load_scalars.
 No file records the time.  Every reader checks the run's hash against the
 bundle first; StaleLayoutError marks another discretization or an older
-layout.  Every text file is written through write_text_atomic, except in a
-branch directory, which is staged whole.
+layout.  Every file is written through write_atomic, except in a branch
+directory, which is staged whole.
 """
 from __future__ import annotations
 
@@ -41,18 +41,26 @@ class StaleLayoutError(ContinuationError):
     pass
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write text to a temporary file beside path, then rename it over path."""
+def write_atomic(path, data) -> None:
+    """Write text, or an array as .npy, to a temporary file beside path, then
+    rename it over path; a write that raises leaves path and no temporary file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            if isinstance(data, str):
+                fh.write(data.encode())
+            else:  # to an open file, np.save appends no '.npy'
+                np.save(fh, data, allow_pickle=False)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_json(path, obj, sort_keys: bool = False) -> None:
     """Write obj as JSON with one-space indents, atomically."""
-    write_text_atomic(path, json.dumps(obj, indent=1, sort_keys=sort_keys))
+    write_atomic(path, json.dumps(obj, indent=1, sort_keys=sort_keys))
 
 
 def scalar_csv_text(rows, header=None) -> str:
@@ -69,7 +77,7 @@ def scalar_csv_text(rows, header=None) -> str:
 
 def save_scalar_csv(path, rows, header=None) -> None:
     """Write scalar_csv_text(rows, header) to path atomically."""
-    write_text_atomic(path, scalar_csv_text(rows, header))
+    write_atomic(path, scalar_csv_text(rows, header))
 
 
 def save_state_csv(bundle: OperatorBundle, states, paths) -> None:
@@ -86,7 +94,7 @@ def save_state_csv(bundle: OperatorBundle, states, paths) -> None:
         for row in zip(edge.tolist(), np.concatenate(bundle.grid.x_ext).tolist()))
     for column, path in list(zip(z.T, paths, strict=True)):  # the count checked first
         values = np.column_stack((column.real, column.imag)).ravel().tolist()
-        write_text_atomic(path, body % tuple(values))
+        write_atomic(path, body % tuple(values))
 
 
 def load_state_csv(bundle: OperatorBundle, path) -> np.ndarray:
@@ -175,7 +183,7 @@ def save_eigenfunctions(run_dir, bundle: OperatorBundle, count: int):
     lam, vecs = eigs(bundle, count)
     edir = Path(run_dir) / "eigenfunctions"
     save_scalar_csv(edir / "eigenvalues.csv", np.real(lam))  # creates edir
-    np.save(edir / "eigenfunctions.npy", np.real(vecs).T, allow_pickle=False)
+    write_atomic(edir / "eigenfunctions.npy", np.real(vecs).T)
     return lam, vecs
 
 
@@ -194,9 +202,8 @@ def save_standing_wave(run_dir, bundle: OperatorBundle, psi, lam: float) -> str:
     """Save a wave's n_ext real values as the first free saved/wave_NNN; returns that name."""
     check_run_layout(run_dir, bundle)
     sdir = Path(run_dir) / "saved"
-    sdir.mkdir(exist_ok=True)
     name = f"wave_{_first_free(lambda k: sdir / f'wave_{k:03d}_psi.npy'):03d}"
-    np.save(sdir / f"{name}_psi.npy", np.real(psi).astype(float).reshape(bundle.n_ext))
+    write_atomic(sdir / f"{name}_psi.npy", np.real(psi).astype(float).reshape(bundle.n_ext))
     save_scalar_csv(sdir / f"{name}_lambda.csv", [lam])
     return name
 

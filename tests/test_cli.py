@@ -782,6 +782,15 @@ def test_cli_refuses_a_non_finite_float_before_writing_anything(
     assert list(out.iterdir()) == []
 
 
+def test_cli_refuses_a_negative_sigma_before_writing_anything(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"template": "dumbbell", "continue": {"sigma": -0.5}})
+    out = tmp_path / "data"
+    assert main(["continue", "--config", cfg, "--out", str(out)]) == 2
+    assert ("config.continue: 'sigma': sigma must be finite and at least 0, got -0.5"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_cli_infinite_thresholds_turn_the_thresholds_off(tmp_path):
     options = {**_QUIET, "n_thresh": math.inf, "lambda_thresh": -math.inf}
     cfg = write_config(tmp_path, _with(_CONTINUE, ("continue", "options"), options))

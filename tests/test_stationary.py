@@ -502,3 +502,29 @@ def test_nls_problem_refuses_a_non_finite_sigma(sigma):
     b = discretize(from_template("Y"), "uniform")
     with pytest.raises(ValueError, match="sigma must be finite"):
         NLSProblem(b, sigma=sigma)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0, 2.0, 3.0])
+def test_the_power_law_vanishes_at_zero_and_fprime_is_its_derivative(sigma):
+    p = NLSProblem(discretize(from_template("Y"), "uniform"), sigma=sigma)
+    assert p.f(0.0) == 0.0
+    z = np.array([-2.0, -1.3, -0.4, 0.3, 0.9, 1.7])
+    h = 1e-5
+    central = (p.f(z + h) - p.f(z - h)) / (2.0 * h)
+    np.testing.assert_allclose(p.fprime(z), central, rtol=1e-6)
+
+
+def test_the_power_law_at_sigma_one_is_the_cubic():
+    p = NLSProblem(discretize(from_template("Y"), "uniform"), sigma=1.0)
+    z = np.random.default_rng(7).standard_normal(5000)
+    cubic = 2.0 * z**3
+    assert np.all(np.abs(p.f(z) - cubic) <= np.spacing(np.abs(cubic)))
+    assert np.array_equal(p.fprime(z), 6.0 * z**2)
+
+
+def test_nls_problem_refuses_a_negative_sigma_and_a_nan_at_zero():
+    b = discretize(from_template("Y"), "uniform")
+    with pytest.raises(ValueError, match="sigma must be finite and at least 0, got -0.5"):
+        NLSProblem(b, sigma=-0.5)
+    with pytest.raises(ValueError, match="f.0. = 0"):
+        NLSProblem(b, f=lambda z: z * math.nan, fprime=lambda z: 1.0)

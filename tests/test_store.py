@@ -177,6 +177,25 @@ def test_a_wave_of_another_length_is_refused_when_saved(tmp_path):
                                                                   f"{name}_psi.npy"]
 
 
+def test_a_seed_write_that_raises_leaves_the_previous_file_and_no_tmp(tmp_path, monkeypatch):
+    b, run, name = _seed_run(tmp_path)
+    edir, sdir = run / "eigenfunctions", run / "saved"
+    before = {p: p.read_bytes() for d in (edir, sdir) for p in d.iterdir()}
+
+    def partial_save(fh, array, **kwargs):
+        fh.write(b"\x93NUMPY")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "save", partial_save)
+    with pytest.raises(OSError, match="disk full"):
+        store.save_eigenfunctions(run, b, 3)
+    with pytest.raises(OSError, match="disk full"):
+        store.save_standing_wave(run, b, np.full(b.n_ext, 0.25), -0.25)
+    monkeypatch.undo()
+    assert {p: p.read_bytes() for d in (edir, sdir) for p in d.iterdir()} == before
+    assert store.load_standing_wave(run, b, name)[1] == -0.5
+
+
 def test_scalar_files_parse_bit_for_bit_as_loadtxt_reads_them(tmp_path):
     b = discretize(from_template("dumbbell"), "uniform")
     sys_ = cont.nls_system(nls_problem(b), make_context(b))
