@@ -203,7 +203,8 @@ def _cmd_continue(args, raw, cfg, graph) -> tuple[Path, dict]:
     start, axes = cc["from"], tuple(cc["axes"])
     # checked before any output: the start's keys, the amplitude, the index, the
     # sign and the count
-    needs = {"branch_point": ("branch", "point"), "saved": ("name",), "end": ("branch",)}
+    needs = {"branch_point": ("branch", "point", "run_dir"), "saved": ("name", "run_dir"),
+             "end": ("branch", "run_dir")}
     missing = [key for key in needs.get(start, ()) if cc[key] is None]
     if missing:
         raise ConfigError(f"config.continue: from {start!r} needs the {missing[0]!r} key")

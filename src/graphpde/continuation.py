@@ -9,15 +9,17 @@ predictor and a Newton corrector on the bordered system
 where <.,.> is the problem's inner product and (t_u, t_lambda) the current
 unit tangent in the beta-metric.  Each Newton iterate factors the bordered
 matrix once; the corrector steps with that factorization and returns it at
-convergence, so its determinant costs no extra LU.  A system's bordered
-matrices share one pattern as long as J's does: the first is factored with
-COLAMD, and every later one is gathered straight into that factorization's
-column order and factored without reordering (see linalg), which gives
-bitwise the same LU.  One rule rejects a
-step: when the corrector fails, the step has zero length, or the turn
-angle exceeds maxTheta, the step length halves, and the branch ends once
-it falls below min_norm_delta.  The step length grows by 1.3x (capped at
-8x the initial step) when the turn angle stays below maxTheta/2.
+convergence, so its determinant costs no extra LU.  J's duplicate entries
+are summed first; then one numbered layout per pattern of J says where
+each bordered entry lives, every border entry stored, and each bordered
+matrix is one gather from it.  The pattern's first is factored with
+COLAMD, and every later one is gathered straight into that column order
+and factored without reordering (see linalg), which gives bitwise the
+same LU.  One rule rejects a step: when the corrector fails, the step has
+zero length, or the turn angle exceeds maxTheta, the step length halves,
+and the branch ends once it falls below min_norm_delta.  The step length
+grows by 1.3x (capped at 8x the initial step) when the turn angle stays
+below maxTheta/2.
 
 Two determinant signs are monitored at every accepted point: branch
 points flip the sign of the bordered Jacobian determinant and are
@@ -154,7 +156,7 @@ class ContinuationSystem:
     energy: Callable = lambda u, lam: 0.0
     bundle: OperatorBundle | None = None
     problem: NLSProblem | None = None
-    # where _bordered_factor puts each entry, kept from the first bordered LU
+    # where _bordered_factor gathers each entry from, for the last pattern of J
     _bordered_layout: _BorderedLayout | None = field(default=None, init=False, repr=False)
 
     def inner(self, u, v) -> float:
@@ -193,77 +195,53 @@ def _normalized(sys, du, dlam, beta):
     return du / n, dlam / n
 
 
-def _bordered_matrix(J, col, row, corner):
-    """CSC of [[J, col], [row, corner]], assembled from J's CSC arrays.
-
-    Column j of J keeps its entries and gains row[j] at row n, so every
-    entry moves j places along; the last column is stored in full.
-    """
-    J = sp.csc_matrix(J)
-    n = J.shape[0]
-    shift = np.arange(n + 1, dtype=J.indptr.dtype)
-    indptr = np.append(J.indptr + shift, J.indptr[-1] + 2 * n + 1)
-    border = indptr[1:n + 1] - 1
-    moved = np.ones(indptr[n], dtype=bool)
-    moved[border] = False
-    dtype = np.result_type(J.data, col, row, corner)
-    data = np.empty(indptr[-1], dtype=dtype)
-    indices = np.empty(indptr[-1], dtype=J.indices.dtype)
-    data[:indptr[n]][moved] = J.data
-    indices[:indptr[n]][moved] = J.indices
-    data[border] = row
-    indices[border] = n
-    data[indptr[n]:] = np.append(col, corner)
-    indices[indptr[n]:] = shift
-    return sp.csc_matrix((data, indices, indptr), shape=(n + 1, n + 1))
-
-
 class _BorderedLayout(NamedTuple):
-    """Where a bordered matrix's entries go, for one pattern of J.
+    """One pattern of J, and its bordered CSC numbered in a column order.
 
-    Entry k of the bordered CSC, in the column order of the first
-    factorization, is values[gather[k]] with values = [J.data, row, col,
-    corner].
+    Entry k of the bordered matrix, in the column order of the pattern's
+    first factorization, is values[numbered.data[k] - 1] with values =
+    [J.data, row, col, corner].
     """
 
     j_indptr: np.ndarray
     j_indices: np.ndarray
-    gather: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
+    numbered: sp.csc_matrix
     order: linalg.ColumnOrder
 
 
-def _bordered_layout(J, order):
-    """The layout of J's bordered matrices, from _bordered_matrix on entry numbers."""
-    n, nnz = J.shape[0], J.nnz
-    numbered = _bordered_matrix(sp.csc_matrix((np.arange(nnz), J.indices, J.indptr), J.shape),
-                                np.arange(nnz + n, nnz + 2 * n), np.arange(nnz, nnz + n),
-                                nnz + 2 * n)[:, order.perm]
-    return _BorderedLayout(J.indptr.copy(), J.indices.copy(), numbered.data, numbered.indptr,
-                           numbered.indices, order)
+def _gathered(values, numbered):
+    return sp.csc_matrix((values[numbered.data - 1], numbered.indices, numbered.indptr),
+                         shape=numbered.shape)
 
 
 def _bordered_factor(sys, u, lam, t_u, t_lam, beta):
-    """LU of the bordered matrix; every one after the first reuses its column order.
+    """LU of the bordered matrix [[J, col], [row, corner]], gathered from one numbered layout.
 
-    The layout is rebuilt by a fresh (COLAMD) factorization whenever J's
-    pattern is not the one it was made for.
+    J's duplicate entries are summed first.  Once per pattern of J, one
+    sp.bmat numbers the bordered matrix's entries from 1, so none is dropped
+    and every border entry stays stored, zeros too.  The pattern's first LU
+    is gathered in natural order and factored with COLAMD; every later one
+    is gathered straight into that order and factored without reordering.
     """
     J = sys.jacobian(u, lam)
     J = J.tocsc() if sp.issparse(J) else sp.csc_matrix(J)
-    row = t_u if sys.weights is None else sys.weights * t_u
-    col, corner = sys.dlam(u, lam), beta * t_lam
+    J.sum_duplicates()
+    values = np.concatenate([J.data, t_u if sys.weights is None else sys.weights * t_u,
+                             sys.dlam(u, lam), [beta * t_lam]])
     lay = sys._bordered_layout
-    if (lay is None or not np.array_equal(J.indptr, lay.j_indptr)
-            or not np.array_equal(J.indices, lay.j_indices)):
-        fact = linalg.factorize(_bordered_matrix(J, col, row, corner))
-        sys._bordered_layout = _bordered_layout(J, fact.column_order)
-        return fact
-    values = np.concatenate([J.data, row, col, [corner]])
-    n = J.shape[0] + 1
-    return linalg.Factorization(
-        sp.csc_matrix((values[lay.gather], lay.indices, lay.indptr), shape=(n, n)), lay.order)
+    if (lay is not None and np.array_equal(J.indptr, lay.j_indptr)
+            and np.array_equal(J.indices, lay.j_indices)):
+        return linalg.Factorization(_gathered(values, lay.numbered), lay.order)
+    n, nnz = J.shape[0], J.nnz
+    number = np.arange(1, values.size + 1)
+    numbered = sp.bmat([[sp.csc_matrix((number[:nnz], J.indices, J.indptr), J.shape),
+                         number[nnz + n:-1, None]],
+                        [number[None, nnz:nnz + n], number[-1:, None]]], format="csc")
+    fact = linalg.factorize(_gathered(values, numbered))
+    order = fact.column_order
+    sys._bordered_layout = _BorderedLayout(J.indptr.copy(), J.indices.copy(),
+                                           numbered[:, order.perm], order)
+    return fact
 
 
 def corrector(sys: ContinuationSystem, opts: ContinuationOptions,

@@ -173,7 +173,8 @@ def is_run(run_dir) -> bool:
 
 
 def eigenfunctions_saved(run_dir) -> bool:
-    return (Path(run_dir) / "eigenfunctions").exists()
+    """True once save_eigenfunctions has written its last file, eigenvalues.csv."""
+    return (Path(run_dir) / "eigenfunctions" / "eigenvalues.csv").is_file()
 
 
 def save_eigenfunctions(run_dir, bundle: OperatorBundle, count: int):
@@ -182,8 +183,8 @@ def save_eigenfunctions(run_dir, bundle: OperatorBundle, count: int):
     check_run_layout(run_dir, bundle)
     lam, vecs = eigs(bundle, count)
     edir = Path(run_dir) / "eigenfunctions"
-    save_scalar_csv(edir / "eigenvalues.csv", np.real(lam))  # creates edir
-    write_atomic(edir / "eigenfunctions.npy", np.real(vecs).T)
+    write_atomic(edir / "eigenfunctions.npy", np.real(vecs).T)  # creates edir
+    save_scalar_csv(edir / "eigenvalues.csv", np.real(lam))
     return lam, vecs
 
 

@@ -455,6 +455,22 @@ def test_cli_continue_checks_its_config_before_writing_anything(tmp_path, capsys
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("start", [{"from": "branch_point", "branch": 1, "point": 6},
+                                   {"from": "saved", "name": "wave_001"},
+                                   {"from": "end", "branch": 1}])
+def test_cli_continue_from_a_stored_start_needs_a_run_dir(tmp_path, capsys, start):
+    # a fresh run holds no branch and no saved wave, so these starts need an old one
+    cfg = write_config(tmp_path, {
+        "template": "dumbbell",
+        "continue": {**start, "options": {"max_points": 4, "ds": 0.05, "verbose_flag": False}},
+    })
+    out = tmp_path / "data"
+    out.mkdir()
+    assert main(["continue", "--config", cfg, "--out", str(out)]) == 2
+    assert f"from {start['from']!r} needs the 'run_dir' key" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, cfg, key", [
     ("evolve", {"evolution": {"scheme": "crank_nicolson", "tau": 0.1, "t_final": 0.3,
                               "initial": [1.0, 1.0, 1.0], "conserve": "mass"}}, "conserve"),

@@ -13,6 +13,7 @@ from graphpde.continuation import (ContinuationError, ContinuationOptions,
                                    nls_system)
 from graphpde.stationary import NewtonError
 from graphpde.store import save_state_csv
+from tests_support import bordered_reference
 
 
 def circle_system():
@@ -659,7 +660,7 @@ def _branch_with_colamd_every_time(system, monkeypatch):
     """The branch as every bordered matrix factored afresh in its own COLAMD order gives it."""
     def fresh(sys, u, lam, t_u, t_lam, beta):
         row = t_u if sys.weights is None else sys.weights * t_u
-        return cont.linalg.factorize(cont._bordered_matrix(
+        return cont.linalg.factorize(bordered_reference(
             sys.jacobian(u, lam), sys.dlam(u, lam), row, beta * t_lam))
 
     with monkeypatch.context() as m:
@@ -730,6 +731,112 @@ def test_a_dumbbell_branch_orders_its_bordered_columns_once(tmp_path, monkeypatc
     assert len(orders) - len(bordered) == 1 + n_null  # the first bordered LU, the null vectors
     assert len(bordered) > 30
     assert all(o is bordered[0] for o in bordered)
+
+
+def pitchfork_chain_with_duplicates():
+    """pitchfork_chain(False) with J's diagonal stored twice, as halves, ahead of each
+    column's sorted entries; the halves sum exactly, so J is bitwise the canonical one."""
+    canonical = pitchfork_chain(False)
+
+    def jacobian(u, lam):
+        J = canonical.jacobian(u, lam)
+        half = J.diagonal() / 2
+        data, indices, indptr = [], [], [0]
+        for j in range(J.shape[1]):
+            rows = J.indices[J.indptr[j]:J.indptr[j + 1]]
+            column = np.where(rows == j, half[j], J.data[J.indptr[j]:J.indptr[j + 1]])
+            data += [half[j], *column]
+            indices += [j, *rows]
+            indptr.append(len(data))
+        return sp.csc_matrix((data, indices, indptr), shape=J.shape)
+
+    return cont.ContinuationSystem(residual=canonical.residual, jacobian=jacobian,
+                                   dlam=canonical.dlam)
+
+
+def _random_system(rng, n=30):
+    base = sp.csc_matrix(sp.random(n, n, density=0.1, random_state=rng) + 2.0 * sp.eye(n))
+    scale = rng.random(base.nnz)
+    return cont.ContinuationSystem(
+        residual=None, dlam=lambda u, lam: np.cos(u),
+        jacobian=lambda u, lam: sp.csc_matrix((base.data * (1.0 + lam * scale), base.indices,
+                                               base.indptr), shape=base.shape)), n
+
+
+def _dumbbell_system(scheme):
+    b = discretize(from_template("dumbbell"), scheme)
+    return nls_system(nls_problem(b), make_context(b)), b.n_ext
+
+
+_BORDERED_CASES = {  # each gives a system and its number of unknowns
+    "random": lambda: _random_system(np.random.default_rng(3)),
+    "pitchfork": lambda: (pitchfork_chain(False), 3),
+    "pitchfork-pattern-changes": lambda: (pitchfork_chain(True), 3),
+    "dense": lambda: (cont.ContinuationSystem(
+        residual=None, dlam=lambda u, lam: u,
+        jacobian=lambda u, lam: np.array([[lam, 1.0, 0.0], [2.0, -1.0, u[0]], [0.0, 3.0, 1.0]])),
+        3),
+    "duplicates": lambda: (pitchfork_chain_with_duplicates(), 3),
+    "dumbbell-uniform": lambda: _dumbbell_system("uniform"),
+    "dumbbell-chebyshev": lambda: _dumbbell_system("chebyshev"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BORDERED_CASES))
+def test_bordered_matrices_are_bitwise_the_reference(monkeypatch, case):
+    system, n = _BORDERED_CASES[case]()
+    handed, real = [], cont.linalg.Factorization.__init__
+
+    def init(self, A, order=None):
+        handed.append((A.copy(), order))
+        real(self, A, order)
+
+    monkeypatch.setattr(cont.linalg.Factorization, "__init__", init)
+    rng = np.random.default_rng(8)
+    first_orders = 0
+    for lam in (-0.3, -0.2, 0.2, 0.4, -0.25):  # across 0 twice: two pattern changes
+        u = 0.1 + 0.01 * rng.standard_normal(n)
+        t_u, t_lam = rng.standard_normal(n), rng.standard_normal()
+        cont._bordered_factor(system, u, lam, t_u, t_lam, 0.1)
+        A, order = handed.pop()
+        row = t_u if system.weights is None else system.weights * t_u
+        reference = bordered_reference(system.jacobian(u, lam), system.dlam(u, lam), row,
+                                       0.1 * t_lam)
+        if order is None:  # a pattern's first LU, in natural order
+            first_orders += 1
+        else:
+            assert order is system._bordered_layout.order
+            reference = reference[:, order.perm]
+        assert A.data.dtype == reference.data.dtype
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(A, name), getattr(reference, name)), name
+    assert first_orders == (3 if case == "pitchfork-pattern-changes" else 1)
+
+
+def test_a_jacobian_with_duplicate_entries_keeps_its_layout_and_its_branch():
+    canonical = _pitchfork_chain_branch(pitchfork_chain(False))
+    branch = _pitchfork_chain_branch(pitchfork_chain_with_duplicates())
+    assert len(branch.points) == len(canonical.points) > 10
+    assert np.array_equal(branch.bif_types, canonical.bif_types)
+    for p, q in zip(branch.points, canonical.points):
+        assert p.lam == q.lam and np.array_equal(p.psi, q.psi)
+
+    system = pitchfork_chain_with_duplicates()
+    rng = np.random.default_rng(2)
+    before = None
+    for lam in (-0.4, -0.3, -0.2, -0.1, -0.05):
+        u, t_u, t_lam = rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal()
+        fact = cont._bordered_factor(system, u, lam, t_u, t_lam, 0.1)
+        M = bordered_reference(system.jacobian(u, lam), u, t_u, 0.1 * t_lam).toarray()
+        b = rng.standard_normal(4)
+        x = fact.solve(b)
+        assert np.linalg.norm(M @ x - b) <= 1e-13 * np.linalg.norm(M) * np.linalg.norm(x)
+        lay = system._bordered_layout
+        arrays = [lay.j_indptr, lay.j_indices, lay.numbered.indptr, lay.numbered.indices,
+                  lay.numbered.data]
+        if before is None:
+            before = [a.copy() for a in arrays]
+        assert all(np.array_equal(a, c) for a, c in zip(arrays, before))
 
 
 # --- the localization paths a shipped branch does not take ---

@@ -10,7 +10,7 @@ from graphpde import build_graph, discretize, DIRICHLET, from_template
 from graphpde.linalg import (ColumnOrder, EigenSolverError, Factorization,
                              SingularMatrixError, det_sign, factorize, generalized_eigs,
                              permutation_parity, solve)
-from tests_support import eigs_pencils
+from tests_support import bordered_reference, eigs_pencils
 
 
 def cofactor_det(A):
@@ -309,8 +309,8 @@ def _bordered_dumbbell_matrices(scheme):
     for lam in (-0.02, -0.0335, -0.05, -0.3):
         u = np.sqrt(-lam / 2) + 1e-3 * rng.standard_normal(bundle.n_ext)
         t = rng.standard_normal(bundle.n_ext)
-        yield cont._bordered_matrix(system.jacobian(u, lam), system.dlam(u, lam),
-                                    system.weights * t, 0.1 * rng.standard_normal())
+        yield bordered_reference(system.jacobian(u, lam), system.dlam(u, lam),
+                                 system.weights * t, 0.1 * rng.standard_normal())
 
 
 def _random_patterns():

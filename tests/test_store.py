@@ -196,6 +196,24 @@ def test_a_seed_write_that_raises_leaves_the_previous_file_and_no_tmp(tmp_path, 
     assert store.load_standing_wave(run, b, name)[1] == -0.5
 
 
+def test_eigenfunctions_whose_npy_write_raised_read_as_unsaved(tmp_path, monkeypatch):
+    b = discretize(from_template("dumbbell"), "uniform")
+    run = store.create_run(tmp_path, "dumbbell", b)
+
+    def failing_save(fh, array, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "save", failing_save)
+    with pytest.raises(OSError, match="disk full"):
+        store.save_eigenfunctions(run, b, 3)
+    monkeypatch.undo()
+    assert not store.eigenfunctions_saved(run)
+    lam, vecs = store.save_eigenfunctions(run, b, 3)
+    assert store.eigenfunctions_saved(run)
+    lam_2, v = store.load_eigenfunction(run, b, 2)
+    assert lam_2 == np.real(lam[1]) and v.tobytes() == np.real(vecs[:, 1]).tobytes()
+
+
 def test_scalar_files_parse_bit_for_bit_as_loadtxt_reads_them(tmp_path):
     b = discretize(from_template("dumbbell"), "uniform")
     sys_ = cont.nls_system(nls_problem(b), make_context(b))

@@ -2,6 +2,7 @@
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 # unit-weight, potential-free gallery with k_max inside a spectral gap
 SECULAR_GALLERY = (("interval", {}, 7.0), ("star", {}, 5.5), ("Y", {}, 2 * math.pi + 0.1),
@@ -24,6 +25,15 @@ def cofactor_det(A):
 
 def cofactor_det_sign(A):
     return int(np.sign(cofactor_det(A)))
+
+
+def bordered_reference(J, col, row, corner):
+    """CSC of [[J, col], [row, corner]] by sp.bmat, every border entry stored, zeros too."""
+    n = J.shape[0]
+    line, zero = np.arange(n), np.zeros(n, dtype=int)
+    return sp.bmat([[sp.csc_matrix(J), sp.coo_matrix((col, (line, zero)), shape=(n, 1))],
+                    [sp.coo_matrix((row, (zero, line)), shape=(1, n)),
+                     sp.coo_matrix(([corner], ([0], [0])), shape=(1, 1))]], format="csc")
 
 
 def dumbbell_localizations(scheme, workdir):
