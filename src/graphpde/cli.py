@@ -94,6 +94,9 @@ def _cmd_poisson(args, raw, cfg, graph) -> tuple[Path, dict]:
 
 def _cmd_eigs(args, raw, cfg, graph) -> tuple[Path, dict]:
     bundle = discretize(graph, args.scheme)
+    if not 1 <= cfg["m"] <= bundle.n_int:  # the pencil's finite eigenvalues
+        raise ConfigError(f"config: 'm' must be at least 1 and at most {bundle.n_int} "
+                          f"on this grid, got {cfg['m']}")
     lam, vecs = stationary.eigs(bundle, cfg["m"], sigma=cfg["shift"])
     residuals = [float(np.linalg.norm(bundle.lap_vc @ v - lam_j * (bundle.interp_zero @ v)))
                  for lam_j, v in zip(lam, vecs.T)]

@@ -7,19 +7,19 @@ predictor and a Newton corrector on the bordered system
     <u - u_pred, t_u> + beta (lambda - lambda_pred) t_lambda = 0,
 
 where <.,.> is the problem's inner product and (t_u, t_lambda) the current
-unit tangent in the beta-metric.  Each Newton iterate factors the bordered
-matrix once; the corrector steps with that factorization and returns it at
-convergence, so its determinant costs no extra LU.  J's duplicate entries
-are summed first; then one numbered layout per pattern of J says where
-each bordered entry lives, every border entry stored, and each bordered
-matrix is one gather from it.  The pattern's first is factored with
-COLAMD, and every later one is gathered straight into that column order
-and factored without reordering (see linalg), which gives bitwise the
-same LU.  One rule rejects a step: when the corrector fails, the step has
-zero length, or the turn angle exceeds maxTheta, the step length halves,
-and the branch ends once it falls below min_norm_delta.  The step length
-grows by 1.3x (capped at 8x the initial step) when the turn angle stays
-below maxTheta/2.
+unit tangent in the beta-metric.  The corrector is stationary.newton on
+x = [u; lambda], the package's one Newton loop; it factors each iterate's
+bordered matrix once and returns the solution's, whose determinant costs
+no further LU.  J's duplicate entries are summed first; then one numbered
+layout per pattern of J says where each bordered entry lives, every border
+entry stored, and each bordered matrix is one gather from it.  The
+pattern's first is factored with COLAMD, and every later one is gathered
+straight into that column order and factored without reordering (see
+linalg), which gives bitwise the same LU.  One rule rejects a step: when
+the corrector fails, the step has zero length, or the turn angle exceeds
+maxTheta, the step length halves, and the branch ends once it falls below
+min_norm_delta.  The step length grows by 1.3x (capped at 8x the initial
+step) when the turn angle stays below maxTheta/2.
 
 Two determinant signs are monitored at every accepted point: branch
 points flip the sign of the bordered Jacobian determinant and are
@@ -31,10 +31,8 @@ crossing branch uses only the stored branch point from its directory.  A
 branch records the problem's sigma, and extending it or switching off it
 with a system of another sigma is refused.
 
-Seeds (continue_branch, continue_from_eig, continue_from_saved) are
-polished at their fixed lambda by stationary.newton, the loop behind
-solve_newton: plain Newton steps, one halving backtrack when a step
-raises the residual, and stationary.NewtonError if it does not converge.
+The seeds of continue_branch, continue_from_eig and continue_from_saved are
+polished at their fixed lambda by the same loop (NewtonError on failure).
 """
 from __future__ import annotations
 
@@ -48,7 +46,7 @@ import scipy.sparse as sp
 from . import linalg
 from .discretize import OperatorBundle
 from .functionals import FunctionalContext, energy_nls
-from .stationary import NLSProblem, newton, nls_jacobian, nls_residual
+from .stationary import NLSProblem, NewtonError, newton, nls_jacobian, nls_residual
 # the store's own objects, also bound here under the names they had in this module
 from .store import (DIAGRAM_AXES, ContinuationError, StaleLayoutError, bifurcation_diagram,
                     bundle_hash, check_run_layout, create_run, list_branches,
@@ -246,37 +244,37 @@ def _bordered_factor(sys, u, lam, t_u, t_lam, beta):
 
 def corrector(sys: ContinuationSystem, opts: ContinuationOptions,
               u_pred, lam_pred, t_u, t_lam):
-    """Newton on the bordered system anchored at the predicted point.
+    """stationary.newton on the bordered system anchored at the predicted point.
 
-    Every iterate factors the bordered matrix once and steps with that
-    factorization.  Returns (u, lambda, factorization of the bordered
-    matrix at the solution), whose det_sign and log_abs_det are the test
-    functions; an exactly singular bordered matrix raises CorrectorError,
-    at the solution too.
+    x = [u; lambda], the residual is [F(u, lambda); g], and every iterate's
+    bordered matrix is factored once, the solution's after Newton returns.
+    Returns (u, lambda, that factorization), whose det_sign and log_abs_det
+    are the test functions.  A Newton failure (a non-finite residual too) or
+    an exactly singular bordered matrix at the solution raises CorrectorError.
     """
-    u = np.array(u_pred, dtype=float)
-    lam = float(lam_pred)
-    for _ in range(opts.max_newton):
-        F = sys.residual(u, lam)
-        g = sys.inner(u - u_pred, t_u) + opts.beta * (lam - lam_pred) * t_lam
-        try:
-            fact = _bordered_factor(sys, u, lam, t_u, t_lam, opts.beta)
-        except linalg.SingularMatrixError as exc:
-            raise CorrectorError(f"singular bordered system: {exc}") from exc
-        if max(np.linalg.norm(F, np.inf), abs(g)) <= opts.newton_tol:
-            return u, lam, fact
-        step = fact.solve(np.concatenate([F, [g]]))
-        u = u - step[:-1]
-        lam = lam - step[-1]
-        if not np.all(np.isfinite(u)) or not math.isfinite(lam):
-            raise CorrectorError("corrector diverged")
-    raise CorrectorError(f"corrector did not converge in {opts.max_newton} steps")
+    n = np.size(u_pred)
+
+    def residual(x):
+        g = sys.inner(x[:n] - u_pred, t_u) + opts.beta * (x[n] - lam_pred) * t_lam
+        return np.append(sys.residual(x[:n], x[n]), g)
+
+    def factor(x):
+        return _bordered_factor(sys, x[:n], x[n], t_u, t_lam, opts.beta)
+
+    try:
+        x = newton(residual, factor, np.append(u_pred, lam_pred), opts.newton_tol,
+                   opts.max_newton).psi
+        return x[:n], float(x[n]), factor(x)
+    except linalg.SingularMatrixError as exc:
+        raise CorrectorError(f"singular bordered system: {exc}") from exc
+    except NewtonError as exc:
+        raise CorrectorError(f"corrector failed: {exc}") from exc
 
 
 def _polish(sys: ContinuationSystem, u, lam, opts: ContinuationOptions):
     """A seed state corrected at fixed lambda by the stationary Newton."""
-    return newton(lambda v: sys.residual(v, lam), lambda v: sys.jacobian(v, lam),
-                  u, opts.newton_tol).psi
+    return newton(lambda v: sys.residual(v, lam),
+                  lambda v: linalg.factorize(sys.jacobian(v, lam)), u, opts.newton_tol).psi
 
 
 def tangent_at(sys: ContinuationSystem, u, lam, guess_u, guess_lam, beta):
@@ -530,8 +528,7 @@ def _run_continuation(sys, opts, points, prev_dir, events):
 
 def continue_branch(sys: ContinuationSystem, seed_u, seed_lam,
                     tangent_u, tangent_lam, opts: ContinuationOptions | None = None) -> Branch:
-    """Trace a branch from a seed point along a tangent; the seed is polished first
-    by stationary.newton (one halving backtrack, NewtonError on failure)."""
+    """Trace a branch along a tangent from a seed polished by stationary.newton."""
     opts = opts or ContinuationOptions()
     t = _normalized(sys, np.asarray(tangent_u, dtype=float), float(tangent_lam), opts.beta)
     points = [_make_point(sys, _polish(sys, seed_u, seed_lam, opts), seed_lam, *t)]

@@ -342,14 +342,15 @@ class NewtonResult:
     residual_norm: float
 
 
-def newton(residual: Callable, jacobian: Callable, u0, tol: float = 1e-10,
+def newton(residual: Callable, factor: Callable, u0, tol: float = 1e-10,
            max_iter: int = 50) -> NewtonResult:
-    """Newton iteration for residual(u) = 0, with Jacobian jacobian(u).
+    """Newton iteration for residual(u) = 0, factor(u) the LU of its Jacobian.
 
-    Plain Newton steps; a single halving backtrack is applied only when a
-    step increases the residual norm.  An exactly singular Jacobian raises
-    SingularJacobianError, and a residual above tol after max_iter steps
-    NewtonError.
+    The package's one Newton loop, run by solve_newton and by continuation's
+    corrector and seed polish.  Plain Newton steps, one halving backtrack
+    when a step raises the residual norm.  A non-finite residual raises
+    NewtonError, an exactly singular Jacobian SingularJacobianError, and a
+    residual above tol after max_iter steps NewtonError.
     """
     psi = np.asarray(u0, dtype=float).copy()
     res = residual(psi)
@@ -357,8 +358,10 @@ def newton(residual: Callable, jacobian: Callable, u0, tol: float = 1e-10,
     for it in range(1, max_iter + 1):
         if rnorm <= tol:
             return NewtonResult(psi, it - 1, rnorm)
+        if not math.isfinite(rnorm):
+            raise NewtonError(f"non-finite residual at iteration {it}")
         try:
-            fact = linalg.factorize(jacobian(psi))
+            fact = factor(psi)
         except linalg.SingularMatrixError as exc:
             raise SingularJacobianError(
                 f"singular Jacobian at iteration {it} (possible bifurcation "
@@ -381,4 +384,5 @@ def solve_newton(problem: NLSProblem, psi0: np.ndarray, lam: float,
                  tol: float = 1e-10, max_iter: int = 50) -> NewtonResult:
     """Newton iteration (see newton) for a standing wave at fixed frequency."""
     return newton(lambda psi: nls_residual(problem, psi, lam),
-                  lambda psi: nls_jacobian(problem, psi, lam), psi0, tol, max_iter)
+                  lambda psi: linalg.factorize(nls_jacobian(problem, psi, lam)),
+                  psi0, tol, max_iter)

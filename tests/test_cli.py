@@ -680,6 +680,37 @@ def test_cli_evolve_refuses_bad_run_values_as_configuration_errors(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("m", [0, 71, 76])
+def test_cli_eigs_refuses_an_m_of_no_finite_eigenvalue_before_any_output(tmp_path, capsys, m):
+    # the Y graph's pencil has n_int = 70 finite eigenvalues (n_ext = 76)
+    bundle = discretize(from_template("Y"), "uniform")
+    assert (bundle.n_int, bundle.n_ext) == (70, 76)
+    out = tmp_path / "data"
+    cfg = write_config(tmp_path, {"template": "Y", "m": m})
+    assert main(["eigs", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config: 'm' must be at least 1 and at most 70" in err
+    assert err.rstrip().endswith(f"got {m}")
+    assert not out.exists()
+
+
+def test_cli_eigs_takes_every_finite_eigenvalue(tmp_path):
+    out = tmp_path / "data"
+    cfg = write_config(tmp_path, {"template": "Y", "m": 70})
+    assert main(["eigs", "--config", cfg, "--out", str(out)]) == 0
+    assert len(json.loads((out / "spectrum.json").read_text())["eigenvalues"]) == 70
+
+
+def test_cli_continue_from_a_non_finite_seed_is_a_solver_failure(tmp_path, capsys):
+    # f(a v) overflows at the amplitude 1e200: the seed polish meets a non-finite
+    # residual, which is the solver's failure, not the configuration's
+    cfg = write_config(tmp_path, {"template": "dumbbell", "continue": {"amplitude": 1e200}})
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["continue", "--config", cfg, "--out", str(tmp_path / "data")])
+    err = capsys.readouterr().err
+    assert code == 1 and "non-finite residual" in err and "configuration error" not in err
+
+
 def test_cli_template_overrides_take_dirichlet_robin(tmp_path, capsys):
     # the Y template's default robin is [0, 0, DIRICHLET, DIRICHLET]
     spectra = []

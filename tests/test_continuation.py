@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import math
 
@@ -13,7 +15,7 @@ from graphpde.continuation import (ContinuationError, ContinuationOptions,
                                    nls_system)
 from graphpde.stationary import NewtonError
 from graphpde.store import save_state_csv
-from tests_support import bordered_reference
+from tests_support import bordered_reference, reference_corrector
 
 
 def circle_system():
@@ -135,6 +137,114 @@ def test_singular_bordered_matrix_at_the_solution_is_a_corrector_failure():
     with pytest.raises(cont.CorrectorError, match="singular bordered system"):
         corrector(pitchfork_system(), quiet_opts(beta=1.0), np.array([0.0]), 0.0,
                   np.array([0.0]), 1.0)
+
+
+def _circle_branch(sys_):
+    continue_branch(sys_, np.array([1.0]), 0.0, np.array([0.0]), 1.0,
+                    quiet_opts(ds=0.1, max_points=150, n_thresh=1e9, lambda_thresh=-5.0,
+                               min_norm_delta=1e-6, beta=1.0))
+
+
+def _pitchfork_branches(sys_):
+    # the trivial branch u = 0 across the branch point, then the parabola
+    # lambda = u^2 from (1, 1) down through it
+    opts = quiet_opts(ds=0.07, max_points=60, n_thresh=1e9, lambda_thresh=1.0,
+                      min_norm_delta=1e-7, beta=1.0)
+    continue_branch(sys_, np.array([0.0]), -1.0, np.array([0.0]), 1.0, opts)
+    continue_branch(sys_, np.array([1.0]), 1.0, np.array([-1.0]), -2.0,
+                    dataclasses.replace(opts, max_points=40, lambda_thresh=-5.0))
+
+
+def _dumbbell(scheme):
+    def make():
+        b = discretize(from_template("dumbbell"), scheme)
+        return nls_system(nls_problem(b), make_context(b))
+
+    def trace(sys_, workdir):
+        run = cont.create_run(workdir, "dumbbell", sys_.bundle)
+        cont.save_eigenfunctions(run, sys_.bundle, 4)
+        cont.continue_from_eig(run, sys_, 1, 1e-2, quiet_opts(ds=0.05))
+    return make, trace
+
+
+def _outcome(correct, sys_, call):
+    """A corrector's result as bytes, or the name of the error it raised."""
+    try:
+        u, lam, fact = correct(sys_, *call)
+    except cont.CorrectorError:
+        return "CorrectorError"
+    return (np.asarray(u, dtype=float).tobytes(), np.float64(lam).tobytes(),
+            fact.det_sign, np.float64(fact.log_abs_det).tobytes())
+
+
+@pytest.mark.parametrize("make, trace", [
+    (circle_system, lambda sys_, workdir: _circle_branch(sys_)),
+    (pitchfork_system, lambda sys_, workdir: _pitchfork_branches(sys_)),
+    _dumbbell("uniform"), _dumbbell("chebyshev"),
+], ids=["circle", "pitchfork", "dumbbell-uniform", "dumbbell-chebyshev"])
+def test_corrector_is_bitwise_the_reference_loop(tmp_path, monkeypatch, make, trace):
+    # every corrector call of a traced branch, replayed in order on two fresh
+    # systems: one through the corrector, one through the loop it replaced
+    calls, real = [], cont.corrector
+
+    def recording(sys_, *args):
+        calls.append(copy.deepcopy(args))
+        return real(sys_, *args)
+
+    monkeypatch.setattr(cont, "corrector", recording)
+    trace(make(), tmp_path)
+    monkeypatch.undo()
+    assert len(calls) >= 50
+    ours, theirs = make(), make()
+    for call in calls:
+        assert _outcome(cont.corrector, ours, call) == _outcome(reference_corrector, theirs, call)
+
+
+@pytest.mark.parametrize("correct", [corrector, reference_corrector],
+                         ids=["corrector", "reference"])
+def test_both_correctors_fail_on_a_system_without_a_real_solution(correct):
+    sys_ = cont.ContinuationSystem(
+        residual=lambda u, lam: np.array([u[0] ** 2 + 1.0]),
+        jacobian=lambda u, lam: np.array([[2.0 * u[0]]]),
+        dlam=lambda u, lam: np.array([0.0]),
+    )
+    with pytest.raises(cont.CorrectorError):
+        correct(sys_, quiet_opts(beta=1.0), np.array([1.0]), 0.0, np.array([1.0]), 0.0)
+
+
+def test_each_corrector_call_runs_newton_once(tmp_path, monkeypatch):
+    newtons, per_call = [], []
+    real_newton, real_corrector = cont.newton, cont.corrector
+
+    def counting_newton(*args, **kwargs):
+        newtons.append(args)
+        return real_newton(*args, **kwargs)
+
+    def counting_corrector(*args):
+        before = len(newtons)
+        try:
+            return real_corrector(*args)
+        finally:
+            per_call.append(len(newtons) - before)
+
+    monkeypatch.setattr(cont, "newton", counting_newton)
+    monkeypatch.setattr(cont, "corrector", counting_corrector)
+    _pitchfork_branches(pitchfork_system())
+    make, trace = _dumbbell("uniform")
+    trace(make(), tmp_path)
+    assert len(per_call) > 50 and set(per_call) == {1}
+    assert len(newtons) == len(per_call) + 3  # and one polish per seed
+
+
+def test_a_non_finite_residual_is_a_corrector_failure():
+    # exp(800) overflows at the prediction itself; the factorization never sees it
+    sys_ = cont.ContinuationSystem(
+        residual=lambda u, lam: np.exp(u) - lam,
+        jacobian=lambda u, lam: np.diag(np.exp(u)),
+        dlam=lambda u, lam: np.array([-1.0]),
+    )
+    with np.errstate(over="ignore"), pytest.raises(cont.CorrectorError, match="non-finite"):
+        corrector(sys_, quiet_opts(beta=1.0), np.array([800.0]), 1.0, np.array([1.0]), 0.0)
 
 
 def test_step_onto_a_singular_point_halves_ds():
@@ -469,7 +579,7 @@ def test_initializers_polish_the_seed_once(tmp_path, monkeypatch):
     cont.save_eigenfunctions(run, b, 2)
     name = cont.save_standing_wave(run, b, np.full(b.n_ext, 0.5), -0.5)
     polished, lams = [], []
-    residual, real = sys_.residual, cont.newton
+    residual, real = sys_.residual, cont._polish
     sys_.residual = lambda u, lam: lams.append(lam) or residual(u, lam)
 
     def counting(*args, **kwargs):
@@ -478,7 +588,7 @@ def test_initializers_polish_the_seed_once(tmp_path, monkeypatch):
         polished.append(lams[first])  # the lambda of the polish's first residual
         return out
 
-    monkeypatch.setattr(cont, "newton", counting)
+    monkeypatch.setattr(cont, "_polish", counting)
     cont.continue_from_eig(run, sys_, 1, 1e-2, quiet_opts(ds=0.05, max_points=3))
     cont.continue_from_saved(run, sys_, name, quiet_opts(ds=0.05, max_points=3))
     assert len(polished) == 2 and polished[1] == -0.5

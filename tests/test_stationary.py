@@ -445,6 +445,15 @@ def test_newton_nonconvergence_reported():
         solve_newton(p, 100.0 * rng.standard_normal(b.n_ext), -1.0, max_iter=3)
 
 
+@pytest.mark.parametrize("scheme", ["uniform", "chebyshev"])
+def test_newton_refuses_a_non_finite_residual(scheme):
+    # f(1e200) overflows; the Jacobian at that seed is never factored
+    b = discretize(from_template("dumbbell"), scheme)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NewtonError, match="non-finite residual at iteration 1"):
+        solve_newton(nls_problem(b), np.full(b.n_ext, 1e200), -1.0)
+
+
 @pytest.mark.parametrize("make", [nls_problem, NLSProblem])
 def test_general_sigma_nonlinearity(make):
     b = discretize(build_graph([1], [2], 1.0, nx=10), "uniform")

@@ -36,6 +36,32 @@ def bordered_reference(J, col, row, corner):
                      sp.coo_matrix(([corner], ([0], [0])), shape=(1, 1))]], format="csc")
 
 
+def reference_corrector(sys, opts, u_pred, lam_pred, t_u, t_lam):
+    """The continuation corrector's own Newton loop, as it was before the corrector
+    became one call to stationary.newton: a plain bordered Newton step per
+    iterate, no backtrack, and CorrectorError on a diverged or unconverged run."""
+    import graphpde.continuation as cont
+    from graphpde import linalg
+
+    u = np.array(u_pred, dtype=float)
+    lam = float(lam_pred)
+    for _ in range(opts.max_newton):
+        F = sys.residual(u, lam)
+        g = sys.inner(u - u_pred, t_u) + opts.beta * (lam - lam_pred) * t_lam
+        try:
+            fact = cont._bordered_factor(sys, u, lam, t_u, t_lam, opts.beta)
+        except linalg.SingularMatrixError as exc:
+            raise cont.CorrectorError(f"singular bordered system: {exc}") from exc
+        if max(np.linalg.norm(F, np.inf), abs(g)) <= opts.newton_tol:
+            return u, lam, fact
+        step = fact.solve(np.concatenate([F, [g]]))
+        u = u - step[:-1]
+        lam = lam - step[-1]
+        if not np.all(np.isfinite(u)) or not math.isfinite(lam):
+            raise cont.CorrectorError("corrector diverged")
+    raise cont.CorrectorError(f"corrector did not converge in {opts.max_newton} steps")
+
+
 def dumbbell_localizations(scheme, workdir):
     """Trace the dumbbell's constant branch from its first eigenfunction (ds=0.05).
 
