@@ -249,8 +249,8 @@ def corrector(sys: ContinuationSystem, opts: ContinuationOptions,
     x = [u; lambda], the residual is [F(u, lambda); g], and every iterate's
     bordered matrix is factored once, the solution's after Newton returns.
     Returns (u, lambda, that factorization), whose det_sign and log_abs_det
-    are the test functions.  A Newton failure (a non-finite residual too) or
-    an exactly singular bordered matrix at the solution raises CorrectorError.
+    are the test functions.  A Newton failure (non-finite values too) or an
+    exactly singular bordered matrix at the solution raises CorrectorError.
     """
     n = np.size(u_pred)
 
@@ -272,9 +272,10 @@ def corrector(sys: ContinuationSystem, opts: ContinuationOptions,
 
 
 def _polish(sys: ContinuationSystem, u, lam, opts: ContinuationOptions):
-    """A seed state corrected at fixed lambda by the stationary Newton."""
+    """A seed state corrected at fixed lambda by the stationary Newton (opts.max_newton steps)."""
     return newton(lambda v: sys.residual(v, lam),
-                  lambda v: linalg.factorize(sys.jacobian(v, lam)), u, opts.newton_tol).psi
+                  lambda v: linalg.factorize(sys.jacobian(v, lam)),
+                  u, opts.newton_tol, opts.max_newton).psi
 
 
 def tangent_at(sys: ContinuationSystem, u, lam, guess_u, guess_lam, beta):

@@ -43,6 +43,10 @@ class EigenSolverError(RuntimeError):
     pass
 
 
+class NonFiniteMatrixError(ValueError):
+    pass
+
+
 def permutation_parity(perm) -> int:
     """Sign of a permutation given as an index array: (-1)^(n - #cycles).
 
@@ -90,7 +94,7 @@ class Factorization:
         A = A.tocsc() if sp.issparse(A) else sp.csc_matrix(A)
         A.sum_duplicates()
         if not np.isfinite(A.data).all():
-            raise ValueError("matrix entries must be finite")
+            raise NonFiniteMatrixError("matrix entries must be finite")
         # SuperLU can crash, not just fail, on an empty row or column; a stored
         # zero is no entry, and indptr masks reduceat's value for an empty column
         live = A.data != 0

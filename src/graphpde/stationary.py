@@ -348,9 +348,9 @@ def newton(residual: Callable, factor: Callable, u0, tol: float = 1e-10,
 
     The package's one Newton loop, run by solve_newton and by continuation's
     corrector and seed polish.  Plain Newton steps, one halving backtrack
-    when a step raises the residual norm.  A non-finite residual raises
-    NewtonError, an exactly singular Jacobian SingularJacobianError, and a
-    residual above tol after max_iter steps NewtonError.
+    when a step raises the residual norm.  A non-finite residual or Jacobian
+    raises NewtonError, an exactly singular Jacobian SingularJacobianError,
+    and a residual above tol after max_iter steps NewtonError.
     """
     psi = np.asarray(u0, dtype=float).copy()
     res = residual(psi)
@@ -363,9 +363,10 @@ def newton(residual: Callable, factor: Callable, u0, tol: float = 1e-10,
         try:
             fact = factor(psi)
         except linalg.SingularMatrixError as exc:
-            raise SingularJacobianError(
-                f"singular Jacobian at iteration {it} (possible bifurcation "
-                f"point): {exc}") from exc
+            raise SingularJacobianError(f"singular Jacobian at iteration {it} (possible "
+                                        f"bifurcation point): {exc}") from exc
+        except linalg.NonFiniteMatrixError as exc:
+            raise NewtonError(f"non-finite Jacobian at iteration {it}") from exc
         step = fact.solve(res)
         for scale in (1.0, 0.5):  # the half step is taken whatever its residual
             trial = psi - scale * step

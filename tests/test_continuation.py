@@ -247,6 +247,35 @@ def test_a_non_finite_residual_is_a_corrector_failure():
         corrector(sys_, quiet_opts(beta=1.0), np.array([800.0]), 1.0, np.array([1.0]), 0.0)
 
 
+def _nan_jacobian_system(u_max):
+    """u^3 + u = lambda, whose Jacobian reads NaN for u above u_max and whose
+    residual stays finite everywhere."""
+    return cont.ContinuationSystem(
+        residual=lambda u, lam: u**3 + u - lam,
+        jacobian=lambda u, lam: np.array([[3.0 * u[0] ** 2 + 1.0 if u[0] <= u_max else np.nan]]),
+        dlam=lambda u, lam: np.array([-1.0]),
+    )
+
+
+def test_a_non_finite_jacobian_is_a_corrector_failure():
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(cont.CorrectorError, match="non-finite Jacobian at iteration 1"):
+        corrector(_nan_jacobian_system(-1.0), quiet_opts(beta=1.0), np.array([0.5]), 0.0,
+                  np.array([1.0]), 0.0)
+
+
+def test_a_non_finite_jacobian_halves_ds_until_the_branch_ends():
+    opts = quiet_opts(ds=0.2, beta=1.0, max_points=50, lambda_thresh=10.0, n_thresh=1e9,
+                      min_norm_delta=1e-3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        branch = continue_branch(_nan_jacobian_system(0.5), np.array([0.0]), 0.0,
+                                 np.array([1.0]), 1.0, opts)
+    u = [p.psi[0] for p in branch.points]
+    assert branch.provenance["termination"] == "step below min_norm_delta"
+    assert len(u) > 3 and max(u) <= 0.5
+    assert min(np.diff(u)) < 0.5 * max(np.diff(u))  # ds was halved on the way
+
+
 def test_step_onto_a_singular_point_halves_ds():
     opts = quiet_opts(ds=0.1, beta=1.0, max_points=10, lambda_thresh=1.0,
                       n_thresh=1e9, min_norm_delta=1e-6)
@@ -602,6 +631,21 @@ def test_seed_polish_takes_newton_steps():
     # u^2 + lambda^2 = 1 has no root at lambda = 2
     with pytest.raises(NewtonError):
         continue_branch(circle_system(), np.array([1.2]), 2.0, np.array([0.0]), 1.0, opts)
+
+
+def test_seed_polish_takes_at_most_max_newton_steps(monkeypatch):
+    # from u = 1.2 at lambda = 0 the polish needs 4 Newton steps
+    caps = []
+    real = cont.newton
+    monkeypatch.setattr(cont, "newton", lambda *a: caps.append(a[4]) or real(*a))
+    opts = quiet_opts(beta=1.0, max_points=3, n_thresh=1e9, lambda_thresh=-5.0)
+    with pytest.raises(NewtonError, match="in 1 iterations"):
+        continue_branch(circle_system(), np.array([1.2]), 0.0, np.array([0.0]), 1.0,
+                        dataclasses.replace(opts, max_newton=1))
+    assert caps == [1]
+    branch = continue_branch(circle_system(), np.array([1.2]), 0.0, np.array([0.0]), 1.0,
+                             dataclasses.replace(opts, max_newton=4))
+    assert abs(branch.points[0].psi[0] - 1.0) <= opts.newton_tol
 
 
 @pytest.mark.parametrize("amplitude", [0.0, -0.0, math.inf, math.nan])

@@ -11,6 +11,8 @@ from graphpde import (DIRICHLET, apply_function_to_edges, build_graph,
 from graphpde import evolution as evo
 from graphpde import linalg
 from graphpde.evolution import EvolutionError, EvolutionProblem
+from tests_support import (kink_tetrahedron, recorded_projection_rows, reference_imex_rk,
+                           reference_leapfrog, stepping_report, stepping_runs)
 
 
 def _forward_euler(problem, u0):
@@ -488,3 +490,112 @@ def test_problem_refuses_a_non_finite_step_or_end_time(key, value):
     b = discretize(from_template("ring"), "uniform")
     with pytest.raises(EvolutionError, match=f"{key} must be positive and finite"):
         EvolutionProblem(b, **{key: value})
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "chebyshev"])
+@pytest.mark.parametrize("stepper,tableau", [
+    (crank_nicolson_heat, evo._CRANK_NICOLSON), (imex_euler, evo._ARS111),
+    (sdirk443, evo._ARS443)], ids=["crank_nicolson", "imex_euler", "ars443"])
+def test_implicit_steppers_are_bitwise_the_reference_loop(scheme, stepper, tableau):
+    # the real starts with a complex mu or f are the cases where an in-place
+    # sum must let numpy promote the accumulator to complex
+    b = discretize(from_template("dumbbell"), scheme)
+    fact = linalg.factorize(b.interp_vc)
+    raw = apply_function_to_edges(b, [lambda x: 1.0 + np.cos(x), 1.5, lambda x: np.sin(2 * x)])
+    starts = {"real": fact.solve(b.interp_zero @ raw),
+              "complex": fact.solve(b.interp_zero @ (raw * np.exp(0.3j * raw)))}
+    fs = {"none": None, "real": lambda u: -0.5 * np.real(u) ** 3,
+          "complex": lambda u: -2j * np.abs(u) ** 2 * u}
+    for mu in (1.0, 0.4 - 1j, -1j):
+        for f_name, f in fs.items():
+            for start, u0 in starts.items():
+                p = EvolutionProblem(b, mu=mu, f=f, tau=0.01, t_final=0.2, n_skip=3)
+                t, s = stepper(p, u0)
+                t_ref, s_ref = reference_imex_rk(p, u0, *tableau)
+                case = f"mu {mu}, f {f_name}, {start} start"
+                assert _bitwise_equal(t, t_ref), case
+                assert _bitwise_equal(s, s_ref), case
+                # Crank-Nicolson ignores f
+                if mu != 1.0 or start == "complex" or (f_name == "complex" and tableau[1].any()):
+                    assert np.iscomplexobj(s), case
+
+
+def _mixed_chebyshev():
+    b = discretize(_mixed_vertex_graph([12, 14, 10, 9]), "chebyshev")
+    fact = linalg.factorize(b.interp_vc)
+    u0 = fact.solve(b.interp_zero @ apply_function_to_edges(
+        b, [lambda x: np.cos(2.0 * x) + x] * 4))
+    v0 = fact.solve(b.interp_zero @ apply_function_to_edges(
+        b, [lambda x: np.sin(x) - 0.5 * x * x] * 4))
+    return b, u0, v0
+
+
+def _z_rows(b):
+    """The rows of Z = interp_vc^-1 E holding entries, from the dense solve."""
+    Z = linalg.factorize(b.interp_vc).solve(np.eye(b.n_ext, b.n_ext - b.n_int, -b.n_int))
+    return np.flatnonzero(np.any(Z != 0, axis=1))
+
+
+@pytest.mark.parametrize("case,tau", [(kink_tetrahedron, 5e-3), (_mixed_chebyshev, 1e-3)],
+                         ids=["uniform_tetrahedron", "chebyshev_mixed_vertices"])
+@pytest.mark.parametrize("g_name", ["sin", "complex"])
+def test_leapfrog_is_bitwise_the_reference_loop(case, tau, g_name):
+    # a complex g on a real start must promote the in-place update to complex
+    b, u0, v0 = case()
+    g = np.sin if g_name == "sin" else (lambda u: np.sin(u) + 0.1j * u)
+    p = EvolutionProblem(b, tau=tau, t_final=400 * tau, n_skip=40)
+    assert p.n_steps == 400
+    t, s = leapfrog_klein_gordon(p, g, u0, v0)
+    t_ref, s_ref = reference_leapfrog(p, g, u0, v0)
+    assert _bitwise_equal(t, t_ref)
+    assert s.dtype == (float if g_name == "sin" else complex)
+    assert _bitwise_equal(s, s_ref)
+    assert np.max(np.abs(b.vc_rows @ s[:, 1:])) <= 1e-8
+
+
+def test_chebyshev_projection_rows_cover_most_of_the_grid():
+    b, u0, v0 = _mixed_chebyshev()
+    with recorded_projection_rows() as rows:
+        leapfrog_klein_gordon(EvolutionProblem(b, tau=1e-3, t_final=2e-3), np.sin, u0, v0)
+    assert np.array_equal(rows[0], _z_rows(b))
+    assert rows[0].size > b.n_ext / 2
+
+
+def test_leapfrog_projection_writes_only_the_rows_z_reaches():
+    # the benchmark's tetrahedron: 44 entries of Z in 16 of its 9 612 rows;
+    # every other row of a step is the unprojected update, bit for bit
+    b, u0, v0 = kink_tetrahedron()
+    tau = 5e-3
+    with recorded_projection_rows() as rows:
+        _, s = leapfrog_klein_gordon(EvolutionProblem(b, tau=tau, t_final=2 * tau),
+                                     np.sin, u0, v0)
+    assert len(rows) == 1 and np.array_equal(rows[0], _z_rows(b))
+    assert (rows[0].size, b.n_ext) == (16, 9612)
+    u1 = s[:, 1]
+    unprojected = [u0 + tau * v0 + 0.5 * tau**2 * (b.lap_ext @ u0 - np.sin(u0)),
+                   2.0 * u1 - u0 + tau**2 * (b.lap_ext @ u1 - np.sin(u1))]
+    others = np.setdiff1d(np.arange(b.n_ext), rows[0])
+    for k, y in enumerate(unprojected, start=1):
+        assert _bitwise_equal(s[others, k], y[others])
+        assert np.any(s[rows[0], k] != y[rows[0]])
+
+
+@pytest.mark.parametrize("v0", [np.array([0.5]), np.zeros(5), np.float64(0.5)],
+                         ids=["length_1", "length_5", "0-d"])
+def test_leapfrog_refuses_an_initial_velocity_off_the_grid(v0):
+    b = discretize(from_template("dumbbell"), "uniform")
+    p = EvolutionProblem(b, tau=0.01, t_final=0.1)
+    with pytest.raises(EvolutionError, match=r"initial velocity length \(.*\) != n_ext \(338\)"):
+        leapfrog_klein_gordon(p, np.sin, np.full(b.n_ext, 2.0), v0)
+
+
+def test_stepping_report_counts_solves_and_projection_rows():
+    lines = stepping_report().splitlines()
+    assert [line.split(":")[0] for line in lines] == [name for name, _, _ in stepping_runs()]
+    assert [line.split(": ")[1].split(", ")[:2] for line in lines] == [
+        ["20 steps", f"{solves:.2f} solves per step"] for solves in (1, 1, 4, 1, 0.05)]
+    assert lines[-1].endswith("the projection writes 16 of n_ext 9612 rows per step")

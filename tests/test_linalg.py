@@ -444,3 +444,12 @@ def test_arpack_no_convergence_is_an_eigen_solver_error(monkeypatch):
     b = discretize(from_template("Y"), "uniform")
     with pytest.raises(EigenSolverError, match="did not converge"):
         generalized_eigs(b.lap_vc, b.interp_zero, 4)
+
+
+def test_non_finite_refusal_is_its_own_value_error():
+    from graphpde.linalg import NonFiniteMatrixError
+
+    assert issubclass(NonFiniteMatrixError, ValueError)
+    for M in (np.diag([1.0, np.nan]), sp.csc_matrix(np.diag([np.inf, 1.0]))):
+        with pytest.raises(NonFiniteMatrixError, match="matrix entries must be finite"):
+            factorize(M)

@@ -8,6 +8,7 @@ from graphpde import (DIRICHLET, NLSProblem, apply_function_to_edges, build_grap
                       mass, nls_jacobian, nls_problem, nls_residual, secular_det,
                       secular_matrix, solve_newton, solve_poisson)
 from graphpde.graphs import TEMPLATES
+from graphpde import linalg
 from graphpde.linalg import SingularMatrixError
 from graphpde.stationary import (NewtonError, NullspaceError, SecularError,
                                  _eigenvalue_counts, secular_function,
@@ -452,6 +453,17 @@ def test_newton_refuses_a_non_finite_residual(scheme):
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NewtonError, match="non-finite residual at iteration 1"):
         solve_newton(nls_problem(b), np.full(b.n_ext, 1e200), -1.0)
+
+
+def test_newton_refuses_a_non_finite_jacobian():
+    # the residual at iteration 2 is finite, but the Jacobian there holds
+    # overflowed entries; Factorization refuses them, and Newton says so
+    b = discretize(from_template("dumbbell"), "uniform")
+    seed = 1e20 * np.random.default_rng(0).standard_normal(b.n_ext)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NewtonError, match="non-finite Jacobian at iteration 2") as info:
+        solve_newton(nls_problem(b, sigma=2.0), seed, -1.0)
+    assert isinstance(info.value.__cause__, linalg.NonFiniteMatrixError)
 
 
 @pytest.mark.parametrize("make", [nls_problem, NLSProblem])

@@ -1,4 +1,5 @@
 """Shared brute-force oracles for the test suite."""
+import contextlib
 import math
 
 import numpy as np
@@ -150,4 +151,183 @@ def arpack_report():
     finally:
         linalg.Factorization.solve = real_solve
     lines.append(f"total: {total} solves in {len(lines)} eigs calls")
+    return "\n".join(lines)
+
+
+def reference_imex_rk(problem, u, a_im, a_ex):
+    """evolution._imex_rk's loop as it was before its stage sums were accumulated
+    in place: sum(...) for the explicit terms, rhs = rhs + c * lap for the
+    implicit ones."""
+    from graphpde import linalg
+    from graphpde.evolution import _Sampler
+
+    b = problem.bundle
+    tau, mu, f = problem.tau, problem.mu, problem.f
+    fact = linalg.factorize(b.interp_vc - (a_im[-1, -1] * tau * mu) * b.lap_zero)
+    levels = range(len(a_im))
+    if f is None:
+        a_ex = 0 * a_ex
+    # (level j, coefficient) terms of level i, strictly below the diagonal
+    ex = [[(j, tau * a_ex[i, j]) for j in range(i) if a_ex[i, j]] for i in levels]
+    im = [[(j, tau * mu * a_im[i, j]) for j in range(i) if a_im[i, j]] for i in levels]
+    # a level-0 implicit term folded into interp_zero, for the levels whose
+    # interp_zero acts on u alone (with explicit terms it acts on u + tau sum f)
+    start = {}
+    for i in levels:
+        if i and not ex[i] and im[i] and im[i][0][0] == 0:
+            start[i] = b.interp_zero + im[i].pop(0)[1] * b.lap_zero
+    need_f = {j for terms in ex for j, _ in terms}
+    need_lap = {j for terms in im for j, _ in terms}
+    out = _Sampler(problem, u)
+    n = problem.n_steps
+    for k in range(1, n + 1):
+        stage, fs, laps = u, {}, {}
+        for i in levels:
+            if i:
+                if i in start:
+                    rhs = start[i] @ u
+                else:
+                    x = u + sum(c * fs[j] for j, c in ex[i]) if ex[i] else u
+                    rhs = b.interp_zero @ x
+                for j, c in im[i]:
+                    rhs = rhs + c * laps[j]
+                stage = fact.solve(rhs)
+            if i in need_f:
+                fs[i] = f(stage)
+            if i in need_lap:
+                laps[i] = b.lap_zero @ stage
+        u = stage
+        out.push(k, u, final=(k == n))
+    return out.result()
+
+
+def reference_leapfrog(problem, g, u0, v0):
+    """leapfrog_klein_gordon as it was before the folded step operator and the
+    restricted projection: y = 2u - u_prev + tau^2 (lap_ext u - g(u)), then
+    y - Z (vc_rows y) over all n_ext rows."""
+    from graphpde import linalg
+    from graphpde.evolution import EvolutionError, _check_initial, _Sampler
+
+    b = problem.bundle
+    u0 = _check_initial(problem, u0)
+    v0 = np.asarray(v0)
+    tau = problem.tau
+    fact = linalg.factorize(b.interp_vc)
+    # Z = interp_vc^-1 E, stored sparse: on uniform grids it reaches only
+    # the rows next to the vertices
+    Z = sp.csr_matrix(fact.solve(np.eye(b.n_ext, b.n_ext - b.n_int, -b.n_int)))
+    lap, vc = b.lap_ext, b.vc_rows
+
+    def project(y):
+        return y - Z @ (vc @ y)
+
+    scale0 = max(1.0, np.linalg.norm(u0, np.inf))
+    out = _Sampler(problem, u0)
+    n = problem.n_steps
+    u_prev = u0
+    u = project(u0 + tau * v0 + 0.5 * tau**2 * (lap @ u0 - g(u0)))
+    out.push(1, u, final=(n == 1))
+    for k in range(2, n + 1):
+        u_next = project(2.0 * u - u_prev + tau**2 * (lap @ u - g(u)))
+        u_prev, u = u, u_next
+        if np.linalg.norm(u, np.inf) > 1e6 * scale0:
+            raise EvolutionError(f"leapfrog unstable at step {k} "
+                                 f"(state grew past 1e6 x initial)")
+        out.push(k, u, final=(k == n))
+    return out.result()
+
+
+def stepping_runs(n_steps=20):
+    """(name, problem, run) of each stepper on the time-stepping benchmark's graphs,
+    step sizes, coefficients and initial profiles (seed shifts and scales at 0
+    and 1), every run cut to n_steps steps."""
+    import graphpde as qg
+    from graphpde.evolution import EvolutionProblem
+
+    for scheme in ("uniform", "chebyshev"):
+        b = qg.discretize(qg.from_template("dumbbell"), scheme)
+        u0 = qg.apply_function_to_edges(
+            b, [lambda x: 2 - 2 * np.cos(x - math.pi / 3), 1.0, np.cos])
+        p = EvolutionProblem(b, mu=1.0, tau=0.01, t_final=0.01 * n_steps, n_skip=50)
+        yield f"Crank-Nicolson heat dumbbell {scheme}", p, \
+            lambda p=p, u0=u0: qg.crank_nicolson_heat(p, u0)
+    star = qg.discretize(qg.from_template("star", lengths=30.0, weight=[2, 1, 1]), "uniform")
+    u0 = qg.apply_function_to_edges(star, [
+        lambda x: np.exp(1j * x) / np.cosh(x - 15), lambda x: np.exp(-1j * x) / np.cosh(x + 15),
+        lambda x: np.exp(-1j * x) / np.cosh(x + 15)])
+    p = EvolutionProblem(star, mu=-1j, f=lambda z: -2j * np.abs(z) ** 2 * z, tau=0.01,
+                         t_final=0.01 * n_steps, n_skip=50)
+    yield "ARS(4,4,3) NLS star", p, lambda: qg.sdirk443(p, u0)
+    yield "IMEX Euler NLS star", p, lambda: qg.imex_euler(p, u0)
+    b, u0, v0 = kink_tetrahedron()
+    p = EvolutionProblem(b, tau=0.005, t_final=0.005 * n_steps, n_skip=400)
+    yield "leapfrog sine-Gordon tetrahedron", p, \
+        lambda: qg.leapfrog_klein_gordon(p, np.sin, u0, v0)
+
+
+def kink_tetrahedron():
+    """(bundle, u0, v0): the time-stepping benchmark's sine-Gordon kinks, speed 0.9,
+    on the uniform tetrahedron with edges of length 20 (nx 80, n_ext 9 612)."""
+    import graphpde as qg
+
+    ell, c = 20.0, 0.9
+    b = qg.discretize(qg.from_template("tetrahedron", length=ell, nx=80), "uniform")
+    gam = math.sqrt(1 - c * c)
+    u0 = qg.apply_function_to_edges(
+        b, [lambda x: 4 * np.arctan(np.exp((x - ell / 2) / gam))] * 3 + [2 * math.pi] * 3)
+    v0 = qg.apply_function_to_edges(
+        b, [lambda x: -(2 * c / gam) / np.cosh((x - ell / 2) / gam)] * 3 + [0.0] * 3)
+    return b, u0, v0
+
+
+@contextlib.contextmanager
+def recorded_projection_rows():
+    """Yields a list that receives the rows each leapfrog run's projection writes."""
+    from graphpde import evolution
+
+    rows, real = [], evolution._projection
+
+    def recording(*args):
+        out = real(*args)
+        rows.append(out[0])
+        return out
+
+    evolution._projection = recording
+    try:
+        yield rows
+    finally:
+        evolution._projection = real
+
+
+def stepping_report(n_steps=20):
+    """One line per stepper of stepping_runs: steps, Factorization.solve calls per
+    step and, for the leapfrog, the rows its projection writes per step."""
+    import warnings
+
+    from graphpde import linalg
+
+    real_solve = linalg.Factorization.solve
+    solves = [0]
+
+    def counting_solve(self, b):
+        solves[0] += 1
+        return real_solve(self, b)
+
+    lines = []
+    linalg.Factorization.solve = counting_solve
+    try:
+        for name, problem, run in stepping_runs(n_steps):
+            solves[0] = 0
+            with recorded_projection_rows() as rows, warnings.catch_warnings():
+                # the benchmark's profiles miss the vertex conditions by up to 3e-4
+                warnings.simplefilter("ignore")
+                run()
+            steps = problem.n_steps
+            line = f"{name}: {steps} steps, {solves[0] / steps:.2f} solves per step"
+            if rows:
+                line += (f", the projection writes {rows[0].size} of n_ext "
+                         f"{problem.bundle.n_ext} rows per step")
+            lines.append(line)
+    finally:
+        linalg.Factorization.solve = real_solve
     return "\n".join(lines)
