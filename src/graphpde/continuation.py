@@ -12,10 +12,8 @@ x = [u; lambda], the package's one Newton loop; it factors each iterate's
 bordered matrix once and returns the solution's, whose determinant costs
 no further LU.  J's duplicate entries are summed first; then one numbered
 layout per pattern of J says where each bordered entry lives, every border
-entry stored, and each bordered matrix is one gather from it.  The
-pattern's first is factored with COLAMD, and every later one is gathered
-straight into that column order and factored without reordering (see
-linalg), which gives bitwise the same LU.  One rule rejects a step: when
+entry stored, and each bordered matrix is one gather from it, factored in
+its natural column order (see linalg).  One rule rejects a step: when
 the corrector fails, the step has zero length, or the turn angle exceeds
 maxTheta, the step length halves, and the branch ends once it falls below
 min_norm_delta.  The step length grows by 1.3x (capped at 8x the initial
@@ -194,22 +192,15 @@ def _normalized(sys, du, dlam, beta):
 
 
 class _BorderedLayout(NamedTuple):
-    """One pattern of J, and its bordered CSC numbered in a column order.
+    """One pattern of J, and its bordered CSC numbered in natural column order.
 
-    Entry k of the bordered matrix, in the column order of the pattern's
-    first factorization, is values[numbered.data[k] - 1] with values =
-    [J.data, row, col, corner].
+    Entry k of the bordered matrix is values[numbered.data[k] - 1] with
+    values = [J.data, row, col, corner].
     """
 
     j_indptr: np.ndarray
     j_indices: np.ndarray
     numbered: sp.csc_matrix
-    order: linalg.ColumnOrder
-
-
-def _gathered(values, numbered):
-    return sp.csc_matrix((values[numbered.data - 1], numbered.indices, numbered.indptr),
-                         shape=numbered.shape)
 
 
 def _bordered_factor(sys, u, lam, t_u, t_lam, beta):
@@ -217,9 +208,8 @@ def _bordered_factor(sys, u, lam, t_u, t_lam, beta):
 
     J's duplicate entries are summed first.  Once per pattern of J, one
     sp.bmat numbers the bordered matrix's entries from 1, so none is dropped
-    and every border entry stays stored, zeros too.  The pattern's first LU
-    is gathered in natural order and factored with COLAMD; every later one
-    is gathered straight into that order and factored without reordering.
+    and every border entry stays stored, zeros too.  Each bordered matrix is
+    one gather from that layout, factored in its natural column order.
     """
     J = sys.jacobian(u, lam)
     J = J.tocsc() if sp.issparse(J) else sp.csc_matrix(J)
@@ -227,19 +217,19 @@ def _bordered_factor(sys, u, lam, t_u, t_lam, beta):
     values = np.concatenate([J.data, t_u if sys.weights is None else sys.weights * t_u,
                              sys.dlam(u, lam), [beta * t_lam]])
     lay = sys._bordered_layout
-    if (lay is not None and np.array_equal(J.indptr, lay.j_indptr)
-            and np.array_equal(J.indices, lay.j_indices)):
-        return linalg.Factorization(_gathered(values, lay.numbered), lay.order)
-    n, nnz = J.shape[0], J.nnz
-    number = np.arange(1, values.size + 1)
-    numbered = sp.bmat([[sp.csc_matrix((number[:nnz], J.indices, J.indptr), J.shape),
-                         number[nnz + n:-1, None]],
-                        [number[None, nnz:nnz + n], number[-1:, None]]], format="csc")
-    fact = linalg.factorize(_gathered(values, numbered))
-    order = fact.column_order
-    sys._bordered_layout = _BorderedLayout(J.indptr.copy(), J.indices.copy(),
-                                           numbered[:, order.perm], order)
-    return fact
+    if (lay is None or not np.array_equal(J.indptr, lay.j_indptr)
+            or not np.array_equal(J.indices, lay.j_indices)):
+        n, nnz = J.shape[0], J.nnz
+        number = np.arange(1, values.size + 1)
+        numbered = sp.bmat([[sp.csc_matrix((number[:nnz], J.indices, J.indptr), J.shape),
+                             number[nnz + n:-1, None]],
+                            [number[None, nnz:nnz + n], number[-1:, None]]], format="csc")
+        lay = sys._bordered_layout = _BorderedLayout(J.indptr.copy(), J.indices.copy(),
+                                                     numbered)
+    numbered = lay.numbered
+    gathered = sp.csc_matrix((values[numbered.data - 1], numbered.indices, numbered.indptr),
+                             shape=numbered.shape)
+    return linalg.Factorization(gathered, natural=True)
 
 
 def corrector(sys: ContinuationSystem, opts: ContinuationOptions,
@@ -250,7 +240,8 @@ def corrector(sys: ContinuationSystem, opts: ContinuationOptions,
     bordered matrix is factored once, the solution's after Newton returns.
     Returns (u, lambda, that factorization), whose det_sign and log_abs_det
     are the test functions.  A Newton failure (non-finite values too) or an
-    exactly singular bordered matrix at the solution raises CorrectorError.
+    exactly singular or non-finite bordered matrix at the solution raises
+    CorrectorError.
     """
     n = np.size(u_pred)
 
@@ -267,6 +258,8 @@ def corrector(sys: ContinuationSystem, opts: ContinuationOptions,
         return x[:n], float(x[n]), factor(x)
     except linalg.SingularMatrixError as exc:
         raise CorrectorError(f"singular bordered system: {exc}") from exc
+    except linalg.NonFiniteMatrixError as exc:
+        raise CorrectorError(f"non-finite bordered system: {exc}") from exc
     except NewtonError as exc:
         raise CorrectorError(f"corrector failed: {exc}") from exc
 

@@ -276,6 +276,21 @@ def test_a_non_finite_jacobian_halves_ds_until_the_branch_ends():
     assert min(np.diff(u)) < 0.5 * max(np.diff(u))  # ds was halved on the way
 
 
+def test_a_non_finite_jacobian_at_an_accepted_point_halves_ds():
+    # F = u - lambda: every prediction lands on the line, so Newton returns
+    # at iteration 1 without a factorization, and the NaN Jacobian first
+    # shows in the factorization of the accepted point
+    system = cont.ContinuationSystem(
+        residual=lambda u, lam: u - lam,
+        jacobian=lambda u, lam: np.array([[1.0 if u[0] <= 0.5 else np.nan]]),
+        dlam=lambda u, lam: np.array([-1.0]))
+    opts = quiet_opts(ds=0.2, max_points=10)
+    branch = continue_branch(system, np.array([0.0]), 0.0, np.array([1.0]), 1.0, opts)
+    assert branch.provenance["termination"] == "step below min_norm_delta"
+    assert len(branch.points) == 7
+    assert max(p.psi[0] for p in branch.points) <= 0.5
+
+
 def test_step_onto_a_singular_point_halves_ds():
     opts = quiet_opts(ds=0.1, beta=1.0, max_points=10, lambda_thresh=1.0,
                       n_thresh=1e9, min_norm_delta=1e-6)
@@ -810,12 +825,12 @@ def test_an_extension_for_another_sigma_is_refused(tmp_path):
     assert len(cont.continue_from_end(run, sys_, 1, more).points) == 9
 
 
-def _branch_with_colamd_every_time(system, monkeypatch):
-    """The branch as every bordered matrix factored afresh in its own COLAMD order gives it."""
+def _branch_with_fresh_bordered_matrices(system, monkeypatch):
+    """The branch as every bordered matrix built afresh by sp.bmat gives it."""
     def fresh(sys, u, lam, t_u, t_lam, beta):
         row = t_u if sys.weights is None else sys.weights * t_u
-        return cont.linalg.factorize(bordered_reference(
-            sys.jacobian(u, lam), sys.dlam(u, lam), row, beta * t_lam))
+        return cont.linalg.Factorization(bordered_reference(
+            sys.jacobian(u, lam), sys.dlam(u, lam), row, beta * t_lam), natural=True)
 
     with monkeypatch.context() as m:
         m.setattr(cont, "_bordered_factor", fresh)
@@ -844,13 +859,14 @@ def pitchfork_chain(pattern_changes):
 
 
 @pytest.mark.parametrize("pattern_changes", [False, True])
-def test_reused_column_order_gives_the_same_branch(monkeypatch, pattern_changes):
-    reference = _branch_with_colamd_every_time(pitchfork_chain(pattern_changes), monkeypatch)
+def test_gathered_bordered_matrices_give_the_fresh_branch(monkeypatch, pattern_changes):
+    reference = _branch_with_fresh_bordered_matrices(pitchfork_chain(pattern_changes),
+                                                     monkeypatch)
     orderings = []
     splu = cont.linalg.spla.splu
 
-    def counted(A, permc_spec="COLAMD", **kw):
-        orderings.append(permc_spec)
+    def counted(A, permc_spec=None, **kw):
+        orderings.append((A.shape[0], permc_spec))
         return splu(A, permc_spec=permc_spec, **kw)
 
     monkeypatch.setattr(cont.linalg.spla, "splu", counted)
@@ -860,31 +876,30 @@ def test_reused_column_order_gives_the_same_branch(monkeypatch, pattern_changes)
     for p, q in zip(branch.points, reference.points):
         assert p.lam == q.lam and np.array_equal(p.psi, q.psi)
         assert np.array_equal(p.tangent_psi, q.tangent_psi)
-    # besides the null vectors' LUs, one COLAMD ordering per switch of the
-    # Jacobian's pattern (localization crosses lam = 0 back and forth)
-    colamd = orderings.count("COLAMD") - len(branch.perturbations)
-    assert colamd > 1 if pattern_changes else colamd == 1
-    assert orderings.count("NATURAL") > 20
+    # the bordered matrices (4 x 4) in natural order, the null vectors' J with COLAMD
+    assert orderings.count((4, "NATURAL")) > 20
+    assert orderings.count((3, "COLAMD")) == len(branch.perturbations) > 0
+    assert len(orderings) == orderings.count((4, "NATURAL")) + len(branch.perturbations)
 
 
-def test_a_dumbbell_branch_orders_its_bordered_columns_once(tmp_path, monkeypatch):
+def test_a_dumbbell_branch_factors_its_bordered_matrices_in_natural_order(tmp_path,
+                                                                          monkeypatch):
     b, sys_ = dumbbell_setup()
     run = cont.create_run(tmp_path, "dumbbell", b)
     cont.save_eigenfunctions(run, b, 2)
-    orders = []
+    factored = []
     real = cont.linalg.Factorization.__init__
 
-    def init(self, A, order=None):
-        orders.append(order)
-        real(self, A, order)
+    def init(self, A, natural=False):
+        factored.append((A.shape[0], natural))
+        real(self, A, natural)
 
     monkeypatch.setattr(cont.linalg.Factorization, "__init__", init)
     branch = cont.continue_from_eig(run, sys_, 1, 1e-2, quiet_opts(ds=0.05, max_points=12))
-    bordered = [o for o in orders if o is not None]
-    n_null = len(branch.perturbations)
-    assert len(orders) - len(bordered) == 1 + n_null  # the first bordered LU, the null vectors
-    assert len(bordered) > 30
-    assert all(o is bordered[0] for o in bordered)
+    bordered = factored.count((b.n_ext + 1, True))
+    # besides the bordered LUs, only the null vectors' (COLAMD)
+    assert factored.count((b.n_ext, False)) == len(branch.perturbations) > 0
+    assert bordered > 30 and len(factored) == bordered + len(branch.perturbations)
 
 
 def pitchfork_chain_with_duplicates():
@@ -941,30 +956,28 @@ def test_bordered_matrices_are_bitwise_the_reference(monkeypatch, case):
     system, n = _BORDERED_CASES[case]()
     handed, real = [], cont.linalg.Factorization.__init__
 
-    def init(self, A, order=None):
-        handed.append((A.copy(), order))
-        real(self, A, order)
+    def init(self, A, natural=False):
+        handed.append((A.copy(), natural))
+        real(self, A, natural)
 
     monkeypatch.setattr(cont.linalg.Factorization, "__init__", init)
     rng = np.random.default_rng(8)
-    first_orders = 0
+    layouts = []
     for lam in (-0.3, -0.2, 0.2, 0.4, -0.25):  # across 0 twice: two pattern changes
         u = 0.1 + 0.01 * rng.standard_normal(n)
         t_u, t_lam = rng.standard_normal(n), rng.standard_normal()
         cont._bordered_factor(system, u, lam, t_u, t_lam, 0.1)
-        A, order = handed.pop()
+        A, natural = handed.pop()
+        assert natural is True
+        if not layouts or system._bordered_layout is not layouts[-1]:
+            layouts.append(system._bordered_layout)
         row = t_u if system.weights is None else system.weights * t_u
         reference = bordered_reference(system.jacobian(u, lam), system.dlam(u, lam), row,
                                        0.1 * t_lam)
-        if order is None:  # a pattern's first LU, in natural order
-            first_orders += 1
-        else:
-            assert order is system._bordered_layout.order
-            reference = reference[:, order.perm]
         assert A.data.dtype == reference.data.dtype
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(A, name), getattr(reference, name)), name
-    assert first_orders == (3 if case == "pitchfork-pattern-changes" else 1)
+    assert len(layouts) == (3 if case == "pitchfork-pattern-changes" else 1)
 
 
 def test_a_jacobian_with_duplicate_entries_keeps_its_layout_and_its_branch():

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from graphpde import build_graph, discretize, DIRICHLET, from_template
-from graphpde.linalg import (ColumnOrder, EigenSolverError, Factorization,
+from graphpde.linalg import (EigenSolverError, Factorization,
                              SingularMatrixError, det_sign, factorize, generalized_eigs,
                              permutation_parity, solve)
 from tests_support import bordered_reference, eigs_pencils
@@ -229,19 +229,13 @@ def test_eigenvalues_sorted_by_magnitude():
     assert np.all(np.diff(mags) >= -1e-12)
 
 
-# --- the reordered path: a matrix factored in a column order found earlier ---
+# --- the natural path: the columns taken in the matrix's own order ---
 
-def factorize_reordered(A, perm=None):
-    """A factored with its columns taken in a given order: a random one by
-    default, which exercises the scatter and the parity harder than COLAMD's."""
-    A = sp.csc_matrix(A)
-    if perm is None:
-        perm = np.random.default_rng(A.shape[0]).permutation(A.shape[0])
-    order = ColumnOrder(perm, permutation_parity(perm))
-    return Factorization(A[:, perm], order)
+def factorize_natural(A):
+    return Factorization(sp.csc_matrix(A), natural=True)
 
 
-def test_reordered_det_sign_against_cofactor_oracle():
+def test_natural_det_sign_against_cofactor_oracle():
     rng = np.random.default_rng(42)
     checked = 0
     while checked < 60:
@@ -249,14 +243,14 @@ def test_reordered_det_sign_against_cofactor_oracle():
         d = cofactor_det(A)
         if d == 0:
             continue
-        fact = factorize_reordered(A, rng.permutation(4))
+        fact = factorize_natural(A)
         assert fact.det_sign == int(np.sign(d))
         assert fact.log_abs_det == pytest.approx(math.log(abs(d)), abs=1e-12)
         checked += 1
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_reordered_log_abs_det_matches_slogdet_under_pivoting(dtype):
+def test_natural_log_abs_det_matches_slogdet_under_pivoting(dtype):
     rng = np.random.default_rng(3)
     for n in (5, 12, 40, 90):
         M = np.zeros((n, n), dtype=dtype)
@@ -264,18 +258,18 @@ def test_reordered_log_abs_det_matches_slogdet_under_pivoting(dtype):
             M += part * rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
         np.fill_diagonal(M, 0.0)
         M[np.arange(n), rng.permutation(n)] = 10.0 + rng.random(n)
-        fact = factorize_reordered(M)
+        fact = factorize_natural(M)
         assert np.any(fact._lu.perm_r != np.arange(n))
         sign, logdet = np.linalg.slogdet(M)
         assert fact.log_abs_det == pytest.approx(logdet, rel=1e-12, abs=1e-10)
         assert fact.det_sign == pytest.approx(sign, abs=1e-10)
 
 
-def test_reordered_solve_residual_and_complex_rhs():
+def test_natural_solve_residual_and_complex_rhs():
     rng = np.random.default_rng(1)
     for n in (5, 20):
         A = rng.standard_normal((n, n)) + n * np.eye(n)
-        fact = factorize_reordered(A)
+        fact = factorize_natural(A)
         for b in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n),
                   rng.standard_normal((n, 3))):
             x = fact.solve(b)
@@ -283,19 +277,18 @@ def test_reordered_solve_residual_and_complex_rhs():
             assert np.linalg.norm(A @ x - b) <= bound
 
 
-def test_reordered_empty_row_or_column_and_non_finite_entries():
+def test_natural_empty_row_or_column_and_non_finite_entries():
     b = discretize(from_template("dumbbell"), "uniform")
     with pytest.raises(SingularMatrixError, match=r"row \d+ of the matrix is empty"):
-        factorize_reordered(b.interp_vc - b.lap_vc)
-    # the message names the column of the matrix, not its place in the order
+        factorize_natural(b.interp_vc - b.lap_vc)
     zero_column = sp.csr_matrix(([1.0, 0.0, 1.0, 1.0, 1.0], [0, 1, 2, 0, 2], [0, 3, 4, 5]),
                                 shape=(3, 3))
     with pytest.raises(SingularMatrixError, match="column 1 of the matrix is empty"):
-        factorize_reordered(zero_column, np.array([1, 2, 0]))
+        factorize_natural(zero_column)
     A = np.eye(3)
     A[1, 2] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        factorize_reordered(A)
+        factorize_natural(A)
 
 
 def _bordered_dumbbell_matrices(scheme):
@@ -326,24 +319,19 @@ def _random_patterns():
 
 
 @pytest.mark.parametrize("source", ["uniform", "chebyshev", "random"])
-def test_reordered_factorization_is_bitwise_the_colamd_one(source):
-    # the continuation code relies on this: SuperLU with the natural order on
-    # the reordered columns pivots and rounds exactly as the COLAMD run did.
-    # A SciPy whose SuperLU breaks it fails here, not as a moved branch.
+def test_natural_order_agrees_with_colamd(source):
+    # the continuation code factors its bordered matrices in natural order and
+    # reads branch points off the determinant's sign: both orders must agree
     matrices = (_random_patterns() if source == "random"
                 else _bordered_dumbbell_matrices(source))
     rng = np.random.default_rng(0)
     for M in matrices:
-        colamd = factorize(M)
-        order = colamd.column_order
-        reordered = Factorization(M[:, order.perm], order)
+        colamd, natural = factorize(M), Factorization(M, natural=True)
+        assert np.array_equal(natural._lu.perm_c, np.arange(M.shape[0]))
+        assert natural.det_sign == pytest.approx(colamd.det_sign, abs=1e-12)
+        assert natural.log_abs_det == pytest.approx(colamd.log_abs_det, rel=1e-12, abs=1e-12)
         b = rng.standard_normal(M.shape[0])
-        assert np.array_equal(reordered.solve(b), colamd.solve(b))
-        assert reordered.det_sign == colamd.det_sign
-        assert reordered.log_abs_det == colamd.log_abs_det
-        assert np.array_equal(reordered._diag, colamd._diag)
-        # its own order is the one it was given
-        assert np.array_equal(reordered.column_order.perm, order.perm)
+        assert np.allclose(natural.solve(b), colamd.solve(b), rtol=1e-9, atol=1e-12)
 
 
 # --- the shift test and the eigenpair polish ---

@@ -115,6 +115,39 @@ def localization_report():
     return "\n".join(lines)
 
 
+def bordered_lu_report():
+    """One line per dumbbell scheme, on the constant branch dumbbell_localizations
+    traces: the bordered LUs, the LUs that asked SuperLU for a column ordering
+    and the bordered LUs' mean count of L and U entries."""
+    import tempfile
+
+    from graphpde import discretize, from_template, linalg
+
+    real_splu = linalg.spla.splu
+    lines = []
+    for scheme in ("uniform", "chebyshev"):
+        n_bordered = discretize(from_template("dumbbell"), scheme).n_ext + 1
+        lus = []
+
+        def recording_splu(A, permc_spec=None, **kwargs):
+            lu = real_splu(A, permc_spec=permc_spec, **kwargs)
+            lus.append((A.shape[0], permc_spec, lu.L.nnz + lu.U.nnz))
+            return lu
+
+        linalg.spla.splu = recording_splu
+        try:
+            with tempfile.TemporaryDirectory() as workdir:
+                dumbbell_localizations(scheme, workdir)
+        finally:
+            linalg.spla.splu = real_splu
+        fill = [entries for n, _, entries in lus if n == n_bordered]
+        ordered = sum(spec != "NATURAL" for _, spec, _ in lus)
+        lines.append(f"{scheme} dumbbell (ds=0.05): {len(fill)} bordered LUs (n {n_bordered}) "
+                     f"of {len(lus)}; {ordered} LUs asked SuperLU for an ordering; "
+                     f"bordered L+U entries {sum(fill) / max(len(fill), 1):.0f} on average")
+    return "\n".join(lines)
+
+
 def eigs_pencils():
     """(name, bundle, m) of the uniform Y graph (nx=40, m = 7) and of the Chebyshev
     secular gallery, at the grids and m of its cross-validation against the scan."""
