@@ -10,14 +10,14 @@ where <.,.> is the problem's inner product and (t_u, t_lambda) the current
 unit tangent in the beta-metric.  The corrector is stationary.newton on
 x = [u; lambda], the package's one Newton loop; it factors each iterate's
 bordered matrix once and returns the solution's, whose determinant costs
-no further LU.  J's duplicate entries are summed first; then one numbered
-layout per pattern of J says where each bordered entry lives, every border
-entry stored, and each bordered matrix is one gather from it, factored in
-its natural column order (see linalg).  One rule rejects a step: when
+no further LU.  One layout per pattern of J holds the bordered matrix
+SuperLU reads, every border entry stored; each bordered LU gathers J's
+values (an NLS problem's straight from its pattern) and the border into
+it, in natural column order (see linalg).  One rule rejects a step: when
 the corrector fails, the step has zero length, or the turn angle exceeds
-maxTheta, the step length halves, and the branch ends once it falls below
-min_norm_delta.  The step length grows by 1.3x (capped at 8x the initial
-step) when the turn angle stays below maxTheta/2.
+maxTheta, the step halves, and the branch ends once it falls below
+min_norm_delta.  The step grows by 1.3x (capped at 8x the initial step)
+when the turn angle stays below maxTheta/2.
 
 Two determinant signs are monitored at every accepted point: branch
 points flip the sign of the bordered Jacobian determinant and are
@@ -141,8 +141,8 @@ class ContinuationSystem:
 
     residual, jacobian and dlam give F, dF/du and dF/dlambda at (u, lambda).
     Angles, distances and the mass <u, u> use <u, v> = sum(weights u v), a
-    plain dot product when weights is None.  Only the initializers that
-    read or write a run directory use bundle and problem.
+    plain dot product when weights is None.  Run-directory initializers use
+    bundle and problem; an nls_system's bordered LUs use problem's pattern.
     """
 
     residual: Callable
@@ -154,6 +154,8 @@ class ContinuationSystem:
     problem: NLSProblem | None = None
     # where _bordered_factor gathers each entry from, for the last pattern of J
     _bordered_layout: _BorderedLayout | None = field(default=None, init=False, repr=False)
+    # set by nls_system: J's values on problem.jacobian_pattern, without a matrix
+    _jacobian_values: Callable | None = field(default=None, init=False, repr=False)
 
     def inner(self, u, v) -> float:
         return float(np.dot(u, v) if self.weights is None else self.weights @ (u * v))
@@ -168,11 +170,13 @@ def nls_system(problem: NLSProblem, ctx: FunctionalContext) -> ContinuationSyste
     b = problem.bundle
     if ctx.bundle is not b:
         raise ValueError("the functional context belongs to another bundle")
-    return ContinuationSystem(
+    sys = ContinuationSystem(
         residual=lambda u, lam: nls_residual(problem, u, lam),
         jacobian=lambda u, lam: nls_jacobian(problem, u, lam),
         dlam=lambda u, lam: b.interp_zero @ u, weights=ctx.q,
         energy=lambda u, lam: energy_nls(ctx, u, problem.sigma), bundle=b, problem=problem)
+    sys._jacobian_values = problem.jacobian_values
+    return sys
 
 
 def beta_metric(sys: ContinuationSystem, u1, lam1, u2, lam2, beta: float) -> float:
@@ -192,44 +196,51 @@ def _normalized(sys, du, dlam, beta):
 
 
 class _BorderedLayout(NamedTuple):
-    """One pattern of J, and its bordered CSC numbered in natural column order.
-
-    Entry k of the bordered matrix is values[numbered.data[k] - 1] with
-    values = [J.data, row, col, corner].
-    """
+    """One pattern of J and its bordered CSC, canonical with intc indices, in natural column
+    order: entry k is values[take[k]], values = [J.data, row, col, corner].  SuperLU copies
+    matrix.data into L and U, so each gather may overwrite it under earlier LUs."""
 
     j_indptr: np.ndarray
     j_indices: np.ndarray
-    numbered: sp.csc_matrix
+    take: np.ndarray
+    matrix: sp.csc_matrix
 
 
 def _bordered_factor(sys, u, lam, t_u, t_lam, beta):
-    """LU of the bordered matrix [[J, col], [row, corner]], gathered from one numbered layout.
+    """LU of the bordered matrix [[J, col], [row, corner]], gathered into its layout.
 
-    J's duplicate entries are summed first.  Once per pattern of J, one
-    sp.bmat numbers the bordered matrix's entries from 1, so none is dropped
-    and every border entry stays stored, zeros too.  Each bordered matrix is
-    one gather from that layout, factored in its natural column order.
+    An nls_system's J values come from its problem's pattern; any other J is
+    made canonical CSC.  Once per pattern of J, one sp.bmat numbers the
+    bordered entries from 1 (none dropped, every border entry stored, zeros
+    too); each LU is then one np.take into the layout's matrix, natural order.
     """
-    J = sys.jacobian(u, lam)
-    J = J.tocsc() if sp.issparse(J) else sp.csc_matrix(J)
-    J.sum_duplicates()
-    values = np.concatenate([J.data, t_u if sys.weights is None else sys.weights * t_u,
+    if sys._jacobian_values is None:
+        J = sys.jacobian(u, lam)
+        J = J.tocsc() if sp.issparse(J) else sp.csc_matrix(J)
+        J.sum_duplicates()
+        indptr, indices, j_values = J.indptr, J.indices, J.data
+    else:
+        indptr, indices = sys.problem.jacobian_pattern[:2]
+        j_values = sys._jacobian_values(u, lam)
+    values = np.concatenate([j_values, t_u if sys.weights is None else sys.weights * t_u,
                              sys.dlam(u, lam), [beta * t_lam]])
     lay = sys._bordered_layout
-    if (lay is None or not np.array_equal(J.indptr, lay.j_indptr)
-            or not np.array_equal(J.indices, lay.j_indices)):
-        n, nnz = J.shape[0], J.nnz
+    if lay is None or lay.matrix.dtype != values.dtype or not (
+            lay.j_indptr is indptr and lay.j_indices is indices
+            or np.array_equal(lay.j_indptr, indptr) and np.array_equal(lay.j_indices, indices)):
+        n, nnz = indptr.size - 1, indices.size
         number = np.arange(1, values.size + 1)
-        numbered = sp.bmat([[sp.csc_matrix((number[:nnz], J.indices, J.indptr), J.shape),
+        numbered = sp.bmat([[sp.csc_matrix((number[:nnz], indices, indptr), (n, n)),
                              number[nnz + n:-1, None]],
                             [number[None, nnz:nnz + n], number[-1:, None]]], format="csc")
-        lay = sys._bordered_layout = _BorderedLayout(J.indptr.copy(), J.indices.copy(),
-                                                     numbered)
-    numbered = lay.numbered
-    gathered = sp.csc_matrix((values[numbered.data - 1], numbered.indices, numbered.indptr),
-                             shape=numbered.shape)
-    return linalg.Factorization(gathered, natural=True)
+        numbered.sum_duplicates()
+        matrix = sp.csc_matrix((np.empty(values.size, values.dtype), numbered.indices.astype(
+            np.intc), numbered.indptr.astype(np.intc)), shape=numbered.shape)
+        if sys._jacobian_values is None:  # J's arrays are the caller's
+            indptr, indices = indptr.copy(), indices.copy()
+        lay = sys._bordered_layout = _BorderedLayout(indptr, indices, numbered.data - 1, matrix)
+    np.take(values, lay.take, out=lay.matrix.data)
+    return linalg.Factorization(lay.matrix, natural=True)
 
 
 def corrector(sys: ContinuationSystem, opts: ContinuationOptions,

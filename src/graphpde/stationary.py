@@ -302,9 +302,9 @@ class NLSProblem:
 
     @cached_property
     def jacobian_pattern(self):
-        """CSC arrays (indptr, row indices, column of each entry, lap_vc
-        values, interp_zero values) on the union pattern of lap_vc and
-        interp_zero, shared by every Jacobian of the problem."""
+        """Canonical CSC arrays (indptr, row indices, column of each entry,
+        lap_vc values, interp_zero values) on the union pattern of lap_vc
+        and interp_zero, shared by every Jacobian of the problem."""
         L = self.bundle.lap_vc.tocoo()
         P = self.bundle.interp_zero.tocoo()
         # real parts carry lap_vc, imaginary parts interp_zero; entries at
@@ -315,6 +315,11 @@ class NLSProblem:
         cols = np.repeat(np.arange(L.shape[1]), np.diff(tagged.indptr))
         return (tagged.indptr, tagged.indices, cols,
                 tagged.data.real.copy(), tagged.data.imag.copy())
+
+    def jacobian_values(self, psi, lam):
+        """The values of nls_jacobian(self, psi, lam), in jacobian_pattern's order."""
+        _, _, cols, lap, interp = self.jacobian_pattern
+        return lap + interp * (self.fprime(psi) + lam)[cols]
 
 
 def nls_problem(bundle: OperatorBundle, sigma: float = 1.0,
@@ -328,10 +333,9 @@ def nls_residual(problem: NLSProblem, psi: np.ndarray, lam: float) -> np.ndarray
 
 
 def nls_jacobian(problem: NLSProblem, psi: np.ndarray, lam: float):
-    """lap_vc + interp_zero diag(f'(psi) + lam), as CSC on the problem's fixed pattern."""
-    indptr, rows, cols, lap, interp = problem.jacobian_pattern
-    d = problem.fprime(psi) + lam
-    return sp.csc_matrix((lap + interp * d[cols], rows, indptr),
+    """lap_vc + interp_zero diag(f'(psi) + lam): problem.jacobian_values as CSC on its pattern."""
+    indptr, rows, *_ = problem.jacobian_pattern
+    return sp.csc_matrix((problem.jacobian_values(psi, lam), rows, indptr),
                          shape=problem.bundle.lap_vc.shape)
 
 

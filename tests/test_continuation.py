@@ -13,7 +13,7 @@ from graphpde import (apply_function_to_edges, discretize, from_template, make_c
 from graphpde.continuation import (ContinuationError, ContinuationOptions,
                                    beta_metric, continue_branch, corrector,
                                    nls_system)
-from graphpde.stationary import NewtonError
+from graphpde.stationary import NewtonError, nls_jacobian
 from graphpde.store import save_state_csv
 from tests_support import bordered_reference, reference_corrector
 
@@ -825,15 +825,17 @@ def test_an_extension_for_another_sigma_is_refused(tmp_path):
     assert len(cont.continue_from_end(run, sys_, 1, more).points) == 9
 
 
+def _fresh_bordered_factor(sys, u, lam, t_u, t_lam, beta):
+    """The bordered LU of a matrix built afresh by sp.bmat, in natural column order."""
+    row = t_u if sys.weights is None else sys.weights * t_u
+    return cont.linalg.Factorization(bordered_reference(
+        sys.jacobian(u, lam), sys.dlam(u, lam), row, beta * t_lam), natural=True)
+
+
 def _branch_with_fresh_bordered_matrices(system, monkeypatch):
     """The branch as every bordered matrix built afresh by sp.bmat gives it."""
-    def fresh(sys, u, lam, t_u, t_lam, beta):
-        row = t_u if sys.weights is None else sys.weights * t_u
-        return cont.linalg.Factorization(bordered_reference(
-            sys.jacobian(u, lam), sys.dlam(u, lam), row, beta * t_lam), natural=True)
-
     with monkeypatch.context() as m:
-        m.setattr(cont, "_bordered_factor", fresh)
+        m.setattr(cont, "_bordered_factor", _fresh_bordered_factor)
         return _pitchfork_chain_branch(system)
 
 
@@ -932,6 +934,14 @@ def _random_system(rng, n=30):
                                                base.indptr), shape=base.shape)), n
 
 
+def _complex_past_zero():
+    """pitchfork_chain(False) whose J turns complex past lambda = 0, on the same pattern."""
+    real = pitchfork_chain(False)
+    return cont.ContinuationSystem(
+        residual=None, dlam=real.dlam,
+        jacobian=lambda u, lam: real.jacobian(u, lam) * (1.0 + 0.5j if lam > 0.0 else 1.0))
+
+
 def _dumbbell_system(scheme):
     b = discretize(from_template("dumbbell"), scheme)
     return nls_system(nls_problem(b), make_context(b)), b.n_ext
@@ -946,6 +956,7 @@ _BORDERED_CASES = {  # each gives a system and its number of unknowns
         jacobian=lambda u, lam: np.array([[lam, 1.0, 0.0], [2.0, -1.0, u[0]], [0.0, 3.0, 1.0]])),
         3),
     "duplicates": lambda: (pitchfork_chain_with_duplicates(), 3),
+    "complex-past-zero": lambda: (_complex_past_zero(), 3),
     "dumbbell-uniform": lambda: _dumbbell_system("uniform"),
     "dumbbell-chebyshev": lambda: _dumbbell_system("chebyshev"),
 }
@@ -977,7 +988,9 @@ def test_bordered_matrices_are_bitwise_the_reference(monkeypatch, case):
         assert A.data.dtype == reference.data.dtype
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(A, name), getattr(reference, name)), name
-    assert len(layouts) == (3 if case == "pitchfork-pattern-changes" else 1)
+    # a new pattern, or complex values into a real layout, renumber
+    assert len(layouts) == (3 if case in ("pitchfork-pattern-changes", "complex-past-zero")
+                            else 1)
 
 
 def test_a_jacobian_with_duplicate_entries_keeps_its_layout_and_its_branch():
@@ -999,11 +1012,166 @@ def test_a_jacobian_with_duplicate_entries_keeps_its_layout_and_its_branch():
         x = fact.solve(b)
         assert np.linalg.norm(M @ x - b) <= 1e-13 * np.linalg.norm(M) * np.linalg.norm(x)
         lay = system._bordered_layout
-        arrays = [lay.j_indptr, lay.j_indices, lay.numbered.indptr, lay.numbered.indices,
-                  lay.numbered.data]
+        arrays = [lay.j_indptr, lay.j_indices, lay.take, lay.matrix.indptr, lay.matrix.indices]
         if before is None:
             before = [a.copy() for a in arrays]
         assert all(np.array_equal(a, c) for a, c in zip(arrays, before))
+
+
+def _dumbbell_branches(scheme, workdir):
+    """The dumbbell's constant branch from eigenfunction 1 (ds 0.05) and both legs
+    of its first branch point (max_points 20), as the benchmark traces them."""
+    b = discretize(from_template("dumbbell"), scheme)
+    system = nls_system(nls_problem(b), make_context(b))
+    run = cont.create_run(workdir, "dumbbell", b)
+    cont.save_eigenfunctions(run, b, 2)
+    branch = cont.continue_from_eig(run, system, 1, 1e-2, quiet_opts(ds=0.05, save_flag=True))
+    legs = quiet_opts(ds=0.05, max_points=20, save_flag=True)
+    return [branch] + [cont.continue_from_branch_point(run, system, 1, min(branch.perturbations),
+                                                       sign, legs) for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "chebyshev"])
+def test_gathered_bordered_matrices_give_the_fresh_dumbbell_branches(tmp_path, monkeypatch,
+                                                                     scheme):
+    with monkeypatch.context() as m:
+        m.setattr(cont, "_bordered_factor", _fresh_bordered_factor)
+        reference = _dumbbell_branches(scheme, tmp_path / "fresh")
+    branches = _dumbbell_branches(scheme, tmp_path / "gathered")
+    assert [len(b.points) for b in branches] == [len(b.points) for b in reference]
+    assert len(branches[0].perturbations) > 1 and len(branches[1].points) == 20
+    for branch, ref in zip(branches, reference):
+        for p, q in zip(branch.points, ref.points):
+            for f in dataclasses.fields(p):
+                assert np.array_equal(getattr(p, f.name), getattr(q, f.name)), f.name
+        assert branch.perturbations.keys() == ref.perturbations.keys()
+        for k, v in branch.perturbations.items():
+            assert np.array_equal(v, ref.perturbations[k])
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "chebyshev"])
+def test_nls_jacobian_is_its_values_on_the_problem_pattern(scheme):
+    b = discretize(from_template("dumbbell"), scheme)
+    problem = nls_problem(b)
+    psi = 0.3 + 0.1 * np.random.default_rng(4).standard_normal(b.n_ext)
+    J = nls_jacobian(problem, psi, -0.7)
+    indptr, rows, cols, lap, interp = problem.jacobian_pattern
+    d = problem.fprime(psi) - 0.7
+    assert np.array_equal(J.indptr, indptr) and np.array_equal(J.indices, rows)
+    assert np.array_equal(J.data, lap + interp * d[cols])
+    assert np.array_equal(J.data, problem.jacobian_values(psi, -0.7))
+    # entry by entry the operator lap_vc + interp_zero diag(f'(psi) + lambda)
+    assert np.array_equal(J.toarray(), (b.lap_vc + b.interp_zero @ sp.diags(d)).toarray())
+
+
+def _knob_system():
+    """A hand-built system on a fixed pattern: F = A u + lambda 1, J = A scaled row by
+    row by knobs["rows"] and column by column by knobs["cols"], stored zeros kept,
+    and dF/dlambda read from knobs["dlam"]; the caller turns the knobs between LUs."""
+    A = sp.csc_matrix(np.array([[2.0, 1, 0, 0], [1, 3, 1, 0], [0, 1, 4, 1], [0, 0, 1, 5]]))
+    cols = np.repeat(np.arange(4), np.diff(A.indptr))
+    knobs = {"rows": np.ones(4), "cols": np.ones(4), "dlam": np.ones(4)}
+
+    def jacobian(u, lam):
+        scale = knobs["rows"][A.indices] * knobs["cols"][cols]
+        return sp.csc_matrix((A.data * scale, A.indices, A.indptr), shape=A.shape)
+
+    system = cont.ContinuationSystem(residual=lambda u, lam: A @ u + lam,
+                                     jacobian=jacobian, dlam=lambda u, lam: knobs["dlam"])
+    return system, knobs
+
+
+def _refusal_cases(case):
+    """(system, knobs, good state, cases): each case is the knobs and state entries it
+    changes, the error it must raise and the message's tail.  The dumbbell's f' turns
+    NaN with knobs["nan"]; the good states solve F = 0 exactly."""
+    nan, empty = cont.linalg.NonFiniteMatrixError, cont.linalg.SingularMatrixError
+    finite = "matrix entries must be finite"
+    if case == "dumbbell":
+        b = discretize(from_template("dumbbell"), "uniform")
+        knobs = {"nan": False}
+        problem = nls_problem(b, f=lambda z: 2.0 * z**3,
+                              fprime=lambda z: 6.0 * z**2 * (np.nan if knobs["nan"] else 1.0))
+        system, n = nls_system(problem, make_context(b)), b.n_ext
+        # the constant state 0.5 at lambda = -0.5, bordered by its branch tangent
+        good = {"u": np.full(n, 0.5), "lam": -0.5, "t_u": np.ones(n), "t_lam": -2.0}
+        cases = [({"nan": True}, {}, nan, finite),
+                 ({}, {"t_u": np.zeros(n), "t_lam": 0.0}, empty, f"row {n} of"),
+                 ({}, {"u": np.zeros(n), "t_lam": 0.0}, empty, f"column {n} of")]
+    else:
+        system, knobs = _knob_system()
+        n = 4
+        good = {"u": np.zeros(n), "lam": 0.0, "t_u": np.arange(1.0, 5.0), "t_lam": 0.5}
+        cases = [({"rows": np.array([1, np.nan, 1, 1])}, {}, nan, finite),
+                 ({"dlam": np.array([1, 1, np.nan, 1])}, {}, nan, finite),
+                 ({"rows": np.array([1, 1, 0, 1]), "dlam": np.array([1, 1, 0, 1])}, {},
+                  empty, "row 2 of"),
+                 ({"cols": np.array([1, 0, 1, 1])}, {"t_u": np.array([1, 0, 3, 4])},
+                  empty, "column 1 of")]
+    row = np.ones(n)
+    row[3] = np.nan
+    cases += [({}, {"t_u": row}, nan, finite), ({}, {"t_lam": np.nan}, nan, finite)]
+    return system, knobs, good, cases
+
+
+@pytest.mark.parametrize("case", ["dumbbell", "hand-built"])
+def test_a_reused_layout_keeps_every_refusal(case):
+    system, knobs, good, cases = _refusal_cases(case)
+    pristine = copy.deepcopy(knobs)
+    cont._bordered_factor(system, *good.values(), 0.1)
+    layout = system._bordered_layout
+    for turned, changed, error, message in cases:
+        knobs.update(turned)
+        u, lam, t_u, t_lam = {**good, **changed}.values()
+        with pytest.raises(error, match=message):
+            cont._bordered_factor(system, u, lam, t_u, t_lam, 0.1)
+        if np.isfinite(t_u).all() and math.isfinite(t_lam):
+            # predicted on a solution, Newton takes no step: the refusal comes
+            # from the factorization of the accepted point
+            kind = "non-finite" if error is cont.linalg.NonFiniteMatrixError else "singular"
+            with pytest.raises(cont.CorrectorError, match=f"{kind} bordered system: {message}"):
+                corrector(system, quiet_opts(beta=0.1), u, lam, t_u, t_lam)
+        knobs.update(copy.deepcopy(pristine))
+        assert system._bordered_layout is layout
+    # after every refusal the layout still gathers the reference
+    fact = cont._bordered_factor(system, *good.values(), 0.1)
+    assert system._bordered_layout is layout
+    u, lam, t_u, t_lam = good.values()
+    row = t_u if system.weights is None else system.weights * t_u
+    reference = bordered_reference(system.jacobian(u, lam), system.dlam(u, lam), row, 0.1 * t_lam)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(layout.matrix, name), getattr(reference, name)), name
+    fresh = cont.linalg.Factorization(reference, natural=True)
+    assert (fact.det_sign, fact.log_abs_det) == (fresh.det_sign, fresh.log_abs_det)
+
+
+@pytest.mark.parametrize("case", ["dumbbell-uniform", "dumbbell-chebyshev", "random"])
+def test_a_held_bordered_factorization_outlives_later_gathers(case):
+    # locate_branch_point holds the corrector's fact_b while its own corrector
+    # calls gather into the same layout
+    system, n = _BORDERED_CASES[case]()
+    rng = np.random.default_rng(6)
+
+    def state(lam):
+        u = 0.1 + 0.01 * rng.standard_normal(n)
+        return u, lam, rng.standard_normal(n), rng.standard_normal()
+
+    u, lam, t_u, t_lam = state(-0.3)
+    held = cont._bordered_factor(system, u, lam, t_u, t_lam, 0.1)
+    layout = system._bordered_layout
+    row = t_u if system.weights is None else system.weights * t_u
+    M = bordered_reference(system.jacobian(u, lam), system.dlam(u, lam), row, 0.1 * t_lam)
+    for later in (-0.35, -0.25, -0.2, -0.4):
+        cont._bordered_factor(system, *state(later), 0.1)
+    assert system._bordered_layout is layout
+    assert not np.array_equal(layout.matrix.data, M.data)
+    # det_sign and log_abs_det are first read now, after the later gathers
+    fresh = cont.linalg.Factorization(M, natural=True)
+    assert held.det_sign == fresh.det_sign and held.log_abs_det == fresh.log_abs_det
+    b = rng.standard_normal(n + 1)
+    x = held.solve(b)
+    assert np.array_equal(x, fresh.solve(b))
+    assert np.linalg.norm(M @ x - b) <= 1e-13 * np.linalg.norm(M.toarray()) * np.linalg.norm(x)
 
 
 # --- the localization paths a shipped branch does not take ---

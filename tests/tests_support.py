@@ -118,33 +118,63 @@ def localization_report():
 def bordered_lu_report():
     """One line per dumbbell scheme, on the constant branch dumbbell_localizations
     traces: the bordered LUs, the LUs that asked SuperLU for a column ordering
-    and the bordered LUs' mean count of L and U entries."""
+    and the bordered LUs' mean count of L and U entries.  Then a line with the
+    CSC matrices built per bordered LU after its pattern's first, and one with
+    the L+U entries of a bordered NLS matrix of the uniform 54-pair necklace."""
     import tempfile
+    from unittest import mock
 
-    from graphpde import discretize, from_template, linalg
+    import graphpde.continuation as cont
+    from graphpde import discretize, from_template, linalg, make_context, nls_problem
 
-    real_splu = linalg.spla.splu
-    lines = []
+    real_splu, real_factor = linalg.spla.splu, cont._bordered_factor
+    lines, built = [], []
     for scheme in ("uniform", "chebyshev"):
         n_bordered = discretize(from_template("dumbbell"), scheme).n_ext + 1
-        lus = []
+        lus, count = [], [0]
 
         def recording_splu(A, permc_spec=None, **kwargs):
             lu = real_splu(A, permc_spec=permc_spec, **kwargs)
             lus.append((A.shape[0], permc_spec, lu.L.nnz + lu.U.nnz))
             return lu
 
-        linalg.spla.splu = recording_splu
+        def counting_factor(system, *args):
+            # the CSC matrices built by one bordered LU, kept when it reused a layout
+            layout, count[0] = system._bordered_layout, 0
+            fact = real_factor(system, *args)
+            if system._bordered_layout is layout:
+                built.append((scheme, count[0]))
+            return fact
+
+        def counting_init(self, *args, real=sp.csc_matrix.__init__, **kwargs):
+            count[0] += 1
+            real(self, *args, **kwargs)
+
+        linalg.spla.splu, cont._bordered_factor = recording_splu, counting_factor
         try:
-            with tempfile.TemporaryDirectory() as workdir:
+            with tempfile.TemporaryDirectory() as workdir, \
+                    mock.patch.object(sp.csc_matrix, "__init__", counting_init):
                 dumbbell_localizations(scheme, workdir)
         finally:
-            linalg.spla.splu = real_splu
+            linalg.spla.splu, cont._bordered_factor = real_splu, real_factor
         fill = [entries for n, _, entries in lus if n == n_bordered]
         ordered = sum(spec != "NATURAL" for _, spec, _ in lus)
         lines.append(f"{scheme} dumbbell (ds=0.05): {len(fill)} bordered LUs (n {n_bordered}) "
                      f"of {len(lus)}; {ordered} LUs asked SuperLU for an ordering; "
                      f"bordered L+U entries {sum(fill) / max(len(fill), 1):.0f} on average")
+    counts = {scheme: [c for s, c in built if s == scheme] for scheme in ("uniform", "chebyshev")}
+    lines.append("CSC matrices built per bordered LU after its pattern's first: " + ", ".join(
+        f"{scheme} {sum(c) / max(len(c), 1):.2f} ({sum(c)} in {len(c)} LUs)"
+        for scheme, c in counts.items()))
+    # the constant state 0.5 (lambda -0.5) bordered by its branch tangent
+    b = discretize(from_template("necklace", n_pairs=54, nx=20), "uniform")
+    system = cont.nls_system(nls_problem(b), make_context(b))
+    natural = cont._bordered_factor(system, np.full(b.n_ext, 0.5), -0.5, np.ones(b.n_ext),
+                                    -2.0, 0.1)
+    colamd = real_splu(system._bordered_layout.matrix, permc_spec="COLAMD")
+    lines.append(f"uniform 54-pair necklace (nx 20), one bordered NLS matrix (n {b.n_ext + 1}) "
+                 f"at the constant state 0.5: L+U entries {natural._lu.L.nnz + natural._lu.U.nnz}"
+                 f" in natural order, {colamd.L.nnz + colamd.U.nnz} with COLAMD")
     return "\n".join(lines)
 
 
