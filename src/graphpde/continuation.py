@@ -9,25 +9,27 @@ predictor and a Newton corrector on the bordered system
 where <.,.> is the problem's inner product and (t_u, t_lambda) the current
 unit tangent in the beta-metric.  The corrector is stationary.newton on
 x = [u; lambda], the package's one Newton loop; it factors each iterate's
-bordered matrix once and returns the solution's, whose determinant costs
-no further LU.  One layout per pattern of J holds the bordered matrix
-SuperLU reads, every border entry stored; each bordered LU gathers J's
-values (an NLS problem's straight from its pattern) and the border into
-it, in natural column order (see linalg).  One rule rejects a step: when
-the corrector fails, the step has zero length, or the turn angle exceeds
-maxTheta, the step halves, and the branch ends once it falls below
-min_norm_delta.  The step grows by 1.3x (capped at 8x the initial step)
-when the turn angle stays below maxTheta/2.
+bordered matrix once and returns the LU of the last iterate it stepped
+from (the solution's if none), whose determinant costs no further LU.
+One layout per pattern of J holds the bordered matrix SuperLU reads,
+every border entry stored; each bordered LU gathers J's values (an NLS
+problem's straight from its pattern) and the border into it, in natural
+column order (see linalg).  One rule rejects a step: when the corrector
+fails, the step has zero length, or the turn angle exceeds maxTheta, the
+step halves, and the branch ends once it falls below min_norm_delta.
+The step grows by 1.3x (capped at 8x the initial step) when the turn
+angle stays below maxTheta/2.
 
 Two determinant signs are monitored at every accepted point: branch
 points flip the sign of the bordered Jacobian determinant and are
 localized in pseudo-arclength by a safeguarded secant on the signed
-determinant (see locate_branch_point); folds flip the sign of
-d(lambda)/ds without a bordered sign change and are tagged at the nearer
-point.  Simultaneous events resolve as branch points.  Switching onto the
-crossing branch uses only the stored branch point from its directory.  A
-branch records the problem's sigma, and extending it or switching off it
-with a system of another sigma is refused.
+determinant (see locate_branch_point), also a flip read within a Newton
+step of a point; folds flip the sign of d(lambda)/ds without a bordered
+sign change and are tagged at the nearer point.  Simultaneous events
+resolve as branch points.  Switching onto the crossing branch uses only
+the stored branch point from its directory.  A branch records the
+problem's sigma, and extending it or switching off it with a system of
+another sigma is refused.
 
 The seeds of continue_branch, continue_from_eig and continue_from_saved are
 polished at their fixed lambda by the same loop (NewtonError on failure).
@@ -248,25 +250,27 @@ def corrector(sys: ContinuationSystem, opts: ContinuationOptions,
     """stationary.newton on the bordered system anchored at the predicted point.
 
     x = [u; lambda], the residual is [F(u, lambda); g], and every iterate's
-    bordered matrix is factored once, the solution's after Newton returns.
-    Returns (u, lambda, that factorization), whose det_sign and log_abs_det
-    are the test functions.  A Newton failure (non-finite values too) or an
-    exactly singular or non-finite bordered matrix at the solution raises
-    CorrectorError.
+    bordered matrix is factored once.  Returns (u, lambda, the LU of the
+    last iterate Newton stepped from, or the solution's when it took none),
+    whose det_sign and log_abs_det are the test functions.  A Newton failure
+    (non-finite values too) or an exactly singular or non-finite bordered
+    matrix raises CorrectorError.
     """
     n = np.size(u_pred)
+    last = []  # the LU of the last iterate factored
 
     def residual(x):
         g = sys.inner(x[:n] - u_pred, t_u) + opts.beta * (x[n] - lam_pred) * t_lam
         return np.append(sys.residual(x[:n], x[n]), g)
 
     def factor(x):
-        return _bordered_factor(sys, x[:n], x[n], t_u, t_lam, opts.beta)
+        last[:] = [_bordered_factor(sys, x[:n], x[n], t_u, t_lam, opts.beta)]
+        return last[0]
 
     try:
         x = newton(residual, factor, np.append(u_pred, lam_pred), opts.newton_tol,
                    opts.max_newton).psi
-        return x[:n], float(x[n]), factor(x)
+        return x[:n], float(x[n]), last[0] if last else factor(x)
     except linalg.SingularMatrixError as exc:
         raise CorrectorError(f"singular bordered system: {exc}") from exc
     except linalg.NonFiniteMatrixError as exc:
@@ -337,17 +341,23 @@ _LOCATE_TOL = 1e-7  # beta-width of the final bracket
 _LOCATE_SHIFT = {False: 0.03, True: 1e-3}
 
 
+class _NoSignChange(ContinuationError):
+    def __init__(self, sign):  # the one sign of the bracket's ends
+        super().__init__("bordered determinant does not change sign across the detection bracket")
+        self.sign = sign
+
+
 def locate_branch_point(sys: ContinuationSystem, opts: ContinuationOptions,
-                        a: BranchPoint, b: BranchPoint, direction, fact_b):
+                        a: BranchPoint, b: BranchPoint, direction):
     """Safeguarded secant in pseudo-arclength on the signed bordered determinant.
 
     direction is the unit tangent (t_u, t_lambda) the corrector used to
-    reach b, and fact_b the bordered factorization it returned there.
-    Points are corrected on hyperplanes normal to direction, so the
+    reach b.  Points are corrected on hyperplanes normal to it, so the
     fraction s of the way from a to b along it parameterizes them.  The
     test function g(s) = det_sign exp(log_abs_det - ref) of the Jacobian
     bordered by direction is continuous and changes sign at a simple
-    branch point; the corrector's final factorization yields it, so an
+    branch point.  The bracket ends are factored at a and b themselves;
+    every later evaluation reads the LU the corrector returns, so an
     evaluation costs no extra LU.
 
     Each step corrects at the Illinois zero of the sign bracket, moved
@@ -364,22 +374,21 @@ def locate_branch_point(sys: ContinuationSystem, opts: ContinuationOptions,
 
     Returns (u*, lambda*, null vector) at the interpolated zero of the
     last bracket, once its beta-width is at most 1e-7; no corrector runs
-    at that point.  A corrector failure at a bisection step, or a bracket
-    still wider after 60 steps, raises ContinuationError.
+    at that point.  Ends of one sign, a corrector failure at a bisection
+    step, or a bracket still wider after 60 steps raise ContinuationError.
     """
     t_u, t_lam = direction
-    fa = _bordered_factor(sys, a.psi, a.lam, t_u, t_lam, opts.beta)
+    fa, fb = (_bordered_factor(sys, p.psi, p.lam, t_u, t_lam, opts.beta) for p in (a, b))
     sign, ref = fa.det_sign, fa.log_abs_det
-    if fact_b.det_sign == sign:
-        raise ContinuationError("bordered determinant does not change sign "
-                                "across the detection bracket")
+    if fb.det_sign == sign:
+        raise _NoSignChange(sign)
 
     def value(fact):
         return fact.det_sign * math.exp(fact.log_abs_det - ref)
 
     # bracket ends as (s, u, lambda, g), end 0 with the sign at a
     ends = [(0.0, np.array(a.psi), a.lam, float(sign)),
-            (1.0, np.array(b.psi), b.lam, value(fact_b))]
+            (1.0, np.array(b.psi), b.lam, value(fb))]
     gone = []             # the last end given up
     weight = [1.0, 1.0]   # Illinois weights of the end values
     moved = None          # end replaced by the previous step
@@ -434,8 +443,7 @@ def locate_branch_point(sys: ContinuationSystem, opts: ContinuationOptions,
     else:
         raise ContinuationError("branch-point localization exceeded its budget")
     u_star, lam_star = predict(zero(ends[0][3], ends[1][3]))
-    v = null_vector(sys, u_star, lam_star)
-    return u_star, lam_star, v
+    return u_star, lam_star, null_vector(sys, u_star, lam_star)
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +455,10 @@ def _run_continuation(sys, opts, points, prev_dir, events):
     ds_cap = 8.0 * opts.ds
     last = points[-1]
     try:
-        prev_bordered = _bordered_factor(sys, last.psi, last.lam,
-                                         *prev_dir, opts.beta).det_sign
+        prev_bordered = _bordered_factor(sys, last.psi, last.lam, *prev_dir, opts.beta).det_sign
     except linalg.SingularMatrixError:
         prev_bordered = None
+    behind = None  # the last accepted step's bracket for locate_branch_point
     perturbations: dict[int, np.ndarray] = {}
     termination = "max_points"
     first_step = True
@@ -486,23 +494,30 @@ def _run_continuation(sys, opts, points, prev_dir, events):
             continue
         point = _make_point(sys, u, lam, *new_dir)
 
-        if prev_bordered is not None and fact.det_sign != prev_bordered:
+        sign = fact.det_sign
+        if prev_bordered is not None and sign != prev_bordered:
+            at, bp_dir = len(points), new_dir
             try:
-                u_star, lam_star, v = locate_branch_point(sys, opts, last, point,
-                                                          prev_dir, fact)
-                eps = 1e-2 * math.sqrt(max(sys.inner(u_star, u_star), 0.0)) + 1e-3
-                bp = _make_point(sys, u_star, lam_star, *new_dir, bif_type=1)
-                points.append(bp)
-                perturbations[len(points) - 1] = eps * v
-                note(f"branch point located at lambda={lam_star:.8g}")
-                if len(points) == opts.max_points:
-                    break
+                try:
+                    located = locate_branch_point(sys, opts, last, point, prev_dir)
+                except _NoSignChange as same:  # signs read up to a Newton step off their points
+                    sign, located = same.sign, None  # the flip is next to point: test its sign
+                    if sign == fact.det_sign:  # or next to last (a run's first sign is exact)
+                        at, bp_dir = at - 1, (last.tangent_psi, last.tangent_lam)
+                        located = locate_branch_point(sys, opts, *behind)
+                if located is not None:
+                    u_star, lam_star, v = located
+                    eps = 1e-2 * math.sqrt(max(sys.inner(u_star, u_star), 0.0)) + 1e-3
+                    points.insert(at, _make_point(sys, u_star, lam_star, *bp_dir, bif_type=1))
+                    perturbations[at] = eps * v
+                    note(f"branch point located at lambda={lam_star:.8g}")
+                    if len(points) == opts.max_points:
+                        break
             except CodimensionTwoError:
                 raise
             except ContinuationError as exc:
                 note(f"bifurcation localization failed: {exc}")
-        elif (prev_bordered is not None
-              and last.tangent_lam * new_dir[1] < 0.0):
+        elif prev_bordered is not None and last.tangent_lam * new_dir[1] < 0.0:
             fold_at = point if abs(new_dir[1]) <= abs(last.tangent_lam) else last
             fold_at.bif_type = -1
             note(f"fold tagged at lambda={fold_at.lam:.8g}")
@@ -511,7 +526,7 @@ def _run_continuation(sys, opts, points, prev_dir, events):
         if opts.verbose_flag:
             print(f"[continuation] point {len(points) - 1}: "
                   f"lambda={lam:.6g} N={point.mass:.6g} ds={ds:.3g}")
-        prev_bordered = fact.det_sign
+        prev_bordered, behind = sign, (last, point, prev_dir)
         last = point
         prev_dir = new_dir
         first_step = False

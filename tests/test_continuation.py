@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 import json
@@ -734,7 +735,6 @@ def test_secant_localization_on_the_pitchfork_oracle():
     a = cont.BranchPoint(np.array([0.0]), -0.3, 0.0, 0.0)
     b = cont.BranchPoint(np.array([0.0]), 0.1, 0.0, 0.0)
     direction = (np.array([0.0]), 1.0)
-    fact_b = cont._bordered_factor(sys_, b.psi, b.lam, *direction, opts.beta)
     calls = []
     real_corrector = cont.corrector
 
@@ -744,7 +744,7 @@ def test_secant_localization_on_the_pitchfork_oracle():
 
     cont.corrector = counting
     try:
-        u, lam, v = cont.locate_branch_point(sys_, opts, a, b, direction, fact_b)
+        u, lam, v = cont.locate_branch_point(sys_, opts, a, b, direction)
     finally:
         cont.corrector = real_corrector
     assert abs(lam) <= 1e-15 and u[0] == 0.0 and abs(v[0]) == 1.0
@@ -1182,8 +1182,7 @@ def _locate_setup(sys_, lam_a, lam_b):
     a = cont.BranchPoint(np.array([0.0]), lam_a, 0.0, 0.0)
     b = cont.BranchPoint(np.array([0.0]), lam_b, 0.0, 0.0)
     direction = (np.array([0.0]), 1.0)
-    fact_b = cont._bordered_factor(sys_, b.psi, b.lam, *direction, opts.beta)
-    return sys_, opts, a, b, direction, fact_b
+    return sys_, opts, a, b, direction
 
 
 def _recording_corrector(monkeypatch, fail=lambda call: False):
@@ -1238,12 +1237,13 @@ def test_localization_ends_after_its_budget(monkeypatch):
     # every evaluation takes the sign found at b, so the bracket shrinks toward
     # a, and lies 1 off its predicted state, so the two ends never come within
     # 1e-7 of each other
-    setup = _locate_setup(pitchfork_system(), -0.3, 0.1)
+    setup = sys_, opts, _, b, direction = _locate_setup(pitchfork_system(), -0.3, 0.1)
+    fact_b = cont._bordered_factor(sys_, b.psi, b.lam, *direction, opts.beta)
     calls = []
 
     def corrector(sys_, opts, u_pred, lam_pred, t_u, t_lam):
         calls.append(lam_pred)
-        return u_pred + 1.0, lam_pred, setup[-1]
+        return u_pred + 1.0, lam_pred, fact_b
 
     monkeypatch.setattr(cont, "corrector", corrector)
     with pytest.raises(ContinuationError, match="exceeded its budget"):
@@ -1272,3 +1272,179 @@ def test_options_refuse_a_nan_threshold_and_take_an_infinite_one(name):
         ContinuationOptions(**{name: math.nan})
     for off in (math.inf, -math.inf):
         assert getattr(ContinuationOptions(**{name: off}), name) == off
+
+
+# --- the sign test reads the corrector's last Newton LU ---
+
+@contextlib.contextmanager
+def _bordered_lu_accounting():
+    """Yields (calls, total): calls receives [Newton steps, bordered LUs] for each
+    corrector call that returned, total[0] counts every bordered LU."""
+    calls, total, inside = [], [0], []
+    real = cont._bordered_factor, cont.newton, cont.corrector
+    real_factor, real_newton, real_corrector = real
+
+    def factor(*args):
+        total[0] += 1
+        if inside:
+            inside[-1][1] += 1
+        return real_factor(*args)
+
+    def newton(*args):
+        result = real_newton(*args)
+        if inside:
+            inside[-1][0] = result.iterations
+        return result
+
+    def corrector(*args):
+        inside.append([0, 0])
+        try:
+            out = real_corrector(*args)
+        finally:
+            record = inside.pop()
+        calls.append(record)
+        return out
+
+    cont._bordered_factor, cont.newton, cont.corrector = factor, newton, corrector
+    try:
+        yield calls, total
+    finally:
+        cont._bordered_factor, cont.newton, cont.corrector = real
+
+
+@pytest.fixture(scope="module")
+def constant_branch(tmp_path_factory):
+    """trace(scheme, ds): the dumbbell's constant branch from eigenfunction 1, traced once
+    per module, as (branch, [Newton steps, bordered LUs] per corrector call, bordered LUs)."""
+    systems, traced = {}, {}
+
+    def trace(scheme, ds):
+        if scheme not in systems:
+            b = discretize(from_template("dumbbell"), scheme)
+            run = cont.create_run(tmp_path_factory.mktemp(scheme), "dumbbell", b)
+            cont.save_eigenfunctions(run, b, 4)
+            systems[scheme] = run, nls_system(nls_problem(b), make_context(b))
+        if (scheme, ds) not in traced:
+            run, system = systems[scheme]
+            with _bordered_lu_accounting() as (calls, total):
+                branch = cont.continue_from_eig(run, system, 1, 1e-2, quiet_opts(ds=ds))
+            traced[scheme, ds] = branch, calls, total[0]
+        return traced[scheme, ds]
+
+    return trace
+
+
+def _one_lu_per_newton_step(calls):
+    # the LU of each iterate Newton steps from, or the point's own when it takes no step
+    return all(lus == max(steps, 1) for steps, lus in calls)
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "chebyshev"])
+def test_a_corrector_call_factors_once_per_newton_step(constant_branch, scheme):
+    branch, calls, total = constant_branch(scheme, 0.05)
+    assert len(calls) > 50 and any(steps == 0 for steps, _ in calls)
+    assert any(steps > 1 for steps, _ in calls)
+    assert _one_lu_per_newton_step(calls)
+    # outside the corrector: the seed's sign and the two ends of each localization
+    bps = [p for p in branch.points if p.bif_type == 1]
+    assert len(bps) == 4
+    assert total == sum(lus for _, lus in calls) + 1 + 2 * len(bps)
+
+
+def test_a_pitchfork_corrector_call_factors_once_per_newton_step():
+    with _bordered_lu_accounting() as (calls, _):
+        _pitchfork_branches(pitchfork_system())
+    steps = {steps for steps, _ in calls}
+    assert len(calls) > 50 and 0 in steps and max(steps) > 1
+    assert _one_lu_per_newton_step(calls)
+
+
+class _SignFlipped:
+    """A factorization whose determinant reads the other sign."""
+
+    def __init__(self, fact):
+        self.det_sign, self.log_abs_det = -fact.det_sign, fact.log_abs_det
+
+
+def _trivial_pitchfork_branch(monkeypatch=None, flipped_at=None):
+    """The pitchfork's trivial branch u = 0 across its branch point at lambda = 0; with
+    flipped_at, the LU the corrector returns at that lambda reads the other sign."""
+    if flipped_at is not None:
+        real = cont.corrector
+
+        def corrector(*args):
+            u, lam, fact = real(*args)
+            return u, lam, _SignFlipped(fact) if lam == flipped_at else fact
+
+        monkeypatch.setattr(cont, "corrector", corrector)
+    opts = quiet_opts(ds=0.07, max_points=30, n_thresh=1e9, lambda_thresh=1.0,
+                      min_norm_delta=1e-7, beta=1.0)
+    return continue_branch(pitchfork_system(), np.array([0.0]), -1.0, np.array([0.0]), 1.0, opts)
+
+
+@pytest.mark.parametrize("side", ["before", "after"])
+def test_a_crossing_within_a_newton_step_of_a_point_is_located(monkeypatch, side):
+    # The LU returned at the last point before the crossing ("before") or the
+    # first one past it ("after") reads the far side's sign, as the LU of an
+    # iterate within one Newton step of a crossing may.  Before it, the flip
+    # seen there lies past that point; after it, the flip shows one step late
+    # and lies on the step before.
+    plain = _trivial_pitchfork_branch()
+    lams = plain.lambdas
+    k = int(np.flatnonzero(plain.bif_types == 1)[0])
+    assert lams[k - 1] < 0.0 < lams[k + 1] and abs(lams[k]) <= 1e-7
+    flipped_at = lams[k - 1] if side == "before" else lams[k + 1]
+    branch = _trivial_pitchfork_branch(monkeypatch, flipped_at)
+    bps = np.flatnonzero(branch.bif_types == 1)
+    assert list(bps) == [k] and abs(branch.lambdas[k]) <= 1e-7
+    assert np.all(np.diff(branch.lambdas) > 0.0)  # arclength order
+    assert not [e for e in branch.provenance["events"] if "localization failed" in e]
+    # the same branch, branch point and perturbation as without the flip
+    assert np.array_equal(branch.lambdas, lams) and np.array_equal(branch.bif_types,
+                                                                   plain.bif_types)
+    assert branch.perturbations.keys() == plain.perturbations.keys() == {k}
+    assert np.array_equal(branch.perturbations[k], plain.perturbations[k])
+    assert branch.points[k].tangent_lam == plain.points[k].tangent_lam
+
+
+# the branch points of the constant branch at the parent of the change that let
+# the sign test read the corrector's last Newton LU, and the branch's largest
+# deviation from sqrt(-lambda / 2)
+_CONSTANT_BRANCH_AT_PARENT = {
+    ("uniform", 0.04): ([-0.029284975407243265, -0.21483048280660894, -0.44844877023538643],
+                        2.36e-8),
+    ("uniform", 0.05): ([-0.029284975241344782, -0.2148304828592647, -0.44844877021742596,
+                         -0.6703513774177307], 1.26e-10),
+    ("uniform", 0.06): ([-0.029284975757722202, -0.2148304828143595], 5.85e-10),
+    ("uniform", 0.07): ([-0.0292849751266506, -0.21483048293849302, -0.4484487703076183],
+                        2.84e-10),
+    ("chebyshev", 0.04): ([-0.029285329560006616, -0.21484969592982311, -0.44853231179929187],
+                          2.36e-8),
+    ("chebyshev", 0.05): ([-0.029285329404628368, -0.21484969604300516, -0.44853231182511416,
+                           -0.6705378233872205], 1.66e-10),
+    ("chebyshev", 0.06): ([-0.029285329921444257, -0.21484969591076322], 6.03e-10),
+    ("chebyshev", 0.07): ([-0.029285329322887958, -0.21484969589456623, -0.4485323118311032],
+                          2.22e-10),
+}
+
+
+@pytest.mark.parametrize("scheme, ds", sorted(_CONSTANT_BRANCH_AT_PARENT))
+def test_branch_points_across_ds_match_the_parent(constant_branch, scheme, ds):
+    branch, _, _ = constant_branch(scheme, ds)
+    expected, deviation = _CONSTANT_BRANCH_AT_PARENT[scheme, ds]
+    found = [p.lam for p in branch.points if p.bif_type == 1]
+    assert len(found) == len(expected)
+    for lam, ref in zip(found, expected):
+        assert abs(lam - ref) <= 1e-8 * abs(ref)
+    assert not [e for e in branch.provenance["events"] if "localization failed" in e]
+    dev = max(np.max(np.abs(p.psi - math.sqrt(max(-p.lam, 0.0) / 2))) for p in branch.points)
+    assert dev <= 1.5 * deviation
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: the one step from lambda -0.443 to "
+                   "-0.689 spans two crossings, so the determinant's sign flips twice")
+@pytest.mark.parametrize("scheme", ["uniform", "chebyshev"])
+def test_both_crossings_in_one_step_at_ds_006_are_found(constant_branch, scheme):
+    found = [p.lam for p in constant_branch(scheme, 0.06)[0].points if p.bif_type == 1]
+    for lam in (-0.4484, -0.6704):
+        assert any(abs(x - lam) <= 1e-3 for x in found)

@@ -40,20 +40,26 @@ def bordered_reference(J, col, row, corner):
 def reference_corrector(sys, opts, u_pred, lam_pred, t_u, t_lam):
     """The continuation corrector's own Newton loop, as it was before the corrector
     became one call to stationary.newton: a plain bordered Newton step per
-    iterate, no backtrack, and CorrectorError on a diverged or unconverged run."""
+    iterate, no backtrack, and CorrectorError on a diverged or unconverged run.
+    It returns the LU of the last iterate it stepped from, or the point's own
+    when it took no step."""
     import graphpde.continuation as cont
     from graphpde import linalg
 
     u = np.array(u_pred, dtype=float)
     lam = float(lam_pred)
+    fact = None
     for _ in range(opts.max_newton):
         F = sys.residual(u, lam)
         g = sys.inner(u - u_pred, t_u) + opts.beta * (lam - lam_pred) * t_lam
+        converged = max(np.linalg.norm(F, np.inf), abs(g)) <= opts.newton_tol
+        if converged and fact is not None:
+            return u, lam, fact
         try:
             fact = cont._bordered_factor(sys, u, lam, t_u, t_lam, opts.beta)
         except linalg.SingularMatrixError as exc:
             raise cont.CorrectorError(f"singular bordered system: {exc}") from exc
-        if max(np.linalg.norm(F, np.inf), abs(g)) <= opts.newton_tol:
+        if converged:
             return u, lam, fact
         step = fact.solve(np.concatenate([F, [g]]))
         u = u - step[:-1]
@@ -119,8 +125,10 @@ def bordered_lu_report():
     """One line per dumbbell scheme, on the constant branch dumbbell_localizations
     traces: the bordered LUs, the LUs that asked SuperLU for a column ordering
     and the bordered LUs' mean count of L and U entries.  Then a line with the
-    CSC matrices built per bordered LU after its pattern's first, and one with
-    the L+U entries of a bordered NLS matrix of the uniform 54-pair necklace."""
+    bordered LUs per point of each branch, one with the CSC matrices built per
+    bordered LU after its pattern's first, and one with the L+U entries of a
+    bordered NLS matrix of the uniform 54-pair necklace, bordered by its unit
+    branch tangent."""
     import tempfile
     from unittest import mock
 
@@ -128,7 +136,7 @@ def bordered_lu_report():
     from graphpde import discretize, from_template, linalg, make_context, nls_problem
 
     real_splu, real_factor = linalg.spla.splu, cont._bordered_factor
-    lines, built = [], []
+    lines, built, per_point = [], [], []
     for scheme in ("uniform", "chebyshev"):
         n_bordered = discretize(from_template("dumbbell"), scheme).n_ext + 1
         lus, count = [], [0]
@@ -154,27 +162,32 @@ def bordered_lu_report():
         try:
             with tempfile.TemporaryDirectory() as workdir, \
                     mock.patch.object(sp.csc_matrix, "__init__", counting_init):
-                dumbbell_localizations(scheme, workdir)
+                branch, _ = dumbbell_localizations(scheme, workdir)
         finally:
             linalg.spla.splu, cont._bordered_factor = real_splu, real_factor
         fill = [entries for n, _, entries in lus if n == n_bordered]
         ordered = sum(spec != "NATURAL" for _, spec, _ in lus)
+        per_point.append(f"{scheme} {len(fill) / len(branch.points):.2f} "
+                         f"({len(fill)} for {len(branch.points)} points)")
         lines.append(f"{scheme} dumbbell (ds=0.05): {len(fill)} bordered LUs (n {n_bordered}) "
                      f"of {len(lus)}; {ordered} LUs asked SuperLU for an ordering; "
                      f"bordered L+U entries {sum(fill) / max(len(fill), 1):.0f} on average")
+    lines.append("bordered LUs per point of the branch: " + ", ".join(per_point))
     counts = {scheme: [c for s, c in built if s == scheme] for scheme in ("uniform", "chebyshev")}
     lines.append("CSC matrices built per bordered LU after its pattern's first: " + ", ".join(
         f"{scheme} {sum(c) / max(len(c), 1):.2f} ({sum(c)} in {len(c)} LUs)"
         for scheme, c in counts.items()))
-    # the constant state 0.5 (lambda -0.5) bordered by its branch tangent
+    # the constant state 0.5 (lambda -0.5) bordered by its unit branch tangent
     b = discretize(from_template("necklace", n_pairs=54, nx=20), "uniform")
     system = cont.nls_system(nls_problem(b), make_context(b))
-    natural = cont._bordered_factor(system, np.full(b.n_ext, 0.5), -0.5, np.ones(b.n_ext),
-                                    -2.0, 0.1)
+    u = np.full(b.n_ext, 0.5)
+    tangent = cont.tangent_at(system, u, -0.5, np.ones(b.n_ext), -2.0, 0.1)
+    natural = cont._bordered_factor(system, u, -0.5, *tangent, 0.1)
     colamd = real_splu(system._bordered_layout.matrix, permc_spec="COLAMD")
     lines.append(f"uniform 54-pair necklace (nx 20), one bordered NLS matrix (n {b.n_ext + 1}) "
-                 f"at the constant state 0.5: L+U entries {natural._lu.L.nnz + natural._lu.U.nnz}"
-                 f" in natural order, {colamd.L.nnz + colamd.U.nnz} with COLAMD")
+                 f"at the constant state 0.5, bordered by its unit tangent: L+U entries "
+                 f"{natural._lu.L.nnz + natural._lu.U.nnz} in natural order, "
+                 f"{colamd.L.nnz + colamd.U.nnz} with COLAMD")
     return "\n".join(lines)
 
 
