@@ -13,9 +13,9 @@ from .discretize import (CHEBYSHEV, UNIFORM, Grid, OperatorBundle,
 from .functionals import (FunctionalContext, energy_nls, inner_product, integral,
                           make_context, mass, momentum, norm_lp)
 from .linalg import factorize, generalized_eigs, solve
-from .stationary import (NLSProblem, eigs, find_spectrum_secular, nls_jacobian,
-                         nls_problem, nls_residual, secular_det, secular_matrix,
-                         solve_newton, solve_poisson)
+from .stationary import (NLSProblem, eigenvalue_count, eigs, find_spectrum_secular,
+                         nls_jacobian, nls_problem, nls_residual, secular_det,
+                         secular_matrix, solve_newton, solve_poisson)
 from .continuation import (Branch, BranchPoint, ContinuationOptions,
                            bifurcation_diagram, continue_branch,
                            continue_from_branch_point, continue_from_eig,

@@ -130,7 +130,9 @@ def _cmd_secdet(args, raw, cfg, graph) -> tuple[Path, dict]:
                 "scheme": "secular", "residual": float(res)}
                for (k, mult), res in zip(zeros, residuals)]
     store.write_json(args.out / "zeros.json", payload)
-    return args.out, {}
+    # the eigenvalues with lambda >= -k_lo^2 that the scan does not locate
+    unlocated = stationary.eigenvalue_count(graph, k_max) - sum(mult for _, mult in zeros)
+    return args.out, {"unlocated": unlocated}
 
 
 _NLS_NONLINEARITIES = {"none": None, "nls_cubic": lambda z: -2j * np.abs(z) ** 2 * z}

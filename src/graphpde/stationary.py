@@ -197,16 +197,31 @@ def secular_det(graph: MetricGraph, k: float) -> float:
 # Dirichlet wavenumber of a sub-edge is one of its whole edge
 _SPLIT = (3.0 - math.sqrt(5.0)) / 2.0
 
+# the width of the bracket that certifies a zero of find_spectrum_secular
+_SECULAR_TOL = 1e-10
 
-def _eigenvalue_counts(split, ks: np.ndarray) -> np.ndarray:
-    """N(k) at the 1-D ks for the split graph of find_spectrum_secular, given
-    as its sub-edge lengths, B, edge weights and alpha."""
+
+def _dtn_split(graph: MetricGraph):
+    """The split graph of find_spectrum_secular: its sub-edge lengths, B,
+    edge weights and alpha."""
+    _check_secular_graph(graph)
+    vc, ne = graph.vertex_conditions, graph.num_edges
+    flux = vc.AB.toarray()[vc.first_row]
+    free = flux[:, 2 * ne:].any(axis=1)  # a Dirichlet row carries no flux
+    weights = np.array([e.weight for e in graph.edges])
+    sub = np.outer([e.length for e in graph.edges], [_SPLIT, 1.0 - _SPLIT]).ravel()
+    return sub, flux[free, 2 * ne:], weights, flux[free, vc.anchor[free]]
+
+
+def _eigenvalue_counts(split, ks: np.ndarray):
+    """N(k) at the 1-D ks for a split graph of _dtn_split, and the
+    eigenvalues of M(k) in ascending order, one row per k."""
     sub, B, weights, alpha = split
     nf, ne = B.shape[0], weights.size
     n = nf + ne
     diag = np.arange(n)
 
-    def count(k):
+    def dtn_eigenvalues(k):
         kl = k[:, None] * sub
         cot, csc = -k[:, None] / np.tan(kl), k[:, None] / np.sin(kl)
         M = np.zeros((k.size, n, n))
@@ -214,10 +229,27 @@ def _eigenvalue_counts(split, ks: np.ndarray) -> np.ndarray:
         M[:, nf:, :nf] = M[:, :nf, nf:].transpose(0, 2, 1)
         M[:, diag, diag] = np.hstack([cot @ B.T + alpha,
                                       weights * cot.reshape(k.size, ne, 2).sum(axis=2)])
-        return (np.floor(kl / math.pi).sum(axis=1).astype(int)
-                + np.count_nonzero(np.linalg.eigvalsh(M) > 0.0, axis=1))
+        return np.linalg.eigvalsh(M)
 
-    return _batched(count, ks, n)
+    mu = _batched(dtn_eigenvalues, ks, n)
+    floor = np.floor(ks[:, None] * sub / math.pi).sum(axis=1).astype(int)
+    return floor + (mu > 0.0).sum(axis=1), mu
+
+
+def eigenvalue_count(graph: MetricGraph, k):
+    """Friedlander's N(k): the number of eigenvalues lambda = -k'^2 of the
+    graph with lambda >= -k^2, counted with multiplicity, those with
+    lambda >= 0 included.
+
+    k is a positive wavenumber or a 1-D array of them (an int or an int
+    array back).  The count is find_spectrum_secular's, from the same split
+    graph and stacked eigvalsh batch.  Potentials are refused.
+    """
+    k = np.asarray(k, dtype=float)
+    if k.ndim > 1 or not np.all((k > 0.0) & (k < math.inf)):
+        raise SecularError("k must be a positive finite wavenumber or a 1-D array of them")
+    counts = _eigenvalue_counts(_dtn_split(graph), k.reshape(-1))[0]
+    return int(counts[0]) if k.ndim == 0 else counts
 
 
 def find_spectrum_secular(graph: MetricGraph, k_max: float):
@@ -233,36 +265,115 @@ def find_spectrum_secular(graph: MetricGraph, k_max: float):
     -cot k l_c]] on its two ends, and alpha sits on the diagonal.  k = 0
     is excluded: at k_lo = 1e-4 / sqrt(min l_c * mean l_c) the eigenvalue
     of M that counts a constant state, about k^2 mean(l_c), stands clear
-    of the roundoff of M, about 1e-16 / min(l_c).  Every interval with a
-    positive count is halved, all midpoints counted in one batch, until it
-    is 1e-10 wide and holds one zero, at its midpoint, with the count as
-    multiplicity.  A zero on a pole of M (k l_c a multiple of pi) may be
-    bracketed only to about 1e-8.  Potentials are refused.
+    of the roundoff of M, about 1e-16 / min(l_c).  So the N(k_lo)
+    eigenvalues with lambda >= -k_lo^2 are not located; eigenvalue_count
+    gives N(k_max), and N(k_max) less the multiplicities returned is their
+    number.
+
+    Every interval [a, b] whose count rises by m is cut, the cuts of all
+    intervals counted in one stacked eigvalsh batch per round, until it is
+    1e-10 wide and holds one zero, at its midpoint, with the count as
+    multiplicity.  M(k) grows with k between its poles (k l_c a multiple
+    of pi).  So when [a, b] holds no pole, the mean h(k) of the m
+    eigenvalues at or below 0 at a that cross 0 inside rises through 0,
+    smoothly at a zero of any multiplicity.  The zero of h is estimated by
+    the secant through the closest two of a, b and the last cut outside
+    [a, b], corrected by the quadratic through all three (or by the secant
+    through a and b when that lands outside), and two cuts straddle the
+    estimate by half the correction (by (b - a) / 16 without one).  An
+    interval that holds a pole is halved.  Every cut is pulled within
+    bisection's width of the ends, the safeguard of the ITP method
+    (Oliveira and Takahashi, ACM TOMS 47, 2020), so the scan takes no more
+    rounds than bisection would.  Within about 1e-8 of a pole the counts
+    are roundoff, so a zero there may be bracketed only that well; a count
+    out of order is clipped between its interval's, and the multiplicities
+    always sum to N(k_max) - N(k_lo).  Potentials are refused.
     """
     if not 0.0 < k_max < math.inf:
         raise SecularError(f"k_max must be positive and finite, got {k_max}")
-    _check_secular_graph(graph)
-    vc, ne = graph.vertex_conditions, graph.num_edges
-    flux = vc.AB.toarray()[vc.first_row]
-    free = flux[:, 2 * ne:].any(axis=1)  # a Dirichlet row carries no flux
-    B = flux[free, 2 * ne:]
-    weights = np.array([e.weight for e in graph.edges])
-    sub = np.outer([e.length for e in graph.edges], [_SPLIT, 1.0 - _SPLIT]).ravel()
-    split = (sub, B, weights, flux[free, vc.anchor[free]])
-    a = np.array([1e-4 / math.sqrt(np.min(sub) * np.mean(sub))])
-    if a[0] >= k_max:
+    split = _dtn_split(graph)
+    k_lo = 1e-4 / math.sqrt(np.min(split[0]) * np.mean(split[0]))
+    if k_lo >= k_max:
         return []
-    b = np.array([float(k_max)])
-    na, nb = np.split(_eigenvalue_counts(split, np.concatenate([a, b])), 2)
-    while a.size and b[0] - a[0] > 1e-10:
-        m = 0.5 * (a + b)
-        nm = _eigenvalue_counts(split, m)
-        a, b = np.column_stack([a, m]).ravel(), np.column_stack([m, b]).ravel()
-        na, nb = np.column_stack([na, nm]).ravel(), np.column_stack([nm, nb]).ravel()
-        keep = nb > na
-        a, b, na, nb = a[keep], b[keep], na[keep], nb[keep]
-    # roundoff at a multiple zero that is also a midpoint can split its
-    # count between two touching intervals: merge them
+    tol = _SECULAR_TOL
+    n_ends, mu_ends = _eigenvalue_counts(split, np.array([k_lo, k_max]))
+    if n_ends[1] == n_ends[0]:
+        return []
+    n = mu_ends.shape[1]
+    idx = np.arange(n)
+    # every evaluated point: its wavenumber, count and eigenvalues of M,
+    # after a NaN point that stands for "none"
+    ks, counts = np.r_[np.nan, k_lo, k_max], np.r_[0, n_ends]
+    mus = np.concatenate([np.full((1, n), np.nan), mu_ends])
+    # the live brackets [a, b] as rows (a, b, c) of indices into the
+    # points, c the last cut outside [a, b]
+    live = np.array([[1, 2, 0]])
+    rounds = math.ceil(math.log2((k_max - k_lo) / tol))
+    ulps = 8.0 * np.spacing(float(k_max))
+    done, j = [], 0
+    while True:
+        ends = ks[live[:, 1]] - ks[live[:, 0]] <= tol
+        done.append(live[ends, :2])
+        live = live[~ends]
+        if not live.size:
+            break
+        j += 1
+        (a, b, c), (na, nb), mu = ks[live].T, counts[live[:, :2]].T, mus[live]
+        w, m = b - a, nb - na
+        # no piece wider than bisection's width after round j, less a few
+        # ulps for the cuts' rounding, or than half its interval: a rounding
+        # excess is halved each round and does not add up
+        cap = np.maximum(tol * 2.0 ** max(rounds - j, 0) - ulps, 0.5 * w)
+        pos = (mu[:, :2] > 0.0).sum(axis=2)
+        pole = na - pos[:, 0] != nb - pos[:, 1]
+        hi = n - pos[:, :1]
+        crossing = (idx >= hi - m[:, None]) & (idx < hi)
+        with np.errstate(all="ignore"):  # NaN without a cut c, or across a pole
+            ha, hb, hc = (np.where(crossing[:, None], mu, 0.0).sum(axis=2) / m[:, None]).T
+            # the closest two of a, b and c carry a secant, corrected by the
+            # quadratic through the third
+            left = c < a
+            near, h_near = np.where(left, a, b), np.where(left, ha, hb)
+            by_c = np.abs(c - near) < w
+            x0, h0 = np.where(by_c, c, a), np.where(by_c, hc, ha)
+            x1, h1 = np.where(by_c, near, b), np.where(by_c, h_near, hb)
+            x2 = np.where(by_c, np.where(left, b, a), c)
+            h2 = np.where(by_c, np.where(left, hb, ha), hc)
+            d01 = (h1 - h0) / (x1 - x0)
+            d012 = ((h2 - h1) / (x2 - x1) - d01) / (x2 - x0)
+            lin = x1 - h1 / d01
+            corr = d012 * (lin - x0) * (lin - x1) / d01
+            inside = (lin - corr > a) & (lin - corr < b)
+            # without an estimate inside: the secant through a and b
+            s = np.where(inside, lin - corr, a - ha * w / (hb - ha))
+        delta = np.minimum(np.maximum(np.where(inside, 0.5 * np.abs(corr), w / 16.0),
+                                      tol / 8.0), w / 4.0)
+        # the cuts t1 <= t2 join the points, evaluated unless on an end
+        t1 = np.maximum(np.where(pole, 0.5 * (a + b), np.minimum(s - delta, a + cap)), a)
+        t2 = np.minimum(np.where(pole, b, np.maximum(s + delta, b - cap)), b)
+        cuts, on_end = np.concatenate([t1, t2]), np.concatenate([t1 == a, t2 == b])
+        i1, i2 = ks.size + np.arange(a.size), ks.size + a.size + np.arange(a.size)
+        n_cut, mu_cut = np.concatenate([na, nb]), np.concatenate([mu[:, 0], mu[:, 1]])
+        n_cut[~on_end], mu_cut[~on_end] = _eigenvalue_counts(split, cuts[~on_end])
+        # N is nondecreasing: a count out of order is roundoff within about
+        # 1e-8 of a pole of M, and is clipped so that the pieces' counts
+        # still rise by m in all
+        n_cut[:a.size] = np.clip(n_cut[:a.size], na, nb)
+        n_cut[a.size:] = np.clip(n_cut[a.size:], n_cut[:a.size], nb)
+        ks, counts = np.concatenate([ks, cuts]), np.concatenate([counts, n_cut])
+        mus = np.concatenate([mus, mu_cut])
+        # the pieces [a, t1], [t1, t2] and [t2, b]; the cut outside each is
+        # the other cut for the outer two, the nearer end for the middle
+        # one, and none after a halving, whose pieces may lie across a pole
+        mid_c = np.where((t1 > a) & ((t2 == b) | (s - a < b - s)), live[:, 0], live[:, 1])
+        live = np.array([live[:, 0], i1, i2, i1, i2, mid_c, i2, live[:, 1], i1]).T.reshape(-1, 3)
+        live[np.repeat(pole, 3), 2] = 0
+        live = live[counts[live[:, 1]] > counts[live[:, 0]]]
+    done = np.concatenate(done)
+    done = done[np.argsort(ks[done[:, 0]])]
+    (a, b), (na, nb) = ks[done].T, counts[done].T
+    # roundoff at a multiple zero that is also a cut can split its count
+    # between two touching intervals: merge them
     first = np.flatnonzero(a != np.r_[0.0, b][:-1])
     last = np.flatnonzero(b != np.r_[a, math.inf][1:])
     return [(float(k), int(mult)) for k, mult in

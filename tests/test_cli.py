@@ -187,6 +187,8 @@ def test_cli_secdet_interval(tmp_path):
     assert all(0.0 <= z["residual"] <= 1e-8 for z in zeros)
     sig = np.genfromtxt(out / "sigma.csv", delimiter=",", skip_header=1)
     assert sig.shape[1] == 2
+    # every eigenvalue of the Dirichlet interval is located
+    assert json.loads((out / "run.json").read_text())["unlocated"] == 0
     assert not list(out.rglob("*.tmp"))
 
 
@@ -199,6 +201,8 @@ def test_cli_secdet_necklace_residuals_are_scale_free(tmp_path):
     zeros = json.loads((out / "zeros.json").read_text())
     assert sum(z["multiplicity"] for z in zeros) == 32
     assert all(0.0 <= z["residual"] <= 1e-6 for z in zeros)
+    # the constant state at k = 0 is the one eigenvalue the scan leaves out
+    assert json.loads((out / "run.json").read_text())["unlocated"] == 1
 
 
 @pytest.mark.parametrize("bad, message", [({"samples": 0}, "samples must be at least 1"),

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from graphpde import (DIRICHLET, NLSProblem, apply_function_to_edges, build_graph,
-                      discretize, eigs, find_spectrum_secular, from_template, make_context,
-                      mass, nls_jacobian, nls_problem, nls_residual, secular_det,
-                      secular_matrix, solve_newton, solve_poisson)
+                      discretize, eigenvalue_count, eigs, find_spectrum_secular,
+                      from_template, make_context, mass, nls_jacobian, nls_problem,
+                      nls_residual, secular_det, secular_matrix, solve_newton,
+                      solve_poisson)
 from graphpde.graphs import TEMPLATES
 from graphpde import linalg
 from graphpde.linalg import SingularMatrixError
 from graphpde.stationary import (NewtonError, NullspaceError, SecularError,
                                  _eigenvalue_counts, secular_function,
                                  secular_singular_values)
-from tests_support import SECULAR_GALLERY
+from tests_support import (SECULAR_GALLERY, bisection_batches, random_secular_graphs,
+                           reference_secular_scan, secular_k_lo, secular_scan_work)
 
 
 def five_edge_poisson(nx, scheme):
@@ -201,8 +203,9 @@ def test_secular_scan_is_batched(monkeypatch):
     zeros = find_spectrum_secular(from_template("Y"), 2 * math.pi + 0.1)
     assert len(zeros) == 6
     assert not matrices
-    # one batch for the two ends, then one per bisection level down to 1e-10
-    assert len(counts) <= 40
+    # one batch for the two ends, then one per round of cuts: 10 in all,
+    # where bisection down to 1e-10 takes 37
+    assert len(counts) <= 12
     assert counts[0] == 2
 
 
@@ -218,6 +221,7 @@ def test_secular_large_necklace_scans(n_pairs, total):
 
 
 def test_secular_gallery_cross_validates_eigs():
+    rng = np.random.default_rng(38)
     for tag, kw, k_max in SECULAR_GALLERY:
         g0 = from_template(tag, **kw)
         nx = [24 + math.ceil(1.5 * k_max * e.length) for e in g0.edges]
@@ -231,6 +235,18 @@ def test_secular_gallery_cross_validates_eigs():
         k_sec = np.repeat([z for z, _ in zeros], [m for _, m in zeros])
         assert len(k_sec) == len(k_eigs), (tag, kw)
         assert np.max(np.abs(k_sec - k_eigs)) <= 1e-6, (tag, kw)
+        # the scan leaves the constant state unlocated, and Y, whose leaves
+        # are Dirichlet, has none
+        unlocated = eigenvalue_count(g, k_max) - len(k_sec)
+        assert unlocated == (0 if tag == "Y" else 1), (tag, kw)
+        assert np.count_nonzero(np.real(lam) >= -secular_k_lo(g) ** 2) == unlocated
+        # N(k) is the number of eigenvalues with lambda >= -k^2, at k
+        # clear of the discretized spectrum's error
+        ks = rng.uniform(0.05, k_max, 8)
+        ks = ks[np.min(np.abs(ks[:, None] - k[None, :]), axis=1) > 1e-5]
+        assert ks.size >= 6
+        want = np.count_nonzero(np.real(lam)[None, :] >= -ks[:, None] ** 2, axis=1)
+        assert np.array_equal(eigenvalue_count(g, ks), want), (tag, kw)
 
 
 def _chebyshev_wavenumbers(tag, kw, k_max):
@@ -329,6 +345,81 @@ def test_secular_multiple_zero_on_a_bisection_midpoint():
     assert [m for k, m in zeros if abs(k - 2.0) < 1e-9] == [3]
     _, k_eigs = _chebyshev_wavenumbers("necklace", {"n_pairs": 3}, 4.0 - k_lo)
     assert sum(m for _, m in zeros) == len(k_eigs)
+
+
+def test_eigenvalue_count_reports_what_the_scan_leaves_out():
+    # the Robin star has three eigenvalues with lambda >= 0, which the scan
+    # cannot reach from k_lo > 0: N(k_max) counts them, the zeros do not
+    g = from_template("star", robin=1.3)
+    zeros = find_spectrum_secular(g, 5.5)
+    assert eigenvalue_count(g, 5.5) - sum(m for _, m in zeros) == 3
+    g_cheb = from_template("star", robin=1.3, nx=[24 + math.ceil(1.5 * 5.5 * e.length)
+                                                  for e in g.edges])
+    lam, _ = eigs(discretize(g_cheb, "chebyshev"), 13)
+    lam = np.sort(np.real(lam))
+    assert np.count_nonzero(lam >= 0.0) == 3
+    assert np.allclose(lam[lam >= 0.0], [0.95584826, 0.95584826, 2.35650499], atol=1e-6)
+    assert eigenvalue_count(g, secular_k_lo(g)) == 3
+    # a scalar gives an int, a 1-D array an int array
+    assert isinstance(eigenvalue_count(g, 1.0), int)
+    assert eigenvalue_count(g, np.array([1.0, 5.5])).tolist() == [eigenvalue_count(g, 1.0), 6]
+    for bad in (0.0, -1.0, math.nan, math.inf, np.ones((2, 2))):
+        with pytest.raises(SecularError, match="positive finite"):
+            eigenvalue_count(g, bad)
+
+
+def _assert_scan_matches_bisection(tag, kw, k_max, tol=1e-10):
+    """The scan's zeros equal lockstep bisection's to tol, with equal
+    multiplicities summing to N(k_max) - N(k_lo), in no more count batches;
+    (scan, bisection) batches back."""
+    g = from_template(tag, **kw)
+    zeros, batches, _ = secular_scan_work(find_spectrum_secular, g, k_max)
+    want, want_batches, _ = secular_scan_work(reference_secular_scan, g, k_max)
+    assert [m for _, m in zeros] == [m for _, m in want], (tag, kw)
+    assert np.max(np.abs(np.array([k for k, _ in zeros]) - [k for k, _ in want]),
+                  initial=0.0) <= tol, (tag, kw)
+    assert sum(m for _, m in zeros) == np.diff(eigenvalue_count(g, [secular_k_lo(g), k_max]))
+    assert want_batches == bisection_batches(g, k_max)
+    assert batches <= want_batches, (tag, kw)
+    return batches, want_batches
+
+
+def test_secular_scan_matches_bisection_on_the_gallery():
+    work = np.array([_assert_scan_matches_bisection(*case) for case in SECULAR_GALLERY])
+    # 99 count batches against bisection's 364
+    assert work[:, 0].sum() <= 130 and work[:, 1].sum() == 364
+
+
+@pytest.mark.parametrize("tag, kw, k_max", SECULAR_EIGS_CASES + (
+    ("necklace", {"n_pairs": 5}, 2.8), ("necklace", {"n_pairs": 10}, 2.8),
+    ("star", {"lengths": [1e-4, 100.0]}, 2.0)))
+def test_secular_scan_matches_bisection(tag, kw, k_max):
+    _assert_scan_matches_bisection(tag, kw, k_max)
+
+
+def test_secular_scan_matches_bisection_on_a_multiple_zero_at_its_midpoint():
+    # the 3-fold zero k = 2 is bisection's first midpoint, where roundoff
+    # can split its count between the two halves
+    k_max = 4.0 - secular_k_lo(from_template("necklace", n_pairs=3))
+    _assert_scan_matches_bisection("necklace", {"n_pairs": 3}, k_max)
+
+
+def test_secular_scan_on_a_zero_at_a_pole():
+    # the sub-edge of length r * (1 / r) = 1 has a pole of M at k = pi, where
+    # the Dirichlet star has its simple zero: the counts within about 1e-8
+    # of it are roundoff, and out of order they made spurious zeros
+    r = (3 - math.sqrt(5)) / 2
+    kw = {"lengths": [1.0, 1.0, 1 / r], "robin": [0.0, DIRICHLET, DIRICHLET, DIRICHLET]}
+    _assert_scan_matches_bisection("star", kw, 7.0, tol=1e-8)
+    zeros = find_spectrum_secular(from_template("star", **kw), 7.0)
+    assert [m for k, m in zeros if abs(k - math.pi) < 1e-8] == [1]
+
+
+def test_secular_scan_matches_bisection_on_random_graphs():
+    # 48 gallery graphs with random weights, Robin and Dirichlet vertices
+    work = np.array([_assert_scan_matches_bisection(*case)
+                     for case in random_secular_graphs(48, seed=38)])
+    assert work[:, 0].sum() <= 0.4 * work[:, 1].sum()
 
 
 def _edge_wave_states(bundle, ks, rng):

@@ -12,6 +12,115 @@ SECULAR_GALLERY = (("interval", {}, 7.0), ("star", {}, 5.5), ("Y", {}, 2 * math.
                    ("necklace", {"n_pairs": 3}, 2.45), ("necklace", {"n_pairs": 5}, 2.8))
 
 
+def secular_k_lo(graph):
+    """The lower end k_lo of find_spectrum_secular's scan."""
+    from graphpde import stationary
+
+    sub = stationary._dtn_split(graph)[0]
+    return 1e-4 / math.sqrt(np.min(sub) * np.mean(sub))
+
+
+def bisection_batches(graph, k_max):
+    """Count batches of reference_secular_scan: the ends, then one per
+    halving of (k_lo, k_max] down to 1e-10."""
+    return math.ceil(math.log2((k_max - secular_k_lo(graph)) / 1e-10)) + 1
+
+
+def reference_secular_scan(graph, k_max):
+    """find_spectrum_secular by lockstep bisection: every interval with a
+    positive count is halved, all midpoints counted in one batch, down to a
+    width of 1e-10; touching intervals of one zero are merged."""
+    from graphpde import stationary
+
+    split = stationary._dtn_split(graph)
+    a = np.array([secular_k_lo(graph)])
+    if a[0] >= k_max:
+        return []
+    b = np.array([float(k_max)])
+    na, nb = np.split(stationary._eigenvalue_counts(split, np.concatenate([a, b]))[0], 2)
+    while a.size and b[0] - a[0] > 1e-10:
+        m = 0.5 * (a + b)
+        nm = stationary._eigenvalue_counts(split, m)[0]
+        a, b = np.column_stack([a, m]).ravel(), np.column_stack([m, b]).ravel()
+        na, nb = np.column_stack([na, nm]).ravel(), np.column_stack([nm, nb]).ravel()
+        keep = nb > na
+        a, b, na, nb = a[keep], b[keep], na[keep], nb[keep]
+    first = np.flatnonzero(a != np.r_[0.0, b][:-1])
+    last = np.flatnonzero(b != np.r_[a, math.inf][1:])
+    return [(float(k), int(mult)) for k, mult in
+            zip(0.5 * (a[first] + b[last]), nb[last] - na[first])]
+
+
+def secular_scan_work(scan, graph, k_max):
+    """scan(graph, k_max) with the count batches and the wavenumbers it
+    evaluated: (zeros, batches, wavenumbers)."""
+    from graphpde import stationary
+
+    real = stationary._eigenvalue_counts
+    sizes = []
+
+    def counting(split, ks):
+        sizes.append(ks.size)
+        return real(split, ks)
+
+    stationary._eigenvalue_counts = counting
+    try:
+        zeros = scan(graph, k_max)
+    finally:
+        stationary._eigenvalue_counts = real
+    return zeros, len(sizes), sum(sizes)
+
+
+def random_secular_graphs(n, seed):
+    """n seeded (tag, kw, k_max) on the SECULAR_GALLERY graphs, in turn with
+    random edge weights in [0.5, 3], Robin vertices with alpha in [-1, 2],
+    Dirichlet vertices, and all three at once."""
+    from graphpde import DIRICHLET, from_template
+
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(n):
+        tag, kw, k_max = SECULAR_GALLERY[i % len(SECULAR_GALLERY)]
+        g = from_template(tag, **kw)
+        kind, kw = ("weight", "robin", "dirichlet", "all")[i % 4], dict(kw)
+        if kind in ("weight", "all"):
+            kw["weight"] = rng.uniform(0.5, 3.0, g.num_edges).tolist()
+        if kind != "weight":
+            robin = []
+            for _ in g.vertices:
+                u = rng.random()
+                if kind == "robin" or (kind == "all" and u < 0.5):
+                    robin.append(float(rng.uniform(-1.0, 2.0)))
+                else:
+                    robin.append(DIRICHLET if u < 0.4 else 0.0)
+            kw["robin"] = robin
+        cases.append((tag, kw, k_max))
+    return cases
+
+
+def secular_report():
+    """One line per find_spectrum_secular scan of the SECULAR_GALLERY graphs,
+    their sum, and the 54-pair necklace: count batches, wavenumbers, seconds."""
+    import time
+
+    from graphpde import find_spectrum_secular, from_template
+
+    def line(name, batches, ks, seconds):
+        return f"{name}: {int(batches)} batches, {int(ks)} wavenumbers, {seconds:.3f} s"
+
+    lines, total = [], np.zeros(3)
+    for tag, kw, k_max in SECULAR_GALLERY + (("necklace", {}, 2.45),):
+        if (tag, kw) == ("necklace", {}):
+            lines.append(line("SECULAR_GALLERY", *total))
+        t0 = time.perf_counter()
+        _, batches, ks = secular_scan_work(find_spectrum_secular, from_template(tag, **kw), k_max)
+        work = np.array([batches, ks, time.perf_counter() - t0])
+        total += work
+        name = tag + "".join(f" {k}={v}" for k, v in kw.items()) + f" k_max={k_max:.4g}"
+        lines.append(line(name, *work))
+    return "\n".join(lines)
+
+
 def cofactor_det(A):
     A = np.asarray(A)
     n = A.shape[0]
