@@ -252,6 +252,42 @@ def eigenvalue_count(graph: MetricGraph, k):
     return int(counts[0]) if k.ndim == 0 else counts
 
 
+def _secular_k_lo(split) -> float:
+    """The lower end of find_spectrum_secular's scan for a split graph of _dtn_split."""
+    return 1e-4 / math.sqrt(np.min(split[0]) * np.mean(split[0]))
+
+
+def _secular_cuts(a, b, c, cap):
+    """The cuts t1 <= t2 of a bracket (a, b, c), and the cut outside [t1, t2]: a, b or None."""
+    (ka, na, mua), (kb, nb, mub) = a, b
+    w, m = kb - ka, nb - na
+    if w <= _SECULAR_TOL:  # done: cut on its ends, so passed on whole
+        return ka, kb, None
+    cap = max(cap, 0.5 * w)
+    pos_a = np.count_nonzero(mua > 0.0)
+    if na - pos_a != nb - np.count_nonzero(mub > 0.0):  # a pole inside: halve
+        return max(0.5 * (ka + kb), ka), kb, None
+    # h, the mean of the m eigenvalues at or below 0 at a that cross 0 inside
+    crossing = np.repeat([False, True, False], [mua.size - pos_a - m, m, pos_a])
+    ha, hb, hc = (np.where(crossing, p[2], 0.0).sum() / m if p else None for p in (a, b, c))
+    # without an estimate inside: the secant through a and b
+    s, delta = ka - ha * w / (hb - ha), w / 16.0
+    if c is not None:
+        # the closest two of a, b and c: a secant, corrected by the quadratic through the third
+        pa, pb, pc = (ka, ha), (kb, hb), (c[0], hc)
+        near, far = (pa, pb) if c[0] < ka else (pb, pa)
+        (x0, h0), (x1, h1), (x2, h2) = (pc, near, far) if abs(c[0] - near[0]) < w else (pa, pb, pc)
+        d01 = (h1 - h0) / (x1 - x0)
+        d012 = ((h2 - h1) / (x2 - x1) - d01) / (x2 - x0)
+        lin = x1 - h1 / d01
+        corr = d012 * (lin - x0) * (lin - x1) / d01
+        if ka < lin - corr < kb:
+            s, delta = lin - corr, 0.5 * abs(corr)
+    delta = min(max(delta, _SECULAR_TOL / 8.0), w / 4.0)
+    t1, t2 = max(min(s - delta, ka + cap), ka), min(max(s + delta, kb - cap), kb)
+    return t1, t2, a if t1 > ka and (t2 == kb or s - ka < kb - s) else b
+
+
 def find_spectrum_secular(graph: MetricGraph, k_max: float):
     """Zeros of Sigma on (k_lo, k_max] with their multiplicities, as [(k, m)].
 
@@ -292,86 +328,40 @@ def find_spectrum_secular(graph: MetricGraph, k_max: float):
     if not 0.0 < k_max < math.inf:
         raise SecularError(f"k_max must be positive and finite, got {k_max}")
     split = _dtn_split(graph)
-    k_lo = 1e-4 / math.sqrt(np.min(split[0]) * np.mean(split[0]))
+    k_lo = _secular_k_lo(split)
     if k_lo >= k_max:
         return []
-    tol = _SECULAR_TOL
-    n_ends, mu_ends = _eigenvalue_counts(split, np.array([k_lo, k_max]))
-    if n_ends[1] == n_ends[0]:
+    a, b = zip((k_lo, float(k_max)), *_eigenvalue_counts(split, np.array([k_lo, k_max])))
+    if a[1] == b[1]:
         return []
-    n = mu_ends.shape[1]
-    idx = np.arange(n)
-    # every evaluated point: its wavenumber, count and eigenvalues of M,
-    # after a NaN point that stands for "none"
-    ks, counts = np.r_[np.nan, k_lo, k_max], np.r_[0, n_ends]
-    mus = np.concatenate([np.full((1, n), np.nan), mu_ends])
-    # the live brackets [a, b] as rows (a, b, c) of indices into the
-    # points, c the last cut outside [a, b]
-    live = np.array([[1, 2, 0]])
-    rounds = math.ceil(math.log2((k_max - k_lo) / tol))
+    # the brackets (a, b, c) in order: ends a and b, points (k, N(k), eigenvalues of M(k)),
+    # and the last cut c outside [a, b] or None; one no wider than 1e-10 is done, and kept
+    brackets = [(a, b, None)]
+    width = _SECULAR_TOL * 2.0 ** math.ceil(math.log2((k_max - k_lo) / _SECULAR_TOL))
     ulps = 8.0 * np.spacing(float(k_max))
-    done, j = [], 0
-    while True:
-        ends = ks[live[:, 1]] - ks[live[:, 0]] <= tol
-        done.append(live[ends, :2])
-        live = live[~ends]
-        if not live.size:
-            break
-        j += 1
-        (a, b, c), (na, nb), mu = ks[live].T, counts[live[:, :2]].T, mus[live]
-        w, m = b - a, nb - na
-        # no piece wider than bisection's width after round j, less a few
+    while any(b[0] - a[0] > _SECULAR_TOL for a, b, _ in brackets):
+        # no piece wider than bisection's width after this round, less a few
         # ulps for the cuts' rounding, or than half its interval: a rounding
         # excess is halved each round and does not add up
-        cap = np.maximum(tol * 2.0 ** max(rounds - j, 0) - ulps, 0.5 * w)
-        pos = (mu[:, :2] > 0.0).sum(axis=2)
-        pole = na - pos[:, 0] != nb - pos[:, 1]
-        hi = n - pos[:, :1]
-        crossing = (idx >= hi - m[:, None]) & (idx < hi)
-        with np.errstate(all="ignore"):  # NaN without a cut c, or across a pole
-            ha, hb, hc = (np.where(crossing[:, None], mu, 0.0).sum(axis=2) / m[:, None]).T
-            # the closest two of a, b and c carry a secant, corrected by the
-            # quadratic through the third
-            left = c < a
-            near, h_near = np.where(left, a, b), np.where(left, ha, hb)
-            by_c = np.abs(c - near) < w
-            x0, h0 = np.where(by_c, c, a), np.where(by_c, hc, ha)
-            x1, h1 = np.where(by_c, near, b), np.where(by_c, h_near, hb)
-            x2 = np.where(by_c, np.where(left, b, a), c)
-            h2 = np.where(by_c, np.where(left, hb, ha), hc)
-            d01 = (h1 - h0) / (x1 - x0)
-            d012 = ((h2 - h1) / (x2 - x1) - d01) / (x2 - x0)
-            lin = x1 - h1 / d01
-            corr = d012 * (lin - x0) * (lin - x1) / d01
-            inside = (lin - corr > a) & (lin - corr < b)
-            # without an estimate inside: the secant through a and b
-            s = np.where(inside, lin - corr, a - ha * w / (hb - ha))
-        delta = np.minimum(np.maximum(np.where(inside, 0.5 * np.abs(corr), w / 16.0),
-                                      tol / 8.0), w / 4.0)
-        # the cuts t1 <= t2 join the points, evaluated unless on an end
-        t1 = np.maximum(np.where(pole, 0.5 * (a + b), np.minimum(s - delta, a + cap)), a)
-        t2 = np.minimum(np.where(pole, b, np.maximum(s + delta, b - cap)), b)
-        cuts, on_end = np.concatenate([t1, t2]), np.concatenate([t1 == a, t2 == b])
-        i1, i2 = ks.size + np.arange(a.size), ks.size + a.size + np.arange(a.size)
-        n_cut, mu_cut = np.concatenate([na, nb]), np.concatenate([mu[:, 0], mu[:, 1]])
-        n_cut[~on_end], mu_cut[~on_end] = _eigenvalue_counts(split, cuts[~on_end])
-        # N is nondecreasing: a count out of order is roundoff within about
-        # 1e-8 of a pole of M, and is clipped so that the pieces' counts
-        # still rise by m in all
-        n_cut[:a.size] = np.clip(n_cut[:a.size], na, nb)
-        n_cut[a.size:] = np.clip(n_cut[a.size:], n_cut[:a.size], nb)
-        ks, counts = np.concatenate([ks, cuts]), np.concatenate([counts, n_cut])
-        mus = np.concatenate([mus, mu_cut])
-        # the pieces [a, t1], [t1, t2] and [t2, b]; the cut outside each is
-        # the other cut for the outer two, the nearer end for the middle
-        # one, and none after a halving, whose pieces may lie across a pole
-        mid_c = np.where((t1 > a) & ((t2 == b) | (s - a < b - s)), live[:, 0], live[:, 1])
-        live = np.array([live[:, 0], i1, i2, i1, i2, mid_c, i2, live[:, 1], i1]).T.reshape(-1, 3)
-        live[np.repeat(pole, 3), 2] = 0
-        live = live[counts[live[:, 1]] > counts[live[:, 0]]]
-    done = np.concatenate(done)
-    done = done[np.argsort(ks[done[:, 0]])]
-    (a, b), (na, nb) = ks[done].T, counts[done].T
+        width = max(0.5 * width, _SECULAR_TOL)
+        with np.errstate(all="ignore"):  # a zero slope or an overflow: no estimate inside
+            cuts = [_secular_cuts(a, b, c, width - ulps) for a, b, c in brackets]
+        new = [cut[i] for i in (0, 1) for br, cut in zip(brackets, cuts) if cut[i] != br[i][0]]
+        found = {k: (k, n, mu) for k, n, mu in zip(new, *_eigenvalue_counts(split, np.array(new)))}
+        pieces = []
+        for (a, b, _), (t1, t2, mid) in zip(brackets, cuts):
+            (_, n1, mu1), (_, n2, mu2) = found.get(t1, a), found.get(t2, b)
+            # N is nondecreasing: a count out of order is roundoff within
+            # about 1e-8 of a pole of M, and is clipped so that the pieces'
+            # counts still rise by m in all
+            p1 = (t1, min(max(n1, a[1]), b[1]), mu1)
+            p2 = (t2, min(max(n2, p1[1]), b[1]), mu2)
+            # the pieces [a, t1], [t1, t2] and [t2, b]; the cut outside each
+            # is the other cut for the outer two, mid for the middle one,
+            # and none after a halving, whose pieces may lie across a pole
+            pieces += [(a, p1, mid and p2), (p1, p2, mid), (p2, b, mid and p1)]
+        brackets = [br for br in pieces if br[1][1] > br[0][1]]
+    a, b, na, nb = np.array([(a[0], b[0], a[1], b[1]) for a, b, _ in brackets]).T
     # roundoff at a multiple zero that is also a cut can split its count
     # between two touching intervals: merge them
     first = np.flatnonzero(a != np.r_[0.0, b][:-1])

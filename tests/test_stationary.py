@@ -333,13 +333,28 @@ def test_secular_scan_starts_clear_of_zero_on_short_edges():
     assert find_spectrum_secular(from_template("Y"), 1e-9) == []
 
 
+@pytest.mark.parametrize("k_max", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_secular_scan_refuses_a_bad_k_max(k_max):
+    with pytest.raises(SecularError, match="k_max"):
+        find_spectrum_secular(from_template("Y"), k_max)
+
+
+def test_secular_scan_exits_early_without_a_zero_in_range():
+    # at or below k_lo no count is taken; with N(k_max) = N(k_lo), as on
+    # the interval below its first zero pi, only the ends are counted
+    g = from_template("interval")
+    k_lo = secular_k_lo(g)
+    for k_max in (0.5 * k_lo, k_lo):
+        assert secular_scan_work(find_spectrum_secular, g, k_max) == ([], 0, 0)
+    assert eigenvalue_count(g, 3.0) == eigenvalue_count(g, k_lo)
+    assert secular_scan_work(find_spectrum_secular, g, 3.0) == ([], 1, 2)
+
+
 def test_secular_multiple_zero_on_a_bisection_midpoint():
     # k_max = 4 - k_lo puts the first midpoint on the 3-fold zero k = 2,
     # where roundoff can split its count between the two halves
     g = from_template("necklace", n_pairs=3)
-    r = (3 - math.sqrt(5)) / 2
-    sub = np.outer([e.length for e in g.edges], [r, 1 - r])
-    k_lo = 1e-4 / math.sqrt(np.min(sub) * np.mean(sub))
+    k_lo = secular_k_lo(g)
     assert 0.5 * (k_lo + (4.0 - k_lo)) == 2.0
     zeros = find_spectrum_secular(g, 4.0 - k_lo)
     assert [m for k, m in zeros if abs(k - 2.0) < 1e-9] == [3]
@@ -371,9 +386,9 @@ def test_eigenvalue_count_reports_what_the_scan_leaves_out():
 def _assert_scan_matches_bisection(tag, kw, k_max, tol=1e-10):
     """The scan's zeros equal lockstep bisection's to tol, with equal
     multiplicities summing to N(k_max) - N(k_lo), in no more count batches;
-    (scan, bisection) batches back."""
+    (scan batches, bisection batches, scan wavenumbers) back."""
     g = from_template(tag, **kw)
-    zeros, batches, _ = secular_scan_work(find_spectrum_secular, g, k_max)
+    zeros, batches, ks = secular_scan_work(find_spectrum_secular, g, k_max)
     want, want_batches, _ = secular_scan_work(reference_secular_scan, g, k_max)
     assert [m for _, m in zeros] == [m for _, m in want], (tag, kw)
     assert np.max(np.abs(np.array([k for k, _ in zeros]) - [k for k, _ in want]),
@@ -381,13 +396,14 @@ def _assert_scan_matches_bisection(tag, kw, k_max, tol=1e-10):
     assert sum(m for _, m in zeros) == np.diff(eigenvalue_count(g, [secular_k_lo(g), k_max]))
     assert want_batches == bisection_batches(g, k_max)
     assert batches <= want_batches, (tag, kw)
-    return batches, want_batches
+    return batches, want_batches, ks
 
 
 def test_secular_scan_matches_bisection_on_the_gallery():
     work = np.array([_assert_scan_matches_bisection(*case) for case in SECULAR_GALLERY])
-    # 99 count batches against bisection's 364
-    assert work[:, 0].sum() <= 130 and work[:, 1].sum() == 364
+    # 99 count batches against bisection's 364, and 614 wavenumbers
+    assert work[:, 0].sum() <= 99 and work[:, 1].sum() == 364
+    assert work[:, 2].sum() <= 614
 
 
 @pytest.mark.parametrize("tag, kw, k_max", SECULAR_EIGS_CASES + (

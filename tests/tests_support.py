@@ -16,8 +16,7 @@ def secular_k_lo(graph):
     """The lower end k_lo of find_spectrum_secular's scan."""
     from graphpde import stationary
 
-    sub = stationary._dtn_split(graph)[0]
-    return 1e-4 / math.sqrt(np.min(sub) * np.mean(sub))
+    return stationary._secular_k_lo(stationary._dtn_split(graph))
 
 
 def bisection_batches(graph, k_max):
